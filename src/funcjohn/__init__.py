@@ -3,6 +3,7 @@ identity for log-concave functions."""
 
 from .bump import (
     JohnBumpFunction,
+    NormBoundError,
     NormGapRecord,
     bump_from_decomposition,
     norm_gap_probe,
@@ -47,6 +48,7 @@ from .lcfunc import (
     ImproperFunctionError,
     LogAffineMajorant,
     LogConcaveFunction,
+    NoSolverTargetError,
     PolarHeightPower,
     Positioned,
     UnboundedFunctionError,

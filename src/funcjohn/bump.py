@@ -15,8 +15,14 @@ from .decomp import (
     verify_decomposition,
 )
 from .lcfunc import Bump, hbar
+from .verify import ball_grid
 
 REGULARITY_MARGIN = 1e-12
+
+
+class NormBoundError(ValueError):
+    """A bump's sup norm breaks a bound its decomposition guarantees, so the
+    bump does not come from that decomposition."""
 
 
 @dataclass(frozen=True)
@@ -37,23 +43,6 @@ class NormGapRecord:
     polar_zero_lower_bound: float
 
 
-def _construction_grid(d: int, seed: int = 0) -> np.ndarray:
-    """Cheap certificate grid in the unit ball for the hbar <= f check."""
-    if d == 1:
-        return np.linspace(-1.0, 1.0, 1000)[:, None]
-    if d == 2:
-        side = np.linspace(-1.0, 1.0, 33)
-        X = np.array([[x, y] for x in side for y in side])
-        return X[np.einsum("ij,ij->i", X, X) <= 1.0]
-    rng = np.random.default_rng(seed)
-    # sphere-stratified samples: uniform directions, stratified radii
-    n = 10_000
-    V = rng.standard_normal((n, d))
-    V /= np.linalg.norm(V, axis=1)[:, None]
-    radii = ((np.arange(n) + rng.random(n)) / n) ** (1.0 / d)
-    return V * radii[:, None]
-
-
 def bump_from_decomposition(dec: FunctionalJohnDecomposition) -> JohnBumpFunction:
     """min of the majorants over the decomposition's points; checks the
     hbar <= f guarantee on a construction grid."""
@@ -61,7 +50,8 @@ def bump_from_decomposition(dec: FunctionalJohnDecomposition) -> JohnBumpFunctio
     if not res.passes(DEFAULT_VERIFY_TOL):
         raise InvalidDecompositionError(f"decomposition fails verification: {res}")
     f = Bump(anchors=dec.points)
-    grid = _construction_grid(dec.dim)
+    # a cheap certificate grid in the unit ball for the hbar <= f check
+    grid = ball_grid(dec.dim, {1: 1000, 2: 855}.get(dec.dim, 10_000))
     heights = hbar(grid)
     mask = heights > 0
     gap = f.log_evaluate_many(grid[mask]) - np.log(heights[mask])
@@ -84,11 +74,13 @@ def norm_gap_probe(bf: JohnBumpFunction) -> NormGapRecord:
     h = hbar(U)
     log_bound = -d - np.sum(c * h * h * np.log(h))
     bound = math.exp(log_bound)
-    record = NormGapRecord(sup_norm=s, gap=math.exp(d) - s,
-                           polar_zero_lower_bound=bound)
-    assert s <= math.exp(d), "sup norm exceeds e^d"
-    assert s <= 1.0 / bound + 1e-9, "sup norm exceeds reciprocal polar bound"
-    return record
+    if not s <= math.exp(d):
+        raise NormBoundError(f"sup norm {s} exceeds e^d = {math.exp(d)}")
+    if not s <= 1.0 / bound + 1e-9:
+        raise NormBoundError(
+            f"sup norm {s} exceeds the reciprocal polar bound {1.0 / bound}")
+    return NormGapRecord(sup_norm=s, gap=math.exp(d) - s,
+                         polar_zero_lower_bound=bound)
 
 
 def polar_atom_floor_check(bf: JohnBumpFunction, tol: float = 1e-9) -> bool:

@@ -131,12 +131,15 @@ def function_from_config(data: dict) -> LogConcaveFunction:
 
 def solver_options_from_config(data: dict, seed: int) -> SolverOptions:
     opts = data.get("solver", {}) if isinstance(data, dict) else {}
+    unknown = sorted(set(opts) - {f.name for f in
+                                  dataclasses.fields(SolverOptions)})
+    if unknown:
+        raise ConfigError(f"unknown solver options: {unknown}")
     return SolverOptions(
         seed=int(opts.get("seed", seed)),
         restarts=int(opts.get("restarts", 2)),
         grid_density=int(opts.get("grid_density", 0)),
         constraint_tol=float(opts.get("constraint_tol", 1e-8)),
-        step_tol=float(opts.get("step_tol", 1e-10)),
         max_outer_iterations=int(opts.get("max_outer_iterations", 200)),
     )
 

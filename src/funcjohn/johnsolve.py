@@ -21,25 +21,14 @@ import numpy as np
 from scipy import optimize
 
 from .decomp import InfeasibleWeightsError, weights_from_points
-from .lcfunc import (
-    BallIndicator,
-    Bump,
-    ExpNorm,
-    Gaussian,
-    Height,
-    HeightPower,
-    LogConcaveFunction,
-    PolarHeightPower,
-    Positioned,
-    _majorant_coeffs,
-    hbar,
-)
+from .lcfunc import LogConcaveFunction, hbar
 from .position import (
     AffinePosition,
+    chol_factor_from_params,
     chol_param_size,
     chol_params_from_pd,
+    log_det_from_chol_params,
     make_position,
-    pd_from_chol_params,
 )
 from .verify import ball_grid, sphere_points
 
@@ -47,8 +36,6 @@ _INIT_GRID = {1: 201, 2: 421, 3: 800}
 _SEP_GRID = {1: 2001, 2: 4096, 3: 8192}
 _CERT_GRID = {1: 10_001, 2: 250_000, 3: 131_072}
 _TAU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
-_SUPPORT_EPS = 1e-4  # smooth extension width below bounded supports
-_BOUNDARY_WALL = 1e6
 _FINAL_SHRINK = 1.0 - 1e-12  # keeps supp g strictly inside supp f
 
 
@@ -66,11 +53,10 @@ class SolverOptions:
     restarts: int = 16
     grid_density: int = 0  # 0 -> per-dimension default
     constraint_tol: float = 1e-8
-    step_tol: float = 1e-10
     max_outer_iterations: int = 200
 
     def __post_init__(self):
-        if self.restarts < 1 or self.constraint_tol <= 0 or self.step_tol <= 0 \
+        if self.restarts < 1 or self.constraint_tol <= 0 \
                 or self.max_outer_iterations < 1 or self.grid_density < 0:
             raise ValueError("invalid solver options")
 
@@ -83,95 +69,13 @@ class SolveReport:
     contacts: tuple = ()
     recovered_weights: tuple | None = None
     diagnostics: dict = field(default_factory=dict)
-    positive_definite_restricted: bool = True
-
-
-# ---------------------------------------------------------------------------
-# values and gradients of log f (with smooth extension below bounded supports)
-# ---------------------------------------------------------------------------
-
-
-def _height_like(X, s):
-    sq = 1.0 - np.einsum("ij,ij->i", X, X)
-    inside = sq >= _SUPPORT_EPS
-    sq_safe = np.maximum(sq, _SUPPORT_EPS)
-    vals = 0.5 * s * np.log(sq_safe)
-    grads = (-s / sq_safe)[:, None] * X
-    # linear continuation below the extension threshold keeps the pull-back
-    # gradient alive for iterates that step outside the support
-    vals = np.where(inside, vals,
-                    0.5 * s * math.log(_SUPPORT_EPS)
-                    + 0.5 * s * (sq - _SUPPORT_EPS) / _SUPPORT_EPS)
-    return vals, grads
 
 
 def target_log_grad(f: LogConcaveFunction, X: np.ndarray, tau: float = 0.0
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """(log f, grad log f) rows for the solver's smooth target.
-
-    tau > 0 smooths a bump's min over majorants with a soft-min at that
-    temperature (a lower bound on the bump, so the relaxation stays
-    conservative); quasi-Newton steps need this because the hard min has
-    gradient ridges."""
-    if isinstance(f, Bump):
-        interior = f.interior_anchors()
-        slopes, intercepts = _majorant_coeffs(interior)
-        vals_all = intercepts[None, :] - X @ slopes.T
-        for u in f.boundary_anchors():
-            wall = _BOUNDARY_WALL * (1.0 - X @ u)
-            vals_all = np.column_stack([vals_all, wall])
-            slopes = np.vstack([slopes, _BOUNDARY_WALL * u])
-        if tau > 0.0:
-            vmin = vals_all.min(axis=1, keepdims=True)
-            e = np.exp(-(vals_all - vmin) / tau)
-            Z = e.sum(axis=1)
-            vals = vmin[:, 0] - tau * np.log(Z)
-            grads = -(e / Z[:, None]) @ slopes
-        else:
-            idx = np.argmin(vals_all, axis=1)
-            vals = vals_all[np.arange(X.shape[0]), idx]
-            grads = -slopes[idx]
-        return vals, grads
-    if isinstance(f, Height):
-        return _height_like(X, 1.0)
-    if isinstance(f, HeightPower):
-        return _height_like(X, f.s)
-    if isinstance(f, Gaussian):
-        return -np.einsum("ij,ij->i", X, X), -2.0 * X
-    if isinstance(f, ExpNorm):
-        r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
-        return -r ** f.p, (-f.p * r ** (f.p - 2.0))[:, None] * X
-    if isinstance(f, PolarHeightPower):
-        r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
-        vals = f.radial_log_profile(r)
-        s = f.s
-        # envelope theorem: the derivative in r is -r*(r), the inner maximizer
-        rstar = (-s + np.sqrt(s * s + 4.0 * r * r)) / (2.0 * r)
-        return vals, (-rstar / r)[:, None] * X
-    if isinstance(f, BallIndicator):
-        c = f._center()
-        D = X - c
-        sq = f.radius ** 2 - np.einsum("ij,ij->i", D, D)
-        inside = sq >= 0.0
-        vals = np.where(inside, 0.0, sq / _SUPPORT_EPS)
-        grads = np.where(inside[:, None], 0.0, (2.0 / _SUPPORT_EPS) * (-D))
-        return vals, grads
-    if isinstance(f, Positioned):
-        pos = f.position
-        inv = pos.inverse_matrix()
-        Y = (X - pos.a_vector()) @ inv.T
-        vals, grads = target_log_grad(f.inner, Y, tau)
-        return vals + math.log(pos.alpha), grads @ inv
-    # numeric fallback
-    vals = f.log_evaluate_many(X)
-    grads = np.zeros_like(X)
-    h = 1e-6
-    for j in range(X.shape[1]):
-        E = np.zeros(X.shape[1])
-        E[j] = h
-        grads[:, j] = (f.log_evaluate_many(X + E) - f.log_evaluate_many(X - E)) \
-            / (2.0 * h)
-    return vals, grads
+    """(log f, grad log f) rows for the solver's smooth target; see
+    LogConcaveFunction.log_value_grad."""
+    return f.log_value_grad(X, tau)
 
 
 def _validate_w(w: LogConcaveFunction):
@@ -223,40 +127,29 @@ class _Engine:
 
     # --- packing ------------------------------------------------------
 
-    def unpack(self, theta):
+    def _factor(self, theta):
+        """(log-Cholesky parameters, Cholesky factor L, a) of theta."""
         # clamp the parametrization so wild line-search probe steps cannot
         # overflow; the objective at the clamp is astronomical anyway, so
         # such probes are always rejected
         chol = np.clip(theta[:self.K], -50.0, 50.0)
         a = np.clip(theta[self.K:], -1e6, 1e6)
-        A = pd_from_chol_params(chol, self.d)
-        return chol, A, a
+        return chol, chol_factor_from_params(chol, self.d), a
+
+    def unpack(self, theta):
+        """(A, a) of theta."""
+        _, L, a = self._factor(theta)
+        return L @ L.T, a
 
     def pack(self, A, a):
         return np.concatenate([chol_params_from_pd(A), a])
-
-    def _chol_factors(self, chol):
-        d = self.d
-        L = np.zeros((d, d))
-        idx = 0
-        for i in range(d):
-            for j in range(i + 1):
-                L[i, j] = math.exp(chol[idx]) if i == j else chol[idx]
-                idx += 1
-        dmats = []
-        for i in range(d):
-            for j in range(i + 1):
-                dL = np.zeros((d, d))
-                dL[i, j] = L[i, i] if i == j else 1.0
-                dmats.append(dL)
-        return L, dmats
 
     # --- objective --------------------------------------------------------
 
     def fused(self, theta, lam, tau):
         """Value and gradient of -(log det A + lam * softmin_tau r)."""
-        chol, A, a = self.unpack(theta)
-        L, dmats = self._chol_factors(chol)
+        chol, L, a = self._factor(theta)
+        A = L @ L.T
         fvals, fgrads = target_log_grad(self.f, self.Y @ A.T + a, tau)
         r = fvals - self.logw
         rmin = float(r.min())
@@ -264,25 +157,26 @@ class _Engine:
         Z = float(e.sum())
         m = rmin - tau * math.log(Z)
         p = e / Z
-        logdet = 2.0 * sum(chol[i * (i + 1) // 2 + i] for i in range(self.d))
-        val = -(logdet + lam * m)
+        val = -(log_det_from_chol_params(chol, self.d) + lam * m)
 
         grad = np.zeros(theta.shape[0])
-        idx = 0
-        for i in range(self.d):
-            idx += i
-            grad[idx] = -2.0
-            idx += 1
         G = fgrads * p[:, None]     # softmax-weighted gradients of r
-        for k, dL in enumerate(dmats):
-            dA = dL @ L.T + L @ dL.T
-            grad[k] += -lam * float(np.einsum("ij,ij->", G, self.Y @ dA.T))
+        k = 0
+        for i in range(self.d):
+            for j in range(i + 1):
+                # dA for the k-th parameter; d log det / d(log L_ii) = 2
+                dL = np.zeros((self.d, self.d))
+                dL[i, j] = L[i, i] if i == j else 1.0
+                dA = dL @ L.T + L @ dL.T
+                grad[k] = -2.0 if i == j else 0.0
+                grad[k] += -lam * float(np.einsum("ij,ij->", G, self.Y @ dA.T))
+                k += 1
         grad[self.K:] += -lam * G.sum(axis=0)
         return val, grad
 
     def grid_min(self, theta):
         """min over the sample of log f(A y + a) - log w(y), smooth target."""
-        _, A, a = self.unpack(theta)
+        A, a = self.unpack(theta)
         fvals, _ = target_log_grad(self.f, self.Y @ A.T + a)
         return float(np.min(fvals - self.logw))
 
@@ -290,7 +184,7 @@ class _Engine:
 
     def _sup_over(self, theta, grid, logw, n_refine):
         """sup over the ball of log w(y) - log f(A y + a), grid plus ascent."""
-        _, A, a = self.unpack(theta)
+        A, a = self.unpack(theta)
         fvals, _ = target_log_grad(self.f, grid @ A.T + a)
         v = logw - fvals
         order = np.argsort(v)
@@ -339,7 +233,7 @@ class _Engine:
         Grid values use the true log f (+inf when the position pokes out of
         supp f at a sampled point); ascent refinement navigates the smooth
         surrogate but the refined points are re-scored exactly."""
-        _, A, a = self.unpack(theta)
+        A, a = self.unpack(theta)
         n = _CERT_GRID[min(self.d, 3)]
         grid = ball_grid(self.d, n, radius=0.9999 * self.wrad,
                          seed=self.opts.seed + 17)
@@ -427,7 +321,7 @@ class _Engine:
                         theta.shape[0])
             schedule = _TAU_SCHEDULE[3:]
             sup, _, points = self.separation(theta)
-            _, A, _ = self.unpack(theta)
+            A, _ = self.unpack(theta)
             obj = math.log(max(np.linalg.det(A), 1e-300)) - lam * sup
             if best is None or obj > best[0] + 1e-12:
                 best = (obj, theta.copy())
@@ -439,14 +333,24 @@ class _Engine:
         return best[1], iters
 
 
-def _lexicographic_key(pos: AffinePosition):
-    return (pos.alpha,) + tuple(v for row in pos.A for v in row) + pos.a
+def _bisect_scale(violation, lo, hi, vtol, iterations):
+    """Largest scale in [lo, hi] with violation(scale) <= vtol, by bisection
+    to width 1e-13 or at most `iterations` halvings; returns the low end."""
+    for _ in range(iterations):
+        mid = 0.5 * (lo + hi)
+        if violation(mid) <= vtol:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-13:
+            break
+    return lo
 
 
 def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
     """Shrink inside the support, certify, and package the report."""
     opts = engine.opts
-    _, A, a = engine.unpack(theta)
+    A, a = engine.unpack(theta)
     A = _FINAL_SHRINK * A
     cert, _ = engine.certify(engine.pack(A, a))
     fac = 1.0 - 1e-9
@@ -486,15 +390,7 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
             lo, hi = 1.0, 1.05
             while sep_violation(hi) <= vtol and hi < 4.0:
                 lo, hi = hi, hi * 1.05
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if sep_violation(mid) <= vtol:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13:
-                break
-        scale = lo
+        scale = _bisect_scale(sep_violation, lo, hi, vtol, 50)
 
         def exact_violation(s):
             return la + engine.certify(engine.pack(s * A, a))[0]
@@ -503,18 +399,10 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
         if violation > vtol:
             # the dense certificate sees a violation the separation sup
             # missed (possibly infinite, when the support pokes out)
-            lo_s, hi_s = 0.5 * scale, scale
-            while exact_violation(lo_s) > vtol and lo_s > 1e-3:
-                lo_s *= 0.7
-            for _ in range(40):
-                mid = 0.5 * (lo_s + hi_s)
-                if exact_violation(mid) <= vtol:
-                    lo_s = mid
-                else:
-                    hi_s = mid
-                if hi_s - lo_s < 1e-13:
-                    break
-            scale = lo_s
+            lo = 0.5 * scale
+            while exact_violation(lo) > vtol and lo > 1e-3:
+                lo *= 0.7
+            scale = _bisect_scale(exact_violation, lo, scale, vtol, 40)
             violation = exact_violation(scale)
         A = scale * A
     if la < math.log(1e-12):
@@ -543,14 +431,14 @@ def _solve_free(f, w, opts, warm_start=None) -> SolveReport:
         else:
             theta0 = engine.initial_theta(rng, r)
         theta, iters = engine.solve_lambda(theta0, lam=1.0)
-        _, A, _ = engine.unpack(theta)
+        A, _ = engine.unpack(theta)
         obj = engine.grid_min(theta) + math.log(max(np.linalg.det(A), 1e-300))
         trace.append(max(obj, trace[-1] if trace else -math.inf))
         if best is None or obj > best[0] + 1e-12:
             best = (obj, theta, iters, r)
         elif abs(obj - best[0]) <= 1e-12:
-            _, Ab, ab = engine.unpack(best[1])
-            _, Ac, ac = engine.unpack(theta)
+            Ab, ab = engine.unpack(best[1])
+            Ac, ac = engine.unpack(theta)
             kb = tuple(Ab.ravel()) + tuple(ab)
             kc = tuple(Ac.ravel()) + tuple(ac)
             if kc < kb:
@@ -568,7 +456,7 @@ def _solve_free(f, w, opts, warm_start=None) -> SolveReport:
             break
         theta, it = engine.solve_lambda(theta, lam=1.0, exchange_rounds=3)
         iters += it
-        _, A, _ = engine.unpack(theta)
+        A, _ = engine.unpack(theta)
         trace.append(max(trace[-1], engine.grid_min(theta)
                          + math.log(max(np.linalg.det(A), 1e-300))))
     return _finish(engine, theta, None, {

@@ -6,6 +6,11 @@ densities, log-affine majorants touching the height function, bumps (pointwise
 minima of majorants), half-space restrictions, and affinely positioned copies
 of any of the above.
 
+Each variant holds its own math in one place: log f (log_evaluate_many), the
+smooth value and gradient the solver maximizes against (log_value_grad), and
+the support function S(p) = sup_x <p,x> + log f(x) behind the polar (log_sup,
+with radial_log_sup for radial variants).
+
 All values are immutable after construction and evaluation is pure.
 """
 
@@ -15,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, special
+from scipy import integrate, optimize, special
 from scipy.stats import qmc
 
 MAX_DIM = 8
@@ -23,6 +28,9 @@ BOUNDARY_SNAP = 1e-12
 
 # log values below this are treated as "function is zero" in numeric probes
 LOG_ZERO = -746.0
+
+_SUPPORT_EPS = 1e-4  # smooth extension width below bounded supports
+_BOUNDARY_WALL = 1e6  # slope of a bump's wall at a boundary anchor
 
 
 class DimensionMismatchError(ValueError):
@@ -39,6 +47,10 @@ class UnboundedFunctionError(ValueError):
 
 class DivergentIntegralError(ValueError):
     pass
+
+
+class NoSolverTargetError(ValueError):
+    """The variant has no smooth log value and gradient for the solver."""
 
 
 def _check_dim(d: int) -> int:
@@ -87,7 +99,8 @@ def zeta(t: float) -> float:
 
 @dataclass(frozen=True)
 class LogConcaveFunction:
-    """Base class; subclasses implement log_evaluate_many."""
+    """Base class; subclasses implement log_evaluate_many and override the
+    solver target and support-function hooks where they have closed forms."""
 
     def __post_init__(self):
         _check_dim(self.dim)
@@ -144,57 +157,80 @@ class LogConcaveFunction:
     def integral_with_error(self) -> tuple[float, float]:
         return _numeric_integral(self)
 
+    # --- solver target and support function ---------------------------
 
-def eval(f: LogConcaveFunction, x) -> float:  # noqa: A001
-    """Evaluate f at a single point (extended nonnegative real)."""
-    return f.evaluate(x)
+    def log_value_grad(self, X: np.ndarray, tau: float = 0.0
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """(log f, grad log f) rows of the solver's smooth target.
+
+        Bounded supports are extended smoothly below their boundary so that
+        iterates stepping outside still see a gradient; tau > 0 smooths a
+        bump's min over majorants.  Variants without an analytic target are
+        refused rather than finite-differenced through -inf."""
+        raise NoSolverTargetError(
+            f"{type(self).__name__} has no smooth solver target (log value "
+            "and gradient), so the solver cannot take it as f")
+
+    def log_sup(self, P: np.ndarray) -> np.ndarray:
+        """S(p) = sup over supp f of (<p,x> + log f(x)) for each row of P."""
+        if self.is_radial():
+            return np.asarray([self.radial_log_sup(float(np.linalg.norm(p)))
+                               for p in P])
+        return np.asarray([_generic_log_sup(self, p) for p in P])
+
+    def radial_log_sup(self, c: float) -> float:
+        """S of a radial function as a function of c = |p|:
+        sup_{r >= 0} (c r + log phi(r)) for a nonincreasing profile phi."""
+
+        def g(r):
+            return c * r + float(self.radial_log_profile(np.array([r]))[0])
+
+        R = self.support_radius()
+        if math.isfinite(R):
+            hi = R
+        else:
+            g0 = g(0.0)
+            hi = 1.0
+            while g(hi) > g0 - 20.0:
+                hi *= 2.0
+                if hi > 1e9:
+                    return math.inf
+        res = optimize.minimize_scalar(lambda r: -g(r), bounds=(0.0, hi),
+                                       method="bounded",
+                                       options={"xatol": 1e-13})
+        return max(-res.fun, g(0.0))
 
 
-def sup_norm(f: LogConcaveFunction) -> float:
-    return f.sup_norm()
+def _generic_log_sup(f: LogConcaveFunction, p: np.ndarray,
+                     starts: int = 32, seed: int = 0) -> float:
+    """Seeded multi-start ascent of <p,x> + log f(x)."""
+    d = f.dim
+    R = effective_radius(f)
 
+    def neg(x):
+        lf = float(f.log_evaluate_many(x[None, :])[0])
+        if not math.isfinite(lf):
+            return 1e12 + float(np.linalg.norm(x))
+        return -(float(p @ x) + lf)
 
-def integral(f: LogConcaveFunction) -> float:
-    return f.integral()
+    rng = np.random.default_rng(seed)
+    best = -math.inf
+    X0 = [np.zeros(d)] + [rng.uniform(-R, R, size=d) for _ in range(starts - 1)]
+    for x0 in X0:
+        if neg(x0) > 1e11:
+            continue
+        res = optimize.minimize(neg, x0, method="Nelder-Mead",
+                                options={"xatol": 1e-12, "fatol": 1e-13,
+                                         "maxiter": 4000})
+        best = max(best, -res.fun)
+    if not math.isfinite(best):
+        raise ImproperFunctionError("function appears to vanish everywhere")
+    return best
 
 
 # ---------------------------------------------------------------------------
 # concrete variants
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Height(LogConcaveFunction):
-    """sqrt(1 - |x|^2) on the unit ball, 0 outside."""
-
-    dimension: int = 1
-
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def log_evaluate_many(self, X):
-        sq = 1.0 - np.einsum("ij,ij->i", X, X)
-        with np.errstate(divide="ignore"):
-            return np.where(sq > 0.0, 0.5 * np.log(np.maximum(sq, 1e-320)), -np.inf)
-
-    def is_radial(self):
-        return True
-
-    def radial_log_profile(self, r):
-        r = np.asarray(r, dtype=float)
-        sq = 1.0 - r * r
-        with np.errstate(divide="ignore"):
-            return np.where(sq > 0.0, 0.5 * np.log(np.maximum(sq, 1e-320)), -np.inf)
-
-    def support_radius(self):
-        return 1.0
-
-    def sup_norm(self):
-        return 1.0
-
-    def integral_with_error(self):
-        return 0.5 * unit_ball_volume(self.dimension + 1), 0.0
 
 
 @dataclass(frozen=True)
@@ -229,6 +265,20 @@ class HeightPower(LogConcaveFunction):
             return np.where(sq > 0.0,
                             0.5 * self.s * np.log(np.maximum(sq, 1e-320)), -np.inf)
 
+    def log_value_grad(self, X, tau=0.0):
+        s = self.s
+        sq = 1.0 - np.einsum("ij,ij->i", X, X)
+        sq_safe = np.maximum(sq, _SUPPORT_EPS)
+        # linear continuation in sq below the extension threshold keeps the
+        # pull-back gradient alive for iterates that step outside the support
+        vals = np.where(sq >= _SUPPORT_EPS, 0.5 * s * np.log(sq_safe),
+                        0.5 * s * math.log(_SUPPORT_EPS)
+                        + 0.5 * s * (sq - _SUPPORT_EPS) / _SUPPORT_EPS)
+        return vals, (-s / sq_safe)[:, None] * X
+
+    def radial_log_sup(self, c):
+        return -float(_polar_height_power_log(np.array([c]), self.s)[0])
+
     def support_radius(self):
         return 1.0
 
@@ -239,6 +289,14 @@ class HeightPower(LogConcaveFunction):
         d, s = self.dimension, self.s
         value = unit_ball_volume(d) * (d / 2.0) * special.beta(d / 2.0, s / 2.0 + 1.0)
         return value, 0.0
+
+
+@dataclass(frozen=True)
+class Height(HeightPower):
+    """sqrt(1 - |x|^2) on the unit ball, 0 outside: HeightPower with s = 1."""
+
+    dimension: int = 1
+    s: float = field(default=1.0, init=False)
 
 
 @dataclass(frozen=True)
@@ -278,6 +336,21 @@ class BallIndicator(LogConcaveFunction):
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.radius, 0.0, -np.inf)
 
+    def log_value_grad(self, X, tau=0.0):
+        # a steep quadratic wall outside the ball
+        D = X - self._center()
+        sq = self.radius ** 2 - np.einsum("ij,ij->i", D, D)
+        inside = sq >= 0.0
+        vals = np.where(inside, 0.0, sq / _SUPPORT_EPS)
+        grads = np.where(inside[:, None], 0.0, (2.0 / _SUPPORT_EPS) * (-D))
+        return vals, grads
+
+    def log_sup(self, P):
+        return P @ self._center() + self.radius * np.linalg.norm(P, axis=1)
+
+    def radial_log_sup(self, c):
+        return self.radius * c
+
     def support_radius(self):
         return self.radius + float(np.linalg.norm(self._center()))
 
@@ -307,6 +380,12 @@ class Gaussian(LogConcaveFunction):
     def radial_log_profile(self, r):
         r = np.asarray(r, dtype=float)
         return -r * r
+
+    def log_value_grad(self, X, tau=0.0):
+        return -np.einsum("ij,ij->i", X, X), -2.0 * X
+
+    def radial_log_sup(self, c):
+        return c * c / 4.0
 
     def sup_norm(self):
         return 1.0
@@ -340,6 +419,16 @@ class ExpNorm(LogConcaveFunction):
     def radial_log_profile(self, r):
         r = np.asarray(r, dtype=float)
         return -r ** self.p
+
+    def log_value_grad(self, X, tau=0.0):
+        r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
+        return -r ** self.p, (-self.p * r ** (self.p - 2.0))[:, None] * X
+
+    def radial_log_sup(self, c):
+        if self.p == 1.0:
+            return 0.0 if c <= 1.0 else math.inf
+        r = (c / self.p) ** (1.0 / (self.p - 1.0))
+        return c * r - r ** self.p
 
     def sup_norm(self):
         return 1.0
@@ -390,6 +479,13 @@ class PolarHeightPower(LogConcaveFunction):
 
     def radial_log_profile(self, r):
         return _polar_height_power_log(np.asarray(r, dtype=float), self.s)
+
+    def log_value_grad(self, X, tau=0.0):
+        r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
+        s = self.s
+        # envelope theorem: the derivative in r is -r*(r), the inner maximizer
+        rstar = (-s + np.sqrt(s * s + 4.0 * r * r)) / (2.0 * r)
+        return self.radial_log_profile(r), (-rstar / r)[:, None] * X
 
     def sup_norm(self):
         return 1.0
@@ -467,6 +563,13 @@ class LogAffineMajorant(LogConcaveFunction):
         h2 = self.height ** 2
         return 0.5 * math.log(h2) - (X @ u - float(u @ u)) / h2
 
+    def log_sup(self, P):
+        if self._boundary:
+            return np.full(P.shape[0], math.inf)
+        slopes, intercepts = _majorant_coeffs(self._u()[None, :])
+        hit = np.linalg.norm(P - slopes[0], axis=1) <= 1e-12
+        return np.where(hit, intercepts[0], math.inf)
+
     def sup_norm(self):
         if self._boundary:
             raise UnboundedFunctionError("boundary majorant takes the value +inf")
@@ -535,6 +638,29 @@ class Bump(LogConcaveFunction):
             logs = np.where(X @ u >= 1.0, -np.inf, logs)
         return logs
 
+    def log_value_grad(self, X, tau=0.0):
+        """tau > 0 replaces the min over majorants by a soft-min at that
+        temperature (a lower bound on the bump, so the relaxation stays
+        conservative); quasi-Newton steps need it because the hard min has
+        gradient ridges.  Boundary anchors become steep linear walls."""
+        slopes, intercepts = _majorant_coeffs(self.interior_anchors())
+        vals_all = intercepts[None, :] - X @ slopes.T
+        for u in self.boundary_anchors():
+            wall = _BOUNDARY_WALL * (1.0 - X @ u)
+            vals_all = np.column_stack([vals_all, wall])
+            slopes = np.vstack([slopes, _BOUNDARY_WALL * u])
+        if tau > 0.0:
+            vmin = vals_all.min(axis=1, keepdims=True)
+            e = np.exp(-(vals_all - vmin) / tau)
+            Z = e.sum(axis=1)
+            return vmin[:, 0] - tau * np.log(Z), -(e / Z[:, None]) @ slopes
+        idx = np.argmin(vals_all, axis=1)
+        return vals_all[np.arange(X.shape[0]), idx], -slopes[idx]
+
+    def log_sup(self, P):
+        from . import polar  # deferred: polar builds on lcfunc
+        return polar.bump_log_sup(self, P)
+
     def sup_norm(self):
         if not self.interior_anchors().shape[0]:
             raise ImproperFunctionError(
@@ -576,6 +702,18 @@ class HalfRestriction(LogConcaveFunction):
         logs = self.inner.log_evaluate_many(X)
         return np.where(X @ self.normal_vector() >= 0.0, logs, -np.inf)
 
+    def log_sup(self, P):
+        if not self.inner.is_radial():
+            return super().log_sup(P)
+        # a nonincreasing radial inner peaks along p when p points into the
+        # half-space, and on the boundary hyperplane otherwise
+        n = self.normal_vector()
+        pn = P @ n
+        perp = P - pn[:, None] * n[None, :]
+        c_eff = np.where(pn >= 0.0, np.linalg.norm(P, axis=1),
+                         np.linalg.norm(perp, axis=1))
+        return np.asarray([self.inner.radial_log_sup(c) for c in c_eff])
+
     def support_radius(self):
         return self.inner.support_radius()
 
@@ -612,6 +750,18 @@ class Positioned(LogConcaveFunction):
         pos = self.position
         Y = (X - pos.a_vector()) @ pos.inverse_matrix().T
         return math.log(pos.alpha) + self.inner.log_evaluate_many(Y)
+
+    def log_value_grad(self, X, tau=0.0):
+        pos = self.position
+        inv = pos.inverse_matrix()
+        Y = (X - pos.a_vector()) @ inv.T
+        vals, grads = self.inner.log_value_grad(Y, tau)
+        return vals + math.log(pos.alpha), grads @ inv
+
+    def log_sup(self, P):
+        pos = self.position
+        inner_S = self.inner.log_sup(P @ pos.matrix())
+        return P @ pos.a_vector() + math.log(pos.alpha) + inner_S
 
     def support_radius(self):
         r = self.inner.support_radius()

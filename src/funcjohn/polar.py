@@ -1,10 +1,10 @@
 """Polar-function computation.
 
 polar(f)(p) = inf over supp f of e^{-<p,x>} / f(x) = exp(-S(p)) with
-S(p) = sup_x (<p,x> + log f(x)).  Bumps get an exact linear-programming
-treatment (dual vertex enumeration for small regular bumps, HiGHS otherwise);
-radial variants reduce to a scalar concave maximization; positioned and
-half-restricted functions reduce to their inner function.
+S(p) = sup_x (<p,x> + log f(x)).  Each variant computes S with its log_sup
+method; this module holds the exact linear-programming treatment of bumps
+(dual vertex enumeration for small regular bumps, HiGHS otherwise) that
+Bump.log_sup calls, and the polar values built on S.
 """
 
 from __future__ import annotations
@@ -16,22 +16,11 @@ from itertools import combinations
 import numpy as np
 from scipy import optimize
 
-from . import lcfunc
 from .lcfunc import (
-    BallIndicator,
     Bump,
-    ExpNorm,
-    Gaussian,
-    HalfRestriction,
-    Height,
-    HeightPower,
     ImproperFunctionError,
-    LogAffineMajorant,
     LogConcaveFunction,
-    PolarHeightPower,
-    Positioned,
     _majorant_coeffs,
-    _polar_height_power_log,
     hbar,
 )
 
@@ -128,84 +117,7 @@ def bump_log_sup(bump: Bump, P) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# radial reductions
-# ---------------------------------------------------------------------------
-
-
-def _radial_log_sup_numeric(f: LogConcaveFunction, c: float) -> float:
-    """sup_{r >= 0} (c r + log phi(r)) for a nonincreasing radial profile."""
-
-    def g(r):
-        return c * r + float(f.radial_log_profile(np.array([r]))[0])
-
-    R = f.support_radius()
-    if math.isfinite(R):
-        hi = R
-    else:
-        g0 = g(0.0)
-        hi = 1.0
-        while g(hi) > g0 - 20.0:
-            hi *= 2.0
-            if hi > 1e9:
-                return math.inf
-    res = optimize.minimize_scalar(lambda r: -g(r), bounds=(0.0, hi),
-                                   method="bounded",
-                                   options={"xatol": 1e-13})
-    return max(-res.fun, g(0.0))
-
-
-def _radial_log_sup(f: LogConcaveFunction, c: float) -> float:
-    """S restricted to a radial function, as a function of c = |p|."""
-    if isinstance(f, Gaussian):
-        return c * c / 4.0
-    if isinstance(f, Height):
-        return -float(_polar_height_power_log(np.array([c]), 1.0)[0])
-    if isinstance(f, HeightPower):
-        return -float(_polar_height_power_log(np.array([c]), f.s)[0])
-    if isinstance(f, ExpNorm):
-        if f.p == 1.0:
-            return 0.0 if c <= 1.0 else math.inf
-        r = (c / f.p) ** (1.0 / (f.p - 1.0))
-        return c * r - r ** f.p
-    if isinstance(f, BallIndicator) and f.is_radial():
-        return f.radius * c
-    return _radial_log_sup_numeric(f, c)
-
-
-# ---------------------------------------------------------------------------
-# generic fallback
-# ---------------------------------------------------------------------------
-
-
-def _generic_log_sup(f: LogConcaveFunction, p: np.ndarray,
-                     starts: int = 32, seed: int = 0) -> float:
-    """Seeded multi-start ascent of <p,x> + log f(x)."""
-    d = f.dim
-    R = lcfunc.effective_radius(f)
-
-    def neg(x):
-        lf = float(f.log_evaluate_many(x[None, :])[0])
-        if not math.isfinite(lf):
-            return 1e12 + float(np.linalg.norm(x))
-        return -(float(p @ x) + lf)
-
-    rng = np.random.default_rng(seed)
-    best = -math.inf
-    X0 = [np.zeros(d)] + [rng.uniform(-R, R, size=d) for _ in range(starts - 1)]
-    for x0 in X0:
-        if neg(x0) > 1e11:
-            continue
-        res = optimize.minimize(neg, x0, method="Nelder-Mead",
-                                options={"xatol": 1e-12, "fatol": 1e-13,
-                                         "maxiter": 4000})
-        best = max(best, -res.fun)
-    if not math.isfinite(best):
-        raise ImproperFunctionError("function appears to vanish everywhere")
-    return best
-
-
-# ---------------------------------------------------------------------------
-# dispatch
+# support function and polar values
 # ---------------------------------------------------------------------------
 
 
@@ -214,31 +126,7 @@ def log_sup_transform(f: LogConcaveFunction, P) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim == 1:
         P = P[None, :]
-    if isinstance(f, Bump):
-        return bump_log_sup(f, P)
-    if isinstance(f, LogAffineMajorant):
-        if f.is_boundary:
-            return np.full(P.shape[0], math.inf)
-        slopes, intercepts = _majorant_coeffs(f._u()[None, :])
-        hit = np.linalg.norm(P - slopes[0], axis=1) <= 1e-12
-        return np.where(hit, intercepts[0], math.inf)
-    if isinstance(f, Positioned):
-        pos = f.position
-        inner_S = log_sup_transform(f.inner, P @ pos.matrix())
-        return P @ pos.a_vector() + math.log(pos.alpha) + inner_S
-    if isinstance(f, HalfRestriction) and f.inner.is_radial():
-        n = f.normal_vector()
-        pn = P @ n
-        perp = P - pn[:, None] * n[None, :]
-        qa = np.linalg.norm(perp, axis=1)
-        c_eff = np.where(pn >= 0.0, np.linalg.norm(P, axis=1), qa)
-        return np.asarray([_radial_log_sup(f.inner, c) for c in c_eff])
-    if isinstance(f, BallIndicator):
-        return P @ f._center() + f.radius * np.linalg.norm(P, axis=1)
-    if f.is_radial():
-        return np.asarray([_radial_log_sup(f, float(np.linalg.norm(p)))
-                           for p in P])
-    return np.asarray([_generic_log_sup(f, p) for p in P])
+    return f.log_sup(P)
 
 
 def polar_eval_many(f: LogConcaveFunction, P) -> np.ndarray:

@@ -124,8 +124,8 @@ def chol_param_size(d: int) -> int:
     return d * (d + 1) // 2
 
 
-def pd_from_chol_params(params: np.ndarray, d: int) -> np.ndarray:
-    """A = L L^T with L lower triangular and diagonal stored as logs."""
+def chol_factor_from_params(params: np.ndarray, d: int) -> np.ndarray:
+    """Lower-triangular L from its rows, the diagonal stored as logs."""
     L = np.zeros((d, d))
     idx = 0
     for i in range(d):
@@ -135,6 +135,12 @@ def pd_from_chol_params(params: np.ndarray, d: int) -> np.ndarray:
             else:
                 L[i, j] = params[idx]
             idx += 1
+    return L
+
+
+def pd_from_chol_params(params: np.ndarray, d: int) -> np.ndarray:
+    """A = L L^T with L lower triangular and diagonal stored as logs."""
+    L = chol_factor_from_params(params, d)
     return L @ L.T
 
 

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from funcjohn import (
+    Bump,
     FunctionalJohnDecomposition,
     InvalidDecompositionError,
+    JohnBumpFunction,
+    NormBoundError,
     bump_from_decomposition,
     generate_decomposition,
     hbar,
@@ -60,6 +63,15 @@ def test_norm_gap_probe_two_point():
     expect = math.sqrt(2.0) / math.e
     assert abs(rec.polar_zero_lower_bound - expect) < 1e-12
     assert rec.sup_norm <= 1.0 / rec.polar_zero_lower_bound + 1e-12
+
+
+def test_norm_gap_probe_rejects_mismatched_function():
+    # a single interior anchor u != 0 gives an unbounded bump: its sup norm
+    # is infinite, far above the e^d its claimed decomposition guarantees
+    bf = JohnBumpFunction(decomposition=TWO_POINT,
+                          function=Bump(anchors=((0.5,),)), regular=True)
+    with pytest.raises(NormBoundError):
+        norm_gap_probe(bf)
 
 
 def test_norm_gap_strictly_positive_on_generated():

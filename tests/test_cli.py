@@ -101,6 +101,26 @@ def test_precondition_failure_exit(tmp_path):
                  "--out", str(tmp_path / "x")]) == EXIT_PRECONDITION
 
 
+def test_solve_john_refuses_half_restriction(tmp_path, capsys):
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"f": {
+        "variant": "half_restriction", "normal": [1.0],
+        "inner": {"variant": "gaussian", "dimension": 1}}}))
+    assert main(["solve-john", "--config", str(cfg),
+                 "--out", str(tmp_path / "h")]) == EXIT_PRECONDITION
+    assert "HalfRestriction" in capsys.readouterr().err
+
+
+def test_unknown_solver_option_is_config_error(tmp_path, capsys):
+    # an option the solver does not know must not be silently ignored
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"f": BUMP_CONFIG,
+                               "solver": {"restarts": 1, "step_tol": 1e-10}}))
+    assert main(["solve-john", "--config", str(cfg),
+                 "--out", str(tmp_path / "s")]) == EXIT_CONFIG_ERROR
+    assert "step_tol" in capsys.readouterr().err
+
+
 def test_solve_john_certifies_two_point(tmp_path):
     cfg = tmp_path / "f.json"
     cfg.write_text(json.dumps({"f": BUMP_CONFIG, "certify": True,

@@ -8,9 +8,12 @@ import pytest
 
 from funcjohn import (
     Bump,
+    Gaussian,
+    HalfRestriction,
     Height,
     InfeasibleProblemError,
     NoContactsError,
+    NoSolverTargetError,
     Positioned,
     SolverOptions,
     apply_position,
@@ -48,9 +51,16 @@ def test_height_height_fixed_point():
     for d in (1, 2):
         rep = solve_john(Height(d), Height(d), OPTS)
         assert rep.feasible
-        assert rep.positive_definite_restricted
+        assert rep.position.positive_definite
         assert _deviation(rep.position, d) < 1e-4
         assert abs(rep.objective) < 1e-4
+
+
+def test_half_restriction_target_is_refused():
+    # finite differences of its -inf values would hand the solver NaN
+    f = HalfRestriction(inner=Gaussian(1), normal=(1.0,))
+    with pytest.raises(NoSolverTargetError, match="HalfRestriction"):
+        solve_john(f, Height(1), OPTS)
 
 
 def test_two_point_bump_identity_and_certification():

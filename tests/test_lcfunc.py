@@ -22,12 +22,11 @@ from funcjohn import (
     ell_majorant,
     hbar,
     identity_position,
+    log_sup_transform,
     make_position,
     unit_ball_volume,
     zeta,
 )
-from funcjohn.lcfunc import eval as fj_eval
-from funcjohn.lcfunc import integral, sup_norm
 
 
 def test_hbar_values():
@@ -62,63 +61,71 @@ def test_unit_ball_volume():
 
 def test_height_basics():
     h = Height(1)
-    assert fj_eval(h, [0.0]) == 1.0
-    assert fj_eval(h, [1.0]) == 0.0
-    assert fj_eval(h, [2.0]) == 0.0
-    assert sup_norm(h) == 1.0
+    assert h.evaluate([0.0]) == 1.0
+    assert h.evaluate([1.0]) == 0.0
+    assert h.evaluate([2.0]) == 0.0
+    assert h.sup_norm() == 1.0
     assert h.support_radius() == 1.0
 
 
 def test_height_integrals_closed_form():
     # half the volume of the (d+1)-ball
-    assert abs(integral(Height(1)) - math.pi / 2.0) < 1e-14
-    assert abs(integral(Height(2)) - 2.0 * math.pi / 3.0) < 1e-14
-    assert abs(integral(Height(3)) - math.pi ** 2 / 4.0) < 1e-14
+    assert abs(Height(1).integral() - math.pi / 2.0) < 1e-14
+    assert abs(Height(2).integral() - 2.0 * math.pi / 3.0) < 1e-14
+    assert abs(Height(3).integral() - math.pi ** 2 / 4.0) < 1e-14
 
 
 def test_height_power_matches_height_at_s1():
-    hp = HeightPower(dimension=2, s=1.0)
-    X = np.random.default_rng(1).uniform(-1, 1, size=(100, 2))
-    assert np.allclose(hp.evaluate_many(X), Height(2).evaluate_many(X))
+    rng = np.random.default_rng(1)
+    for d in (1, 2, 3):
+        h, hp = Height(d), HeightPower(dimension=d, s=1.0)
+        assert isinstance(h, HeightPower) and h.s == 1.0 and h == Height(d)
+        X = rng.uniform(-1.2, 1.2, size=(5000, d))
+        assert np.array_equal(h.log_evaluate_many(X), hp.log_evaluate_many(X))
+        P = rng.uniform(-3.0, 3.0, size=(200, d))
+        assert np.array_equal(log_sup_transform(h, P),
+                              log_sup_transform(hp, P))
+    with pytest.raises(TypeError):
+        Height(dimension=1, s=2.0)
 
 
 def test_height_power_integral_beta_form():
     # d=1, s=2: integral of (1-x^2) over [-1,1] is 4/3
-    assert abs(integral(HeightPower(dimension=1, s=2.0)) - 4.0 / 3.0) < 1e-13
+    assert abs(HeightPower(dimension=1, s=2.0).integral() - 4.0 / 3.0) < 1e-13
     with pytest.raises(ValueError):
         HeightPower(dimension=1, s=0.0)
 
 
 def test_ball_indicator():
     b = BallIndicator(dimension=2, radius=2.0)
-    assert fj_eval(b, [1.9, 0.0]) == 1.0
-    assert fj_eval(b, [2.1, 0.0]) == 0.0
-    assert abs(integral(b) - math.pi * 4.0) < 1e-13
+    assert b.evaluate([1.9, 0.0]) == 1.0
+    assert b.evaluate([2.1, 0.0]) == 0.0
+    assert abs(b.integral() - math.pi * 4.0) < 1e-13
     shifted = BallIndicator(dimension=2, radius=1.0, center=(3.0, 0.0))
-    assert fj_eval(shifted, [3.0, 0.5]) == 1.0
-    assert fj_eval(shifted, [0.0, 0.0]) == 0.0
+    assert shifted.evaluate([3.0, 0.5]) == 1.0
+    assert shifted.evaluate([0.0, 0.0]) == 0.0
     assert shifted.support_radius() == 4.0
 
 
 def test_gaussian_closed_forms():
     g = Gaussian(dimension=2)
-    assert abs(fj_eval(g, [1.0, 0.0]) - math.exp(-1.0)) < 1e-15
-    assert abs(integral(g) - math.pi) < 1e-14
-    assert abs(integral(Gaussian(dimension=1)) - math.sqrt(math.pi)) < 1e-14
+    assert abs(g.evaluate([1.0, 0.0]) - math.exp(-1.0)) < 1e-15
+    assert abs(g.integral() - math.pi) < 1e-14
+    assert abs(Gaussian(dimension=1).integral() - math.sqrt(math.pi)) < 1e-14
 
 
 def test_expnorm_integrals():
     # d=1, p=1: integral of e^{-|x|} is 2
-    assert abs(integral(ExpNorm(dimension=1, p=1.0)) - 2.0) < 1e-14
-    assert abs(integral(ExpNorm(dimension=1, p=2.0)) - math.sqrt(math.pi)) < 1e-14
+    assert abs(ExpNorm(dimension=1, p=1.0).integral() - 2.0) < 1e-14
+    assert abs(ExpNorm(dimension=1, p=2.0).integral() - math.sqrt(math.pi)) < 1e-14
     with pytest.raises(ValueError):
         ExpNorm(dimension=1, p=0.5)
 
 
 def test_polar_height_power_is_one_at_origin_and_decays():
     f = PolarHeightPower(dimension=2, s=1.0)
-    assert fj_eval(f, [0.0, 0.0]) == 1.0
-    vals = [fj_eval(f, [r, 0.0]) for r in (0.5, 1.0, 2.0, 5.0)]
+    assert f.evaluate([0.0, 0.0]) == 1.0
+    vals = [f.evaluate([r, 0.0]) for r in (0.5, 1.0, 2.0, 5.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     # against a direct numeric inner maximization of c r + (s/2) log(1-r^2)
     r = np.linspace(0.0, 1.0 - 1e-9, 200001)
@@ -187,21 +194,21 @@ def test_bump_all_boundary_is_improper():
 
 def test_half_restriction():
     f = HalfRestriction(inner=Gaussian(dimension=2), normal=(1.0, 0.0))
-    assert fj_eval(f, [0.5, 0.0]) == math.exp(-0.25)
-    assert fj_eval(f, [-0.5, 0.0]) == 0.0
+    assert f.evaluate([0.5, 0.0]) == math.exp(-0.25)
+    assert f.evaluate([-0.5, 0.0]) == 0.0
     assert f.sup_norm() == 1.0
-    assert abs(integral(f) - math.pi / 2.0) < 1e-13
+    assert abs(f.integral() - math.pi / 2.0) < 1e-13
 
 
 def test_positioned_evaluation_rule():
     pos = make_position(2.0, 3.0 * np.eye(1), np.array([1.0]))
     g = Positioned(inner=Height(1), position=pos)
     # g(x) = 2 * hbar((x - 1) / 3)
-    assert abs(fj_eval(g, [1.0]) - 2.0) < 1e-15
-    assert abs(fj_eval(g, [2.5]) - 2.0 * hbar(np.array([0.5]))) < 1e-14
-    assert fj_eval(g, [4.5]) == 0.0
+    assert abs(g.evaluate([1.0]) - 2.0) < 1e-15
+    assert abs(g.evaluate([2.5]) - 2.0 * hbar(np.array([0.5]))) < 1e-14
+    assert g.evaluate([4.5]) == 0.0
     assert abs(g.sup_norm() - 2.0) < 1e-15
-    assert abs(integral(g) - 2.0 * 3.0 * math.pi / 2.0) < 1e-13
+    assert abs(g.integral() - 2.0 * 3.0 * math.pi / 2.0) < 1e-13
     assert abs(g.support_radius() - 4.0) < 1e-12
 
 

@@ -1,0 +1,149 @@
+"""Property tests of the per-variant math behind the solver and the polar:
+the smooth target agrees with log f away from the support boundary, its
+gradient matches central differences, and the support function satisfies
+the Fenchel-Young inequality S(p) >= <p,x> + log f(x)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from funcjohn import (
+    BallIndicator,
+    Bump,
+    ExpNorm,
+    Gaussian,
+    HalfRestriction,
+    Height,
+    HeightPower,
+    LogAffineMajorant,
+    PolarHeightPower,
+    Positioned,
+    log_sup_transform,
+    make_position,
+)
+from funcjohn.johnsolve import target_log_grad
+
+SUPPORT_EPS = 1e-4  # width of the target's smooth extension below a support
+REFUSED = (HalfRestriction, LogAffineMajorant)  # no smooth solver target
+PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
+                    database=None)
+
+
+def _e1(d):
+    e = np.zeros(d)
+    e[0] = 1.0
+    return e
+
+
+def _sq(Y):
+    return np.einsum("ij,ij->i", Y, Y)
+
+
+def _off_band(Y):
+    # clear of the extension's kink in 1 - |y|^2 at SUPPORT_EPS
+    return np.abs(1.0 - _sq(Y) - SUPPORT_EPS) > 1e-2
+
+
+def _everywhere(Y):
+    return np.ones(Y.shape[0], dtype=bool)
+
+
+def _axis_anchors(d):
+    return [tuple(s * 0.6 * e) for e in np.eye(d) for s in (1.0, -1.0)]
+
+
+# name -> d -> (f, mask of points where the target is smooth and, where f is
+# positive, outside the extension band), in the function's own coordinates
+CASES = {
+    "height": lambda d: (Height(d), _off_band),
+    "height_power": lambda d: (HeightPower(dimension=d, s=2.5), _off_band),
+    "ball": lambda d: (
+        BallIndicator(dimension=d, radius=0.8),
+        lambda Y: np.abs(0.64 - _sq(Y)) > 1e-3),
+    "ball_off_centre": lambda d: (
+        BallIndicator(dimension=d, radius=0.8, center=tuple(0.3 * _e1(d))),
+        lambda Y: np.abs(0.64 - _sq(Y - 0.3 * _e1(d))) > 1e-3),
+    "gaussian": lambda d: (Gaussian(d), _everywhere),
+    "expnorm": lambda d: (
+        ExpNorm(dimension=d, p=1.5),
+        lambda Y: np.sqrt(_sq(Y)) > 0.05),
+    "polar_height_power": lambda d: (PolarHeightPower(dimension=d, s=1.0),
+                                     _everywhere),
+    "majorant": lambda d: (LogAffineMajorant(tuple(0.5 * _e1(d))),
+                           _everywhere),
+    "bump": lambda d: (Bump(anchors=tuple(_axis_anchors(d))), _everywhere),
+    "bump_with_wall": lambda d: (
+        Bump(anchors=tuple(_axis_anchors(d) + [tuple(_e1(d))])),
+        lambda Y: np.abs(1.0 - Y[:, 0]) > 1e-3),
+    "half_restriction": lambda d: (
+        HalfRestriction(inner=Gaussian(d), normal=tuple(_e1(d))),
+        lambda Y: np.abs(Y[:, 0]) > 1e-3),
+}
+
+
+def _draw_case(name, d, positioned, data):
+    """(base variant, function, points X, regular-point mask)."""
+    base, regular = CASES[name](d)
+    Y = data.draw(hnp.arrays(np.float64, (6, d),
+                             elements=st.floats(-1.5, 1.5)))
+    if not positioned:
+        return base, base, Y, regular(Y)
+    A = 1.3 * np.eye(d) + 0.2 * np.tri(d, k=-1)
+    a = 0.1 * np.arange(1.0, d + 1.0)
+    f = Positioned(inner=base, position=make_position(1.7, A, a))
+    return base, f, Y @ A.T + a, regular(Y)
+
+
+case_args = dict(d=st.integers(1, 3), positioned=st.booleans(),
+                 data=st.data())
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(**case_args)
+def test_target_equals_log_f_outside_the_band(name, d, positioned, data):
+    base, f, X, regular = _draw_case(name, d, positioned, data)
+    try:
+        vals, _ = target_log_grad(f, X, 0.0)
+    except ValueError:
+        assert isinstance(base, REFUSED)
+        return
+    logf = f.log_evaluate_many(X)
+    keep = regular & np.isfinite(logf)
+    np.testing.assert_allclose(vals[keep], logf[keep], rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(**case_args)
+def test_target_gradient_matches_central_differences(name, d, positioned,
+                                                     data):
+    base, f, X, regular = _draw_case(name, d, positioned, data)
+    tau = 0.05  # a smooth soft-min for bumps; ignored by the other variants
+    try:
+        vals, grads = target_log_grad(f, X, tau)
+    except ValueError:
+        assert isinstance(base, REFUSED)
+        return
+    h = 1e-6
+    fd = np.column_stack([
+        (target_log_grad(f, X + h * e, tau)[0]
+         - target_log_grad(f, X - h * e, tau)[0]) / (2.0 * h)
+        for e in np.eye(d)])
+    keep = regular & np.isfinite(vals)
+    np.testing.assert_allclose(fd[keep], grads[keep], rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+@PROPERTY
+@given(**case_args)
+def test_log_sup_fenchel_young(name, d, positioned, data):
+    _, f, X, _ = _draw_case(name, d, positioned, data)
+    P = data.draw(hnp.arrays(np.float64, (4, d), elements=st.floats(-3, 3)))
+    S = log_sup_transform(f, P)
+    logf = f.log_evaluate_many(X)
+    live = np.isfinite(logf)
+    rhs = P @ X[live].T + logf[live][None, :]
+    assert np.all(S[:, None] >= rhs - 1e-9 * (1.0 + np.abs(rhs)))
