@@ -73,6 +73,23 @@ class ConfigError(ValueError):
     pass
 
 
+def _read(data: dict, key: str, kind=lambda v: v, default=...):
+    """kind(data[key]), or default when the key is absent; a missing key
+    without a default, or a value kind refuses, is a ConfigError naming it."""
+    if not isinstance(data, dict) or (key not in data and default is ...):
+        raise ConfigError(f"missing config key {key!r}")
+    if key not in data:
+        return default
+    try:
+        return kind(data[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key!r}: {exc}") from exc
+
+
+def _floats(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # config -> objects
 # ---------------------------------------------------------------------------
@@ -83,45 +100,43 @@ def position_from_config(data: dict):
     inverse form g(x) = alpha * w(A^{-1}(x - a)); configs may also supply
     the forward form alpha * w(Ax + a) via "form": "forward", which is
     converted on parse."""
-    alpha = float(data.get("alpha", 1.0))
-    A = np.asarray(data["A"], dtype=float)
-    a = np.asarray(data.get("a", np.zeros(A.shape[0])), dtype=float)
-    form = data.get("form", "inverse")
+    alpha = _read(data, "alpha", float, 1.0)
+    A = _read(data, "A", _floats)
+    a = _read(data, "a", _floats, np.zeros(A.shape[0]))
+    form = _read(data, "form", default="inverse")
     if form == "forward":
         Ainv = np.linalg.inv(A)
         A, a = Ainv, -Ainv @ a
     elif form != "inverse":
         raise ConfigError(f"unknown position form {form!r}")
-    return make_position(alpha, A, a,
-                         positive_definite=bool(data.get("positive_definite",
-                                                         False)))
+    return make_position(alpha, A, a, positive_definite=_read(
+        data, "positive_definite", bool, False))
 
 
 def function_from_config(data: dict) -> LogConcaveFunction:
     if not isinstance(data, dict) or "variant" not in data:
         raise ConfigError("function config must be a dict with a 'variant'")
     variant = data["variant"]
-    d = int(data.get("dimension", 1))
+    d = _read(data, "dimension", int, 1)
     if variant == "height":
         f = Height(dimension=d)
     elif variant == "height_power":
-        f = HeightPower(dimension=d, s=float(data["s"]))
+        f = HeightPower(dimension=d, s=_read(data, "s", float))
     elif variant == "ball_indicator":
-        f = BallIndicator(dimension=d, radius=float(data.get("radius", 1.0)),
-                          center=tuple(data["center"]) if "center" in data
-                          else None)
+        f = BallIndicator(dimension=d,
+                          radius=_read(data, "radius", float, 1.0),
+                          center=_read(data, "center", tuple, None))
     elif variant == "gaussian":
         f = Gaussian(dimension=d)
     elif variant == "expnorm":
-        f = ExpNorm(dimension=d, p=float(data["p"]))
+        f = ExpNorm(dimension=d, p=_read(data, "p", float))
     elif variant == "polar_height_power":
-        f = PolarHeightPower(dimension=d, s=float(data["s"]))
+        f = PolarHeightPower(dimension=d, s=_read(data, "s", float))
     elif variant == "bump":
-        f = Bump(anchors=tuple(tuple(float(v) for v in u)
-                               for u in data["anchors"]))
+        f = Bump(anchors=_read(data, "anchors", _floats))
     elif variant == "half_restriction":
-        f = HalfRestriction(inner=function_from_config(data["inner"]),
-                            normal=tuple(float(v) for v in data["normal"]))
+        f = HalfRestriction(inner=function_from_config(_read(data, "inner")),
+                            normal=_read(data, "normal", _floats))
     else:
         raise ConfigError(f"unknown function variant {variant!r}")
     if "position" in data:
@@ -130,18 +145,15 @@ def function_from_config(data: dict) -> LogConcaveFunction:
 
 
 def solver_options_from_config(data: dict, seed: int) -> SolverOptions:
-    opts = data.get("solver", {}) if isinstance(data, dict) else {}
-    unknown = sorted(set(opts) - {f.name for f in
-                                  dataclasses.fields(SolverOptions)})
+    opts = _read(data, "solver", dict, {})
+    defaults = {f.name: f.default for f in dataclasses.fields(SolverOptions)}
+    unknown = sorted(set(opts) - set(defaults))
     if unknown:
         raise ConfigError(f"unknown solver options: {unknown}")
-    return SolverOptions(
-        seed=int(opts.get("seed", seed)),
-        restarts=int(opts.get("restarts", 2)),
-        grid_density=int(opts.get("grid_density", 0)),
-        constraint_tol=float(opts.get("constraint_tol", 1e-8)),
-        max_outer_iterations=int(opts.get("max_outer_iterations", 200)),
-    )
+    defaults.update(seed=seed, restarts=2)  # the CLI's own defaults
+    # each option is read with the type of its default
+    return SolverOptions(**{name: _read(opts, name, type(v), v)
+                            for name, v in defaults.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +212,19 @@ def load_config(path: str | None) -> dict:
     if path is None:
         return {}
     try:
-        return json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    return config
+
+
+def decomposition_from_config(config: dict):
+    try:
+        return decomposition_from_records(config)
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"malformed decomposition config: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +254,7 @@ def cmd_gen_decomp(args, config, started):
 
 
 def cmd_verify_decomp(args, config, started):
-    dec = decomposition_from_records(config)
+    dec = decomposition_from_config(config)
     res = verify_decomposition(dec)
     margin = hull_ball_margin(dec) if res.passes(1e-8) else None
     passed = margin is not None and margin.margin >= -1e-9
@@ -248,7 +270,7 @@ def cmd_verify_decomp(args, config, started):
 
 
 def cmd_bump(args, config, started):
-    dec = decomposition_from_records(config)
+    dec = decomposition_from_config(config)
     bf = bump_from_decomposition(dec)
     gap = norm_gap_probe(bf) if bf.regular else None
     passed = gap is None or gap.gap > 0
@@ -266,16 +288,18 @@ def cmd_bump(args, config, started):
 
 
 def _solve_common(args, config, started, fixed_xi=None):
-    f = function_from_config(config["f"])
-    w = function_from_config(config.get("w", {"variant": "height",
-                                              "dimension": f.dim}))
+    f = function_from_config(_read(config, "f"))
+    w = function_from_config(_read(config, "w", default={
+        "variant": "height", "dimension": f.dim}))
+    if config.get("certify") and not (isinstance(w, HeightPower) and w.s == 1):
+        raise ConfigError("certify needs w to be the height function")
     opts = solver_options_from_config(config, args.seed)
     if fixed_xi is None:
         rep = solve_john(f, w, opts)
     else:
         rep = solve_fixed_height(f, w, fixed_xi, opts)
     certified = None
-    if config.get("certify") and isinstance(w, Height):
+    if config.get("certify"):
         try:
             rep = extract_and_certify(f, rep)
             certified = rep.recovered_weights is not None
@@ -302,17 +326,15 @@ def cmd_solve_john(args, config, started):
 
 
 def cmd_fixed_height(args, config, started):
-    xi = args.xi if args.xi is not None else config.get("xi")
-    if xi is None:
-        raise ConfigError("fixed-height needs --xi or config key 'xi'")
-    return _solve_common(args, config, started, fixed_xi=float(xi))
+    xi = args.xi if args.xi is not None else _read(config, "xi", float)
+    return _solve_common(args, config, started, fixed_xi=xi)
 
 
 def cmd_height_curve(args, config, started):
-    f = function_from_config(config["f"])
-    w = function_from_config(config.get("w", {"variant": "height",
-                                              "dimension": f.dim}))
-    alphas = [float(v) for v in config["alphas"]]
+    f = function_from_config(_read(config, "f"))
+    w = function_from_config(_read(config, "w", default={
+        "variant": "height", "dimension": f.dim}))
+    alphas = _read(config, "alphas", lambda v: [float(a) for a in v])
     opts = solver_options_from_config(config, args.seed)
     samples = height_curve(f, w, alphas, opts)
     violation = phi_concavity_violation(samples)
@@ -339,8 +361,8 @@ def cmd_height_curve(args, config, started):
 
 
 def cmd_polar(args, config, started):
-    f = function_from_config(config["f"])
-    points = np.asarray(config["points"], dtype=float)
+    f = function_from_config(_read(config, "f"))
+    points = _read(config, "points", _floats)
     if points.ndim == 1:
         points = points[:, None] if f.dim == 1 else points[None, :]
     values = polar.polar_eval_many(f, points)
@@ -355,7 +377,7 @@ def cmd_polar(args, config, started):
 
 
 def cmd_john_check(args, config, started):
-    f = function_from_config(config["f"])
+    f = function_from_config(_read(config, "f"))
     rec = john_inclusion_check(f, seed=args.seed)
     report = {
         "command": "john-check",
@@ -369,7 +391,7 @@ def cmd_john_check(args, config, started):
 
 
 def cmd_sandwich(args, config, started):
-    f = function_from_config(config["f"])
+    f = function_from_config(_read(config, "f"))
     rec = sandwich_construct(f, seed=args.seed)
     report = {
         "command": "sandwich",
@@ -389,7 +411,7 @@ def cmd_lowner_check(args, config, started):
                           "polar_height_power")
     rec = lowner_counterexample(
         kind, args.d, p=args.p, s=args.s,
-        trials=int(config.get("trials", 200)), seed=args.seed)
+        trials=_read(config, "trials", int, 200), seed=args.seed)
     report = {
         "command": "lowner-check",
         "config": {"kind": kind, "d": args.d, "p": args.p, "s": args.s,
@@ -483,9 +505,6 @@ def main(argv=None) -> int:
         return COMMANDS[args.command](args, config, started)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG_ERROR
-    except (KeyError, TypeError) as exc:
-        print(f"config error: {exc!r}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except (ValueError, InfeasibleProblemError) as exc:
         print(f"precondition failure: {exc}", file=sys.stderr)

@@ -18,6 +18,7 @@ from scipy import optimize
 from scipy.spatial import ConvexHull
 
 from .lcfunc import BOUNDARY_SNAP, MAX_DIM, DimensionMismatchError, hbar
+from .verify import spread
 
 DEFAULT_VERIFY_TOL = 1e-8
 
@@ -207,11 +208,7 @@ def hull_ball_margin(dec: FunctionalJohnDecomposition) -> HullMarginReport:
             return HullMarginReport(margin=hi - target, witness_direction=(1.0,))
         return HullMarginReport(margin=lo - target, witness_direction=(-1.0,))
     # deduplicate near-identical points before handing them to Qhull
-    keep = []
-    for i, u in enumerate(U):
-        if all(np.linalg.norm(u - U[j]) > 1e-12 for j in keep):
-            keep.append(i)
-    hull = ConvexHull(U[keep])
+    hull = ConvexHull(U[spread(U, 1e-12)])
     # facet equations are normal . x + offset <= 0 with unit normal
     offsets = -hull.equations[:, -1]
     k = int(np.argmin(offsets))
@@ -223,19 +220,11 @@ def hull_ball_margin(dec: FunctionalJohnDecomposition) -> HullMarginReport:
 def _identity_system(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked linear system for the three identities, with symmetric
     outer-product rows deduplicated."""
-    m, d = points.shape
+    d = points.shape[1]
     h2 = 1.0 - np.einsum("ij,ij->i", points, points)
-    rows, rhs = [], []
-    for i in range(d):
-        for j in range(i, d):
-            rows.append(points[:, i] * points[:, j])
-            rhs.append(1.0 if i == j else 0.0)
-    rows.append(h2)
-    rhs.append(1.0)
-    for i in range(d):
-        rows.append(points[:, i])
-        rhs.append(0.0)
-    return np.asarray(rows), np.asarray(rhs)
+    iu, ju = np.triu_indices(d)
+    rows = np.vstack([points[:, iu].T * points[:, ju].T, h2, points.T])
+    return rows, np.concatenate([(iu == ju).astype(float), [1.0], np.zeros(d)])
 
 
 def weights_from_points(points, target_tol: float) -> np.ndarray:

@@ -25,12 +25,13 @@ from .lcfunc import LogConcaveFunction, hbar
 from .position import (
     AffinePosition,
     chol_factor_from_params,
+    chol_param_indices,
     chol_param_size,
     chol_params_from_pd,
     log_det_from_chol_params,
     make_position,
 )
-from .verify import ball_grid, sphere_points
+from .verify import ball_grid, sphere_points, spread
 
 _INIT_GRID = {1: 201, 2: 421, 3: 800}
 _SEP_GRID = {1: 2001, 2: 4096, 3: 8192}
@@ -161,16 +162,14 @@ class _Engine:
 
         grad = np.zeros(theta.shape[0])
         G = fgrads * p[:, None]     # softmax-weighted gradients of r
-        k = 0
-        for i in range(self.d):
-            for j in range(i + 1):
-                # dA for the k-th parameter; d log det / d(log L_ii) = 2
-                dL = np.zeros((self.d, self.d))
-                dL[i, j] = L[i, i] if i == j else 1.0
-                dA = dL @ L.T + L @ dL.T
-                grad[k] = -2.0 if i == j else 0.0
-                grad[k] += -lam * float(np.einsum("ij,ij->", G, self.Y @ dA.T))
-                k += 1
+        rows, cols = chol_param_indices(self.d)
+        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            # dA for the k-th parameter; d log det / d(log L_ii) = 2
+            dL = np.zeros((self.d, self.d))
+            dL[i, j] = L[i, i] if i == j else 1.0
+            dA = dL @ L.T + L @ dL.T
+            grad[k] = -2.0 if i == j else 0.0
+            grad[k] += -lam * float(np.einsum("ij,ij->", G, self.Y @ dA.T))
         grad[self.K:] += -lam * G.sum(axis=0)
         return val, grad
 
@@ -187,19 +186,12 @@ class _Engine:
         A, a = self.unpack(theta)
         fvals, _ = target_log_grad(self.f, grid @ A.T + a)
         v = logw - fvals
-        order = np.argsort(v)
-        best = float(v[order[-1]])
-        best_y = grid[order[-1]]
+        order = np.argsort(v)[::-1]
+        best, best_y = float(v[order[0]]), grid[order[0]]
         points = []
         r = self.wrad
         # one ascent start per spatial basin of the violation
-        starts = []
-        for idx in order[::-1]:
-            if len(starts) >= n_refine:
-                break
-            if all(np.linalg.norm(grid[idx] - grid[j]) > 0.1 * r
-                   for j in starts):
-                starts.append(idx)
+        starts = order[spread(grid[order], 0.1 * r, n_refine)]
 
         def fused(z):
             s = math.sqrt(1.0 + float(z @ z))
@@ -419,18 +411,16 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
     )
 
 
-def _solve_free(f, w, opts, warm_start=None) -> SolveReport:
+def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
+               opts: SolverOptions = SolverOptions()) -> SolveReport:
+    """Best found positive-definite position of w below f."""
     engine = _Engine(f, w, opts)
     rng = np.random.default_rng(opts.seed)
-    restarts = 1 if warm_start is not None else opts.restarts
     best = None
     trace = []
-    for r in range(restarts):
-        if warm_start is not None:
-            theta0 = engine.pack(warm_start.matrix(), warm_start.a_vector())
-        else:
-            theta0 = engine.initial_theta(rng, r)
-        theta, iters = engine.solve_lambda(theta0, lam=1.0)
+    for r in range(opts.restarts):
+        theta, iters = engine.solve_lambda(engine.initial_theta(rng, r),
+                                           lam=1.0)
         A, _ = engine.unpack(theta)
         obj = engine.grid_min(theta) + math.log(max(np.linalg.det(A), 1e-300))
         trace.append(max(obj, trace[-1] if trace else -math.inf))
@@ -460,12 +450,19 @@ def _solve_free(f, w, opts, warm_start=None) -> SolveReport:
         trace.append(max(trace[-1], engine.grid_min(theta)
                          + math.log(max(np.linalg.det(A), 1e-300))))
     return _finish(engine, theta, None, {
-        "restarts": restarts, "restart": which,
+        "restarts": opts.restarts, "restart": which,
         "outer_iterations": iters, "objective_trace": trace,
         "converged": True})
 
 
-def _solve_fixed(f, w, opts, log_alpha, warm_start=None) -> SolveReport:
+def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
+                       xi: float, opts: SolverOptions = SolverOptions(),
+                       warm_start: AffinePosition | None = None) -> SolveReport:
+    """As solve_john with the height pinned: alpha = xi / ||w||_inf."""
+    fsup = f.sup_norm()
+    if not 0.0 < xi <= fsup * (1.0 + 1e-12):
+        raise ValueError(f"xi={xi} out of range (0, {fsup}]")
+    log_alpha = math.log(xi / w.sup_norm())
     engine = _Engine(f, w, opts)
     rng = np.random.default_rng(opts.seed)
     if warm_start is not None:
@@ -516,23 +513,6 @@ def _solve_fixed(f, w, opts, log_alpha, warm_start=None) -> SolveReport:
         "multiplier": hi})
 
 
-def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
-               opts: SolverOptions = SolverOptions()) -> SolveReport:
-    """Best found positive-definite position of w below f."""
-    return _solve_free(f, w, opts)
-
-
-def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
-                       xi: float, opts: SolverOptions = SolverOptions(),
-                       warm_start: AffinePosition | None = None) -> SolveReport:
-    """As solve_john with the height pinned: alpha = xi / ||w||_inf."""
-    fsup = f.sup_norm()
-    if not 0.0 < xi <= fsup * (1.0 + 1e-12):
-        raise ValueError(f"xi={xi} out of range (0, {fsup}]")
-    la = math.log(xi / w.sup_norm())
-    return _solve_fixed(f, w, opts, la, warm_start=warm_start)
-
-
 # ---------------------------------------------------------------------------
 # contact extraction and certification
 # ---------------------------------------------------------------------------
@@ -566,12 +546,9 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport,
         return (float(f.evaluate_many(u[None, :])[0]) - h) / h
 
     # spatially clustered seeds: one ascent start per basin of the ratio
-    seeds = []
-    for idx in np.argsort(ratio):
-        if len(seeds) >= 48 or ratio[idx] > max(1.0, 10.0 * ratio.min()):
-            break
-        if all(np.linalg.norm(grid[idx] - s) > 0.05 for s in seeds):
-            seeds.append(grid[idx])
+    order = np.argsort(ratio)
+    order = order[ratio[order] <= max(1.0, 10.0 * ratio.min())]
+    seeds = grid[order[spread(grid[order], 0.05, 48)]]
     candidates = []
     for s in seeds:
         res = optimize.minimize(rel_gap, s, method="Nelder-Mead",
@@ -584,14 +561,7 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport,
     # set alone can be one-sided, so add spatially spread exact grid contacts
     exact = np.flatnonzero((np.abs(ratio) <= contact_tol) & (hvals > 1e-6))
     if exact.size >= 0.05 * grid.shape[0]:
-        picked = []
-        for idx in exact:
-            u = grid[idx]
-            if len(picked) >= 8 * (d + 1):
-                break
-            if all(np.linalg.norm(u - v) > 0.3 for v in picked):
-                picked.append(u)
-        candidates.extend(picked)
+        candidates.extend(grid[exact[spread(grid[exact], 0.3, 8 * (d + 1))]])
     # boundary-of-support contacts for targets with bounded support
     if math.isfinite(f.support_radius()):
         dirs = np.vstack([np.eye(d), -np.eye(d)])
@@ -600,18 +570,16 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport,
             outside = float(f.evaluate_many((1.0 + 1e-9) * u[None, :])[0])
             if inside > 0.0 and outside == 0.0:
                 candidates.append(u.astype(float))
-    contacts = []
-    for u in candidates:
-        if all(np.linalg.norm(u - v) > 1e-5 for v in contacts):
-            contacts.append(u)
-    if not contacts:
+    candidates = np.reshape(candidates, (-1, d))
+    contacts = candidates[spread(candidates, 1e-5)]
+    if contacts.shape[0] == 0:
         raise NoContactsError(
             "no contact points found: the position does not certify as "
             "optimal at this tolerance")
     weights = None
     certified = False
     try:
-        weights = weights_from_points(np.asarray(contacts), 1e-6)
+        weights = weights_from_points(contacts, 1e-6)
         certified = True
     except InfeasibleWeightsError:
         pass

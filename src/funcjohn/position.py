@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -124,17 +125,21 @@ def chol_param_size(d: int) -> int:
     return d * (d + 1) // 2
 
 
+@lru_cache(maxsize=None)
+def chol_param_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of L's parameters in packing order, row by row; shared,
+    so read-only."""
+    rows, cols = np.tril_indices(d)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def chol_factor_from_params(params: np.ndarray, d: int) -> np.ndarray:
     """Lower-triangular L from its rows, the diagonal stored as logs."""
     L = np.zeros((d, d))
-    idx = 0
+    L[chol_param_indices(d)] = params
     for i in range(d):
-        for j in range(i + 1):
-            if i == j:
-                L[i, j] = math.exp(params[idx])
-            else:
-                L[i, j] = params[idx]
-            idx += 1
+        L[i, i] = math.exp(L[i, i])
     return L
 
 
@@ -146,20 +151,11 @@ def pd_from_chol_params(params: np.ndarray, d: int) -> np.ndarray:
 
 def chol_params_from_pd(A: np.ndarray) -> np.ndarray:
     L = np.linalg.cholesky(np.asarray(A, dtype=float))
-    d = L.shape[0]
-    params = []
-    for i in range(d):
-        for j in range(i + 1):
-            params.append(math.log(L[i, j]) if i == j else L[i, j])
-    return np.asarray(params)
+    for i in range(L.shape[0]):
+        L[i, i] = math.log(L[i, i])
+    return L[chol_param_indices(L.shape[0])]
 
 
 def log_det_from_chol_params(params: np.ndarray, d: int) -> float:
     """log det(L L^T) = 2 * sum of the log-diagonal parameters."""
-    total = 0.0
-    idx = 0
-    for i in range(d):
-        idx += i  # skip off-diagonals of row i
-        total += params[idx]
-        idx += 1
-    return 2.0 * total
+    return 2.0 * sum(np.asarray(params)[np.equal(*chol_param_indices(d))])

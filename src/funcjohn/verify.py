@@ -39,7 +39,7 @@ def ball_grid(d: int, n: int, radius: float = 1.0, seed: int = 0) -> np.ndarray:
     if d == 2:
         side = int(math.ceil(math.sqrt(n * 4.0 / math.pi)))
         axis = np.linspace(-radius, radius, side)
-        X = np.array([[x, y] for x in axis for y in axis])
+        X = np.stack(np.meshgrid(axis, axis, indexing="ij"), -1).reshape(-1, 2)
         return X[np.einsum("ij,ij->i", X, X) <= radius ** 2 + 1e-15]
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((n, d))
@@ -52,6 +52,33 @@ def sphere_points(d: int, n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((n, d))
     return V / np.linalg.norm(V, axis=1)[:, None]
+
+
+_SPREAD_BLOCK = 256  # rows screened at once against the picks so far
+
+
+def spread(P: np.ndarray, radius: float, limit: int | None = None
+           ) -> np.ndarray:
+    """Indices, in row order, of the rows of P that lie farther than radius
+    from every row kept before them, at most limit of them: the greedy
+    thinning of a ranked point list to spread-out picks.  Rows are screened
+    a block at a time, so a walk that fills its limit early stays short."""
+    limit = P.shape[0] if limit is None else limit
+    kept: list[int] = []
+    for start in range(0, P.shape[0], _SPREAD_BLOCK):
+        if len(kept) >= limit:
+            break
+        block = P[start:start + _SPREAD_BLOCK]
+        live = np.all(np.linalg.norm(block[:, None, :] - P[kept], axis=2)
+                      > radius, axis=1)
+        for i in np.flatnonzero(live):
+            if len(kept) >= limit:
+                break
+            if live[i]:
+                kept.append(start + int(i))
+                live[i + 1:] &= np.linalg.norm(
+                    block[i + 1:] - block[i], axis=1) > radius
+    return np.asarray(kept, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------

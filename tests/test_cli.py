@@ -121,6 +121,42 @@ def test_unknown_solver_option_is_config_error(tmp_path, capsys):
     assert "step_tol" in capsys.readouterr().err
 
 
+def test_certify_needs_the_height_function(tmp_path, capsys):
+    # height_power with s = 1 is the height function and certifies; any
+    # other w is refused up front instead of silently skipping certify
+    cfg = tmp_path / "f.json"
+    out = tmp_path / "s"
+    w = {"variant": "height_power", "dimension": 1, "s": 1}
+    cfg.write_text(json.dumps({"f": BUMP_CONFIG, "w": w, "certify": True,
+                               "solver": {"restarts": 1}}))
+    assert main(["solve-john", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_PASS
+    assert json.loads((out / "report.json").read_text())["certified"] is True
+    w["s"] = 2
+    cfg.write_text(json.dumps({"f": BUMP_CONFIG, "w": w, "certify": True}))
+    assert main(["fixed-height", "--config", str(cfg), "--xi", "0.5",
+                 "--out", str(tmp_path / "r")]) == EXIT_CONFIG_ERROR
+    assert "certify" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, config, key", [
+    ("solve-john", {"f": {"variant": "height_power", "dimension": 1}}, "'s'"),
+    ("solve-john", {"f": BUMP_CONFIG, "solver": {"restarts": "two"}},
+     "'restarts'"),
+    ("polar", {"f": {"variant": "gaussian", "dimension": 1}}, "'points'"),
+    ("verify-decomp", {"type": "decomposition", "dimension": 1},
+     "'records'"),
+])
+def test_missing_or_ill_typed_key_is_config_error(tmp_path, capsys, command,
+                                                  config, key):
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg),
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG_ERROR
+    assert key in capsys.readouterr().err
+
+
 def test_solve_john_certifies_two_point(tmp_path):
     cfg = tmp_path / "f.json"
     cfg.write_text(json.dumps({"f": BUMP_CONFIG, "certify": True,

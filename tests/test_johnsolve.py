@@ -25,7 +25,8 @@ from funcjohn import (
     solve_fixed_height,
     solve_john,
 )
-from funcjohn.johnsolve import CurveSample
+from funcjohn.acceptance import bump_corpus
+from funcjohn.johnsolve import CurveSample, _Engine
 
 R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT = Bump(anchors=((R2,), (-R2,)))
@@ -222,3 +223,27 @@ def test_phi_concavity_violation_synthetic():
                           phi=t * t, feasible=True, max_violation=0.0)
               for t in (-1.0, 0.0, 1.0)]
     assert phi_concavity_violation(convex) == 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("target", ["bump", "positioned_gaussian"])
+def test_fused_gradient_matches_central_differences(d, target):
+    # fused differentiates through the log-Cholesky packing of position.py,
+    # so a packing order of its own would show up here
+    if target == "bump":
+        f = bump_corpus(d)[1].function
+    else:
+        B = np.tri(d) + 0.3 * np.tri(d, k=-1)
+        f = Positioned(inner=Gaussian(d), position=make_position(
+            1.5, B @ B.T, 0.2 * np.arange(1.0, d + 1.0)))
+    engine = _Engine(f, Height(d), SolverOptions(seed=0, restarts=1))
+    rng = np.random.default_rng(d)
+    theta = engine.initial_theta(rng, 1)
+    theta[:engine.K] += 0.1 * rng.standard_normal(engine.K)
+    for lam, tau in ((1.0, 1e-1), (0.5, 1e-2)):
+        _, grad = engine.fused(theta, lam, tau)
+        h = 1e-6
+        fd = np.array([(engine.fused(theta + h * e, lam, tau)[0]
+                        - engine.fused(theta - h * e, lam, tau)[0]) / (2 * h)
+                       for e in np.eye(theta.shape[0])])
+        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)

@@ -1,11 +1,12 @@
 """Property tests of the per-variant math behind the solver and the polar:
 the smooth target agrees with log f away from the support boundary, its
 gradient matches central differences, and the support function satisfies
-the Fenchel-Young inequality S(p) >= <p,x> + log f(x)."""
+the Fenchel-Young inequality S(p) >= <p,x> + log f(x).  Also the greedy
+thinning `spread` against the point-by-point loop it replaced."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -24,6 +25,7 @@ from funcjohn import (
     make_position,
 )
 from funcjohn.johnsolve import target_log_grad
+from funcjohn.verify import _SPREAD_BLOCK, spread
 
 SUPPORT_EPS = 1e-4  # width of the target's smooth extension below a support
 REFUSED = (HalfRestriction, LogAffineMajorant)  # no smooth solver target
@@ -147,3 +149,42 @@ def test_log_sup_fenchel_young(name, d, positioned, data):
     live = np.isfinite(logf)
     rhs = P @ X[live].T + logf[live][None, :]
     assert np.all(S[:, None] >= rhs - 1e-9 * (1.0 + np.abs(rhs)))
+
+
+def _greedy_thinning(P, radius, limit):
+    """The reference: walk the rows, keep one farther than radius from
+    every kept row, stop at limit."""
+    kept = []
+    for i in range(P.shape[0]):
+        if limit is not None and len(kept) >= limit:
+            break
+        if all(np.linalg.norm(P[i] - P[j]) > radius for j in kept):
+            kept.append(i)
+    return kept
+
+
+# row counts on both sides of one and two block boundaries
+_ROWS = st.sampled_from([0, 1, 2, 7, _SPREAD_BLOCK - 1, _SPREAD_BLOCK,
+                         _SPREAD_BLOCK + 1, 2 * _SPREAD_BLOCK + 3])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=_ROWS, d=st.integers(1, 3), coarse=st.booleans(),
+       radius=st.sampled_from([0.0, 1e-12, 0.1, 0.25, 0.5, 3.0]),
+       limit=st.sampled_from([None, 0, 1, 3, 16, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(n=2 * _SPREAD_BLOCK + 3, d=1, coarse=True, radius=0.25, limit=None,
+         seed=0)
+@example(n=2 * _SPREAD_BLOCK + 3, d=2, coarse=True, radius=0.25, limit=None,
+         seed=1)
+def test_spread_matches_greedy_loop(n, d, coarse, radius, limit, seed):
+    rng = np.random.default_rng(seed)
+    if coarse:
+        # a 0.25 lattice: duplicates, and distances equal to the radius
+        P = 0.25 * rng.integers(-4, 5, size=(n, d))
+    else:
+        # resampled rows: exact duplicates among spread-out points
+        P = rng.uniform(-2.0, 2.0, size=(n, d))[rng.integers(0, n, size=n)]
+    got = spread(P, radius, limit)
+    assert got.dtype == np.intp
+    assert got.tolist() == _greedy_thinning(P, radius, limit)

@@ -17,6 +17,7 @@ from funcjohn import (
     make_position,
     sandwich_construct,
 )
+from funcjohn.verify import ball_grid
 
 R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT = Bump(anchors=((R2,), (-R2,)))
@@ -148,3 +149,14 @@ def test_lowner_control_direction_decays():
 def test_lowner_unknown_kind():
     with pytest.raises(ValueError):
         lowner_counterexample("mystery", 1)
+
+
+@pytest.mark.parametrize("n", [421, 855, 4096, 8192])
+def test_ball_grid_d2_lattice_order(n):
+    # reference: the lattice row by row, x in the outer loop, y in the inner
+    side = int(math.ceil(math.sqrt(n * 4.0 / math.pi)))
+    for radius in (1.0, 0.9999):
+        axis = np.linspace(-radius, radius, side)
+        X = np.array([[x, y] for x in axis for y in axis])
+        X = X[np.einsum("ij,ij->i", X, X) <= radius ** 2 + 1e-15]
+        assert np.array_equal(ball_grid(2, n, radius=radius), X)

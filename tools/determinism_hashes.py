@@ -1,0 +1,87 @@
+"""Print one `name exit_code determinism_hash` line per config of a fixed
+CLI set, so that two checkouts can be compared for identical results.
+
+    PYTHONPATH=src python3 tools/determinism_hashes.py > hashes.txt
+
+Run it on both checkouts and diff the outputs; any difference in a hash
+means a report changed.  The set covers free solves (a bump, the Gaussian,
+a polar height power, a positioned exp-norm under a ball indicator), a
+fixed-height solve, the polar of six variants on a 7x7 lattice, and the
+john-check and sandwich certificates.  It takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+from funcjohn.cli import main
+
+R2 = 1.0 / math.sqrt(2.0)
+TWO_POINT_BUMP = {"variant": "bump", "dimension": 1,
+                  "anchors": [[R2], [-R2]]}
+GAUSSIAN_2 = {"variant": "gaussian", "dimension": 2}
+LATTICE_7X7 = [[x, y] for x in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
+               for y in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
+POLAR_VARIANTS = {
+    "height": {"variant": "height", "dimension": 2},
+    "height_power": {"variant": "height_power", "dimension": 2, "s": 2.0},
+    "gaussian": GAUSSIAN_2,
+    "expnorm": {"variant": "expnorm", "dimension": 2, "p": 1.5},
+    "polar_height_power": {"variant": "polar_height_power", "dimension": 2,
+                           "s": 2.0},
+    "ball_indicator": {"variant": "ball_indicator", "dimension": 2,
+                       "radius": 1.5, "center": [0.25, -0.5]},
+}
+
+# (name, argv before --config, config)
+CASES = [
+    ("solve-john/two-point-bump", ["solve-john"],
+     {"f": TWO_POINT_BUMP, "certify": True}),
+    ("solve-john/gaussian-2", ["solve-john"], {"f": GAUSSIAN_2}),
+    ("solve-john/polar-height-power-2", ["solve-john"],
+     {"f": {"variant": "polar_height_power", "dimension": 2, "s": 2.0}}),
+    ("solve-john/positioned-expnorm-ball", ["solve-john"],
+     {"f": {"variant": "expnorm", "dimension": 2, "p": 1.0,
+            "position": {"alpha": 1.5, "A": [[1.2, 0.3], [0.3, 0.8]],
+                         "a": [0.1, -0.2]}},
+      "w": {"variant": "ball_indicator", "dimension": 2, "radius": 1.0}}),
+    ("fixed-height/two-point-bump-0.5", ["fixed-height", "--xi", "0.5"],
+     {"f": TWO_POINT_BUMP}),
+    *[(f"polar/{name}", ["polar"], {"f": f, "points": LATTICE_7X7})
+      for name, f in POLAR_VARIANTS.items()],
+    *[(f"{cmd}/{name}", [cmd], {"f": f})
+      for cmd in ("john-check", "sandwich")
+      for name, f in (("two-point-bump", TWO_POINT_BUMP),
+                      ("gaussian-2", GAUSSIAN_2))],
+]
+
+
+def run_case(argv: list[str], config: dict, workdir: Path) -> tuple[int, str]:
+    cfg = workdir / "config.json"
+    cfg.write_text(json.dumps(config))
+    out = workdir / "out"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main([*argv, "--config", str(cfg), "--out", str(out)])
+    report = out / "report.json"
+    digest = json.loads(report.read_text())["determinism_hash"] \
+        if report.is_file() else "-"
+    return code, digest
+
+
+def main_hashes() -> int:
+    for name, argv, config in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, digest = run_case(argv, config, Path(tmp))
+        print(f"{name} {code} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main_hashes())
