@@ -87,10 +87,8 @@ def polar_atom_floor_check(bf: JohnBumpFunction, tol: float = 1e-9) -> bool:
     """polar(f)(u_i / hbar^2(u_i)) >= mass of the majorant atom, per anchor."""
     if not bf.regular:
         raise ValueError("atom floor check requires a regular bump")
-    U = bf.decomposition.point_array()
-    for u in U:
-        atom = polar.polar_of_ell(u)
-        value = polar.polar_eval(bf.function, np.asarray(atom.location))
-        if value < atom.mass - tol:
-            return False
-    return True
+    atoms = [polar.polar_of_ell(u) for u in bf.decomposition.point_array()]
+    values = polar.polar_eval_many(
+        bf.function, np.asarray([atom.location for atom in atoms]))
+    return all(value >= atom.mass - tol
+               for value, atom in zip(values, atoms))

@@ -427,7 +427,10 @@ def cmd_lowner_check(args, config, started):
 def cmd_corpus(args, config, started):
     numbers = None
     if args.criteria:
-        numbers = sorted({int(v) for v in args.criteria.split(",")})
+        try:
+            numbers = sorted({int(v) for v in args.criteria.split(",")})
+        except ValueError as exc:
+            raise ConfigError(f"--criteria: {exc}") from exc
         unknown = [n for n in numbers if n not in acceptance.CRITERIA]
         if unknown:
             raise ConfigError(f"unknown criteria: {unknown}")

@@ -246,6 +246,7 @@ def test_corpus_subset(tmp_path, capsys):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert main(["corpus", "--criteria", "99"]) == EXIT_CONFIG_ERROR
+    assert main(["corpus", "--criteria", "1,x"]) == EXIT_CONFIG_ERROR
 
 
 def test_config_roundtrip_stability(tmp_path):

@@ -1,10 +1,14 @@
-"""Polar transform: closed forms, the exact bump LP, atoms, and the
-order-reversal and log-concavity properties."""
+"""Polar transform: closed forms, the exact bump support function against
+an LP dual, atoms, and the order-reversal and log-concavity properties."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import optimize
 
 from funcjohn import (
     BallIndicator,
@@ -16,12 +20,14 @@ from funcjohn import (
     HeightPower,
     PolarHeightPower,
     Positioned,
+    generate_decomposition,
     improperness_probe,
     make_position,
     polar_eval,
     polar_eval_many,
     polar_of_ell,
 )
+from funcjohn.cli import EXIT_PASS, main
 from funcjohn.polar import bump_log_sup
 
 TWO_POINT = Bump(anchors=((1.0 / math.sqrt(2.0),), (-1.0 / math.sqrt(2.0),)))
@@ -166,3 +172,95 @@ def test_polar_height_power_closed_form_agrees_with_polar_eval():
     for p in (0.0, 0.4, 1.0, 3.0):
         assert abs(polar_eval(f, np.array([p]))
                    - g.evaluate(np.array([p]))) < 1e-9
+
+
+def _dual_log_sup(anchors, P):
+    """Reference S(p) for a bump with interior anchors: HiGHS on the LP dual
+    min b.lam s.t. lam >= 0, sum lam = 1, sum lam_i s_i = p, where
+    log f = min_i (b_i - <s_i, x>); +inf where the dual is infeasible."""
+    U = np.asarray(anchors, dtype=float)
+    sq = np.einsum("ij,ij->i", U, U)
+    h2 = 1.0 - sq
+    b = 0.5 * np.log(h2) + sq / h2
+    A_eq = np.vstack([(U / h2[:, None]).T, np.ones(len(U))])
+    out = []
+    for p in np.atleast_2d(P):
+        res = optimize.linprog(b, A_eq=A_eq, b_eq=np.append(p, 1.0),
+                               bounds=(0.0, None), method="highs")
+        assert res.status in (0, 2), res.message
+        out.append(res.fun if res.status == 0 else math.inf)
+    return np.asarray(out)
+
+
+def _corpus_bump(d, seed):
+    return Bump(anchors=generate_decomposition(d, seed).points)
+
+
+def test_bump_log_sup_with_an_anchor_near_the_sphere():
+    # 1 - |u|^2 = 8.1e-10 gives an intercept near 1.2e9; a slightly negative
+    # dual weight on that anchor used to pull S(0) down to -2.8e-5
+    f = _corpus_bump(1, 117)
+    assert abs(bump_log_sup(f, np.zeros((1, 1)))[0] - 4.0351e-10) <= 1e-12
+    for d, seed in ((5, 115), (5, 94128), (4, 34)):
+        f = _corpus_bump(d, seed)
+        got = bump_log_sup(f, np.zeros((1, d)))[0]
+        ref = _dual_log_sup(f.anchors, np.zeros(d))[0]
+        assert abs(got - ref) <= 1e-12, (d, seed, got, ref)
+
+
+# points beyond the slope hull, where S = +inf, on which the primal LP
+# stopped with status 4
+OUTSIDE_SLOPE_HULL = (
+    (2, 4, [[-2.142857142857143, 1.2857142857142856],
+            [2.1428571428571423, -1.2857142857142858]]),
+    (3, 46, [[1.79572472221028, 1.7138519944134805, -0.40323955314944826],
+             [1.7366030016600509, 1.616858763304522, -1.4071844582824238],
+             [1.8472688259374959, 1.3651273819711611, -1.8004832521477354]]),
+)
+
+
+def test_bump_log_sup_is_inf_outside_the_slope_hull(tmp_path):
+    for d, seed, points in OUTSIDE_SLOPE_HULL:
+        f = _corpus_bump(d, seed)
+        assert np.all(np.isposinf(bump_log_sup(f, np.asarray(points))))
+        assert np.all(polar_eval_many(f, np.asarray(points)) == 0.0)
+        cfg = tmp_path / f"polar{d}.json"
+        cfg.write_text(json.dumps({
+            "f": {"variant": "bump", "dimension": d,
+                  "anchors": [list(u) for u in f.anchors]},
+            "points": points}))
+        out = tmp_path / f"polar{d}"
+        assert main(["polar", "--config", str(cfg), "--out", str(out)]) \
+            == EXIT_PASS
+        report = json.loads((out / "report.json").read_text())
+        assert report["values"] == [0.0] * len(points)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 4), corpus=st.booleans(), near_sphere=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=6, corpus=True, near_sphere=False, seed=0)
+def test_bump_log_sup_matches_the_lp_dual(d, corpus, near_sphere, seed):
+    rng = np.random.default_rng(seed)
+    if corpus:
+        # symmetric anchors +-u: at p = 0 several facets tie
+        f = _corpus_bump(d, seed)
+    else:
+        m = int(rng.integers(d + 1, 2 * d + 5))
+        V = rng.standard_normal((m, d))
+        V /= np.linalg.norm(V, axis=1)[:, None]
+        radii = (1.0 - 10.0 ** rng.uniform(-6.0, -2.0, m) if near_sphere
+                 else rng.uniform(0.05, 0.95, m))
+        f = Bump(anchors=tuple(map(tuple, V * radii[:, None])))
+    U = np.asarray(f.anchors)
+    sq = np.einsum("ij,ij->i", U, U)
+    reach = float(np.max(np.sqrt(sq) / (1.0 - sq)))  # the largest |s_i|
+    # a box that straddles the slope hull, and the origin
+    P = np.vstack([rng.uniform(-1.2 * reach, 1.2 * reach, size=(30, d)),
+                   np.zeros((1, d))])
+    got = bump_log_sup(f, P)
+    ref = _dual_log_sup(U, P)
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    fin = np.isfinite(ref)
+    assert np.all(np.abs(got[fin] - ref[fin])
+                  <= 1e-9 * (1.0 + np.abs(ref[fin])))
