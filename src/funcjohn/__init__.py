@@ -24,6 +24,7 @@ from .decomp import (
     weights_from_points,
 )
 from .johnsolve import (
+    CONSTRAINT_TOL,
     CurveSample,
     InfeasibleProblemError,
     NoContactsError,

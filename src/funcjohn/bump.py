@@ -17,8 +17,6 @@ from .decomp import (
 from .lcfunc import Bump, hbar
 from .verify import ball_grid
 
-REGULARITY_MARGIN = 1e-12
-
 
 class NormBoundError(ValueError):
     """A bump's sup norm breaks a bound its decomposition guarantees, so the
@@ -83,12 +81,13 @@ def norm_gap_probe(bf: JohnBumpFunction) -> NormGapRecord:
                          polar_zero_lower_bound=bound)
 
 
-def polar_atom_floor_check(bf: JohnBumpFunction, tol: float = 1e-9) -> bool:
-    """polar(f)(u_i / hbar^2(u_i)) >= mass of the majorant atom, per anchor."""
+def polar_atom_floor_check(bf: JohnBumpFunction) -> bool:
+    """polar(f)(u_i / hbar^2(u_i)) >= mass of the majorant atom, per anchor,
+    up to 1e-9."""
     if not bf.regular:
         raise ValueError("atom floor check requires a regular bump")
     atoms = [polar.polar_of_ell(u) for u in bf.decomposition.point_array()]
     values = polar.polar_eval_many(
         bf.function, np.asarray([atom.location for atom in atoms]))
-    return all(value >= atom.mass - tol
+    return all(value >= atom.mass - 1e-9
                for value, atom in zip(values, atoms))

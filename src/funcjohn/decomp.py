@@ -94,9 +94,9 @@ class HullMarginReport:
     witness_direction: tuple
 
 
-def verify_decomposition(dec: FunctionalJohnDecomposition,
-                         tol: float = DEFAULT_VERIFY_TOL) -> DecompositionResiduals:
-    """Residual report; passes() iff all residuals are within tolerance."""
+def verify_decomposition(dec: FunctionalJohnDecomposition
+                         ) -> DecompositionResiduals:
+    """Residual report; passes(tol) iff all residuals are within tol."""
     U = dec.point_array()
     c = dec.weight_array()
     d = dec.dim

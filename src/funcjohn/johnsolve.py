@@ -31,13 +31,18 @@ from .position import (
     log_det_from_chol_params,
     make_position,
 )
-from .verify import ball_grid, sphere_points, spread
+from .verify import ball_grid, log_gap, sphere_points, spread
 
 _INIT_GRID = {1: 201, 2: 421, 3: 800}
 _SEP_GRID = {1: 2001, 2: 4096, 3: 8192}
 _CERT_GRID = {1: 10_001, 2: 250_000, 3: 131_072}
 _TAU_SCHEDULE = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7)
 _FINAL_SHRINK = 1.0 - 1e-12  # keeps supp g strictly inside supp f
+_MAX_OUTER_ITERATIONS = 200  # cap on the fixed-height multiplier bisection
+_CONTACT_TOL = 1e-6  # relative gap below which a point counts as a contact
+
+# a solve is feasible when its certified log-violation is at most this
+CONSTRAINT_TOL = 1e-8
 
 
 class InfeasibleProblemError(RuntimeError):
@@ -52,13 +57,9 @@ class NoContactsError(RuntimeError):
 class SolverOptions:
     seed: int = 0
     restarts: int = 16
-    grid_density: int = 0  # 0 -> per-dimension default
-    constraint_tol: float = 1e-8
-    max_outer_iterations: int = 200
 
     def __post_init__(self):
-        if self.restarts < 1 or self.constraint_tol <= 0 \
-                or self.max_outer_iterations < 1 or self.grid_density < 0:
+        if self.restarts < 1:
             raise ValueError("invalid solver options")
 
 
@@ -100,9 +101,8 @@ class _Engine:
             raise ValueError("f and w dimensions differ")
         self.K = chol_param_size(self.d)
         self.wrad = w.support_radius()
-        n0 = opts.grid_density ** self.d if opts.grid_density else _INIT_GRID[
-            min(self.d, 3)]
-        core = ball_grid(self.d, n0, radius=0.999 * self.wrad, seed=opts.seed)
+        core = ball_grid(self.d, _INIT_GRID[min(self.d, 3)],
+                         radius=0.999 * self.wrad, seed=opts.seed)
         # near-boundary rings pin down the support constraint early
         dirs = sphere_points(self.d, max(2 * self.d, 16), seed=opts.seed + 3)
         rings = np.vstack([r * self.wrad * dirs
@@ -160,18 +160,16 @@ class _Engine:
         p = e / Z
         val = -(log_det_from_chol_params(chol, self.d) + lam * m)
 
-        grad = np.zeros(theta.shape[0])
         G = fgrads * p[:, None]     # softmax-weighted gradients of r
+        # the soft-min's gradient in A is M = G^T Y, and in L it is
+        # (M + M^T) L; the diagonal is packed as log L_ii, which scales its
+        # entries by L_ii, and d log det A / d(log L_ii) = 2
+        M = G.T @ self.Y
+        dL = (M + M.T) @ L
+        dL[np.diag_indices(self.d)] *= np.diag(L)
         rows, cols = chol_param_indices(self.d)
-        for k, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-            # dA for the k-th parameter; d log det / d(log L_ii) = 2
-            dL = np.zeros((self.d, self.d))
-            dL[i, j] = L[i, i] if i == j else 1.0
-            dA = dL @ L.T + L @ dL.T
-            grad[k] = -2.0 if i == j else 0.0
-            grad[k] += -lam * float(np.einsum("ij,ij->", G, self.Y @ dA.T))
-        grad[self.K:] += -lam * G.sum(axis=0)
-        return val, grad
+        grad_chol = -lam * dL[rows, cols] - 2.0 * (rows == cols)
+        return val, np.concatenate([grad_chol, -lam * G.sum(axis=0)])
 
     def grid_min(self, theta):
         """min over the sample of log f(A y + a) - log w(y), smooth target."""
@@ -231,15 +229,10 @@ class _Engine:
                          seed=self.opts.seed + 17)
         logw = self.w.log_evaluate_many(grid)
 
-        def exact(Y):
-            lf = self.f.log_evaluate_many(Y @ A.T + a)
-            lw = self.w.log_evaluate_many(Y)
-            out = lw - lf
-            out[np.isneginf(lf) & np.isfinite(lw)] = math.inf
-            out[np.isneginf(lw)] = -math.inf
-            return out
+        def exact(Y, lw):
+            return log_gap(lw, self.f.log_evaluate_many(Y @ A.T + a))
 
-        v = exact(grid)
+        v = exact(grid, logw)
         k = int(np.argmax(v))
         best, witness = float(v[k]), grid[k]
         if math.isinf(best):
@@ -247,7 +240,7 @@ class _Engine:
         soft_best, _, points = self._sup_over(theta, grid, logw, n_refine=32)
         if points:
             P = np.asarray(points)
-            pv = exact(P)
+            pv = exact(P, self.w.log_evaluate_many(P))
             j = int(np.argmax(pv))
             if float(pv[j]) > best:
                 best, witness = float(pv[j]), P[j]
@@ -341,7 +334,6 @@ def _bisect_scale(violation, lo, hi, vtol, iterations):
 
 def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
     """Shrink inside the support, certify, and package the report."""
-    opts = engine.opts
     A, a = engine.unpack(theta)
     A = _FINAL_SHRINK * A
     cert, _ = engine.certify(engine.pack(A, a))
@@ -368,7 +360,7 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
         la = log_alpha
         # a height pinned at the peak makes the violation there an exact
         # zero up to rounding, so the sign tests need a small tolerance
-        vtol = min(1e-10, 0.01 * opts.constraint_tol)
+        vtol = min(1e-10, 0.01 * CONSTRAINT_TOL)
 
         def sep_violation(s):
             return la + engine.separation(engine.pack(s * A, a),
@@ -406,7 +398,7 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
     return SolveReport(
         position=pos,
         objective=pos.log_objective(),
-        feasible=violation <= opts.constraint_tol,
+        feasible=violation <= CONSTRAINT_TOL,
         diagnostics=diagnostics,
     )
 
@@ -436,13 +428,20 @@ def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
     _, theta, iters, which = best
     # the dense certificate can expose a violation the separation ascent
     # missed; feed its witness back as a constraint and re-optimize so the
-    # matrix adapts instead of alpha absorbing the whole correction
+    # matrix adapts instead of alpha absorbing the whole correction.  Only
+    # running out of rounds leaves that disagreement unresolved.
+    stop_reason = "round_cap"
     for _ in range(5):
         sup, _, _ = engine.separation(theta)
         cert, witness = engine.certify(theta)
-        if not math.isfinite(cert) or cert <= sup + 1e-8:
+        if not math.isfinite(cert):
+            stop_reason = "certificate_infinite"
+            break
+        if cert <= sup + 1e-8:
+            stop_reason = "certificate_agrees"
             break
         if engine.add_points([witness]) == 0:
+            stop_reason = "witness_known"
             break
         theta, it = engine.solve_lambda(theta, lam=1.0, exchange_rounds=3)
         iters += it
@@ -452,7 +451,7 @@ def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
     return _finish(engine, theta, None, {
         "restarts": opts.restarts, "restart": which,
         "outer_iterations": iters, "objective_trace": trace,
-        "converged": True})
+        "converged": stop_reason != "round_cap", "stop_reason": stop_reason})
 
 
 def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
@@ -482,7 +481,7 @@ def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
         raise InfeasibleProblemError(
             "no position of w attains the prescribed height below f")
     converged = False
-    for _ in range(opts.max_outer_iterations):
+    for _ in range(_MAX_OUTER_ITERATIONS):
         mid = math.sqrt(lo * hi)
         theta_mid, it = engine.solve_lambda(theta, lam=mid,
                                             exchange_rounds=2)
@@ -501,7 +500,7 @@ def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
         cert, witness = engine.certify(theta)
         if not math.isfinite(cert):
             break
-        if log_alpha + cert <= min(1e-10, 0.01 * opts.constraint_tol):
+        if log_alpha + cert <= min(1e-10, 0.01 * CONSTRAINT_TOL):
             break
         if engine.add_points([witness]) == 0:
             break
@@ -518,8 +517,8 @@ def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
 # ---------------------------------------------------------------------------
 
 
-def extract_and_certify(f: LogConcaveFunction, report: SolveReport,
-                        contact_tol: float = 1e-6) -> SolveReport:
+def extract_and_certify(f: LogConcaveFunction, report: SolveReport
+                        ) -> SolveReport:
     """Find contact points of f with hbar (in John coordinates) and recover
     decomposition weights; success certifies optimality via the John
     condition."""
@@ -554,12 +553,12 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport,
         res = optimize.minimize(rel_gap, s, method="Nelder-Mead",
                                 options={"xatol": 1e-13, "fatol": 1e-15,
                                          "maxiter": 4000})
-        if res.fun <= contact_tol:
+        if res.fun <= _CONTACT_TOL:
             candidates.append(res.x)
     # when the gap vanishes on a sizable region (f coincides with the height
     # function there), any spanning subset certifies; a clustered refinement
     # set alone can be one-sided, so add spatially spread exact grid contacts
-    exact = np.flatnonzero((np.abs(ratio) <= contact_tol) & (hvals > 1e-6))
+    exact = np.flatnonzero((np.abs(ratio) <= _CONTACT_TOL) & (hvals > 1e-6))
     if exact.size >= 0.05 * grid.shape[0]:
         candidates.extend(grid[exact[spread(grid[exact], 0.3, 8 * (d + 1))]])
     # boundary-of-support contacts for targets with bounded support

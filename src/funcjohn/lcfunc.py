@@ -144,17 +144,10 @@ class LogConcaveFunction:
         """Radius R with f = 0 outside the R-ball (inf when unbounded)."""
         return math.inf
 
-    def is_bounded(self) -> bool:
-        return True
-
     def sup_norm(self) -> float:
         raise NotImplementedError
 
     def integral(self) -> float:
-        value, _ = self.integral_with_error()
-        return value
-
-    def integral_with_error(self) -> tuple[float, float]:
         return _numeric_integral(self)
 
     # --- solver target and support function ---------------------------
@@ -285,10 +278,9 @@ class HeightPower(LogConcaveFunction):
     def sup_norm(self):
         return 1.0
 
-    def integral_with_error(self):
+    def integral(self):
         d, s = self.dimension, self.s
-        value = unit_ball_volume(d) * (d / 2.0) * special.beta(d / 2.0, s / 2.0 + 1.0)
-        return value, 0.0
+        return unit_ball_volume(d) * (d / 2.0) * special.beta(d / 2.0, s / 2.0 + 1.0)
 
 
 @dataclass(frozen=True)
@@ -357,8 +349,8 @@ class BallIndicator(LogConcaveFunction):
     def sup_norm(self):
         return 1.0
 
-    def integral_with_error(self):
-        return unit_ball_volume(self.dimension) * self.radius ** self.dimension, 0.0
+    def integral(self):
+        return unit_ball_volume(self.dimension) * self.radius ** self.dimension
 
 
 @dataclass(frozen=True)
@@ -390,8 +382,8 @@ class Gaussian(LogConcaveFunction):
     def sup_norm(self):
         return 1.0
 
-    def integral_with_error(self):
-        return math.pi ** (self.dimension / 2.0), 0.0
+    def integral(self):
+        return math.pi ** (self.dimension / 2.0)
 
 
 @dataclass(frozen=True)
@@ -433,9 +425,9 @@ class ExpNorm(LogConcaveFunction):
     def sup_norm(self):
         return 1.0
 
-    def integral_with_error(self):
+    def integral(self):
         d = self.dimension
-        return unit_ball_volume(d) * special.gamma(d / self.p + 1.0), 0.0
+        return unit_ball_volume(d) * special.gamma(d / self.p + 1.0)
 
 
 def _polar_height_power_log(c: np.ndarray, s: float) -> np.ndarray:
@@ -585,7 +577,13 @@ def ell_majorant(u) -> LogAffineMajorant:
 
 @dataclass(frozen=True)
 class Bump(LogConcaveFunction):
-    """min_i ell_{u_i} over a finite anchor set with |u_i| <= 1."""
+    """min_i ell_{u_i} over a finite anchor set with |u_i| <= 1.
+
+    Its normal form is set once, at construction, as read-only arrays:
+    log f(x) = min_i (intercepts[i] - <slopes[i], x>) over the interior
+    anchors, and f = 0 on every half-space <walls[j], x> >= 1 of a boundary
+    anchor.  They are not dataclass fields, so ==, hash and repr see only
+    the anchors."""
 
     anchors: tuple  # tuple of coordinate tuples
 
@@ -603,8 +601,12 @@ class Bump(LogConcaveFunction):
         boundary = np.asarray(boundary, dtype=bool)
         object.__setattr__(self, "anchors",
                            tuple(tuple(float(v) for v in row) for row in A))
-        object.__setattr__(self, "_boundary_mask", boundary)
         super().__post_init__()
+        slopes, intercepts = _majorant_coeffs(A[~boundary])
+        for name, arr in (("slopes", slopes), ("intercepts", intercepts),
+                          ("walls", A[boundary])):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
@@ -614,28 +616,15 @@ class Bump(LogConcaveFunction):
         return np.asarray(self.anchors, dtype=float)
 
     @property
-    def boundary_mask(self) -> np.ndarray:
-        return self._boundary_mask
-
-    @property
     def is_regular(self) -> bool:
-        return not bool(self._boundary_mask.any())
-
-    def interior_anchors(self) -> np.ndarray:
-        return self.anchor_array()[~self._boundary_mask]
-
-    def boundary_anchors(self) -> np.ndarray:
-        return self.anchor_array()[self._boundary_mask]
+        return not self.walls.shape[0]
 
     def log_evaluate_many(self, X):
-        n = X.shape[0]
-        logs = np.full(n, np.inf)
-        interior = self.interior_anchors()
-        if interior.shape[0]:
-            slopes, intercepts = _majorant_coeffs(interior)
-            logs = np.min(intercepts[None, :] - X @ slopes.T, axis=1)
-        for u in self.boundary_anchors():
-            logs = np.where(X @ u >= 1.0, -np.inf, logs)
+        logs = np.full(X.shape[0], np.inf)
+        if self.intercepts.shape[0]:
+            logs = np.min(self.intercepts - X @ self.slopes.T, axis=1)
+        if self.walls.shape[0]:
+            logs[np.any(X @ self.walls.T >= 1.0, axis=1)] = -np.inf
         return logs
 
     def log_value_grad(self, X, tau=0.0):
@@ -643,12 +632,12 @@ class Bump(LogConcaveFunction):
         temperature (a lower bound on the bump, so the relaxation stays
         conservative); quasi-Newton steps need it because the hard min has
         gradient ridges.  Boundary anchors become steep linear walls."""
-        slopes, intercepts = _majorant_coeffs(self.interior_anchors())
-        vals_all = intercepts[None, :] - X @ slopes.T
-        for u in self.boundary_anchors():
-            wall = _BOUNDARY_WALL * (1.0 - X @ u)
-            vals_all = np.column_stack([vals_all, wall])
-            slopes = np.vstack([slopes, _BOUNDARY_WALL * u])
+        vals_all = self.intercepts - X @ self.slopes.T
+        slopes = self.slopes
+        if self.walls.shape[0]:
+            vals_all = np.hstack(
+                [vals_all, _BOUNDARY_WALL * (1.0 - X @ self.walls.T)])
+            slopes = np.vstack([slopes, _BOUNDARY_WALL * self.walls])
         if tau > 0.0:
             vmin = vals_all.min(axis=1, keepdims=True)
             e = np.exp(-(vals_all - vmin) / tau)
@@ -662,7 +651,7 @@ class Bump(LogConcaveFunction):
         return polar.bump_log_sup(self, P)
 
     def sup_norm(self):
-        if not self.interior_anchors().shape[0]:
+        if not self.intercepts.shape[0]:
             raise ImproperFunctionError(
                 "bump with only boundary anchors takes no finite positive value")
         from . import polar  # deferred: polar builds on lcfunc
@@ -723,10 +712,9 @@ class HalfRestriction(LogConcaveFunction):
             return math.exp(float(self.inner.radial_log_profile(np.array([0.0]))[0]))
         return self.inner.sup_norm()
 
-    def integral_with_error(self):
+    def integral(self):
         if self.inner.is_radial():
-            v, e = self.inner.integral_with_error()
-            return v / 2.0, e / 2.0
+            return self.inner.integral() / 2.0
         return _numeric_integral(self)
 
 
@@ -774,10 +762,9 @@ class Positioned(LogConcaveFunction):
     def sup_norm(self):
         return self.position.alpha * self.inner.sup_norm()
 
-    def integral_with_error(self):
-        v, e = self.inner.integral_with_error()
+    def integral(self):
         scale = self.position.alpha * abs(self.position.det())
-        return scale * v, scale * e
+        return scale * self.inner.integral()
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +799,7 @@ def effective_radius(f: LogConcaveFunction, log_cut: float = -46.0,
     raise DivergentIntegralError("no decay detected along probe rays")
 
 
-def _numeric_integral(f: LogConcaveFunction) -> tuple[float, float]:
+def _numeric_integral(f: LogConcaveFunction) -> float:
     d = f.dim
     R = effective_radius(f)
     if f.is_radial():
@@ -821,23 +808,18 @@ def _numeric_integral(f: LogConcaveFunction) -> tuple[float, float]:
             return r ** (d - 1) * math.exp(float(f.radial_log_profile(
                 np.array([r]))[0]))
 
-        val, err = integrate.quad(radial, 0.0, R, limit=200)
-        c = d * unit_ball_volume(d)
-        return c * val, c * err
+        val, _ = integrate.quad(radial, 0.0, R, limit=200)
+        return d * unit_ball_volume(d) * val
     if d == 1:
-        val, err = integrate.quad(lambda t: f.evaluate([t]), -R, R, limit=200)
-        return val, err
+        return integrate.quad(lambda t: f.evaluate([t]), -R, R, limit=200)[0]
     if d == 2:
-        val, err = integrate.dblquad(
+        return integrate.dblquad(
             lambda y, x: f.evaluate([x, y]), -R, R, -R, R,
-            epsabs=1e-10, epsrel=1e-10)
-        return val, err
+            epsabs=1e-10, epsrel=1e-10)[0]
     # d >= 3: seeded quasi-Monte Carlo over the bounding box
     m = 20  # 2^20 ~ 1e6 points
     sampler = qmc.Sobol(d=d, scramble=True, seed=12345)
     U = sampler.random_base2(m)
     X = (2.0 * U - 1.0) * R
     vals = f.evaluate_many(X)
-    vol = (2.0 * R) ** d
-    blocks = vals.reshape(16, -1).mean(axis=1) * vol
-    return float(vals.mean() * vol), float(blocks.std(ddof=1) / 4.0)
+    return float(vals.mean() * (2.0 * R) ** d)

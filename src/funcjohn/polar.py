@@ -28,7 +28,6 @@ from .lcfunc import (
     Bump,
     ImproperFunctionError,
     LogConcaveFunction,
-    _majorant_coeffs,
     hbar,
 )
 
@@ -136,11 +135,9 @@ def bump_log_sup(bump: Bump, P) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim == 1:
         P = P[None, :]
-    interior = bump.interior_anchors()
-    if not interior.shape[0]:
+    slopes, intercepts, boundary = bump.slopes, bump.intercepts, bump.walls
+    if not intercepts.shape[0]:
         raise ImproperFunctionError("bump has no interior anchor")
-    slopes, intercepts = _majorant_coeffs(interior)
-    boundary = bump.boundary_anchors()
     m, d = slopes.shape
     if (boundary.shape[0] or m < d + 1
             or math.comb(m, d + 1) > _FACET_ENUM_MAX_SUBSETS):

@@ -99,35 +99,37 @@ class DominationCertificate:
         return self.max_log_violation <= DOMINATION_PASS_TOL
 
 
-def _log_gap_many(g: LogConcaveFunction, f: LogConcaveFunction,
-                  X: np.ndarray) -> np.ndarray:
-    """log g - log f where g > 0; -inf where g vanishes, +inf where g > 0
-    but f = 0."""
-    lg = g.log_evaluate_many(X)
-    lf = f.log_evaluate_many(X)
-    gap = np.full(X.shape[0], -np.inf)
+def log_gap(lg: np.ndarray, lf: np.ndarray) -> np.ndarray:
+    """log g - log f from the two log-value arrays: -inf where g vanishes,
+    +inf where g > 0 but f = 0."""
+    gap = np.full(lg.shape[0], -np.inf)
     live = lg > -np.inf
     gap[live] = np.where(lf[live] > -np.inf, lg[live] - lf[live], np.inf)
     return gap
 
 
+def _log_gap_many(g: LogConcaveFunction, f: LogConcaveFunction,
+                  X: np.ndarray) -> np.ndarray:
+    return log_gap(g.log_evaluate_many(X), f.log_evaluate_many(X))
+
+
 def check_domination(g: LogConcaveFunction, f: LogConcaveFunction,
-                     radius: float, n_points: int = 4096, seed: int = 0,
-                     refine: bool = True) -> DominationCertificate:
-    """Lattice plus seeded multi-start ascent of log g - log f over the ball
-    of the given radius intersected with supp g."""
+                     radius: float, seed: int = 0) -> DominationCertificate:
+    """Lattice of about 4096 points plus seeded multi-start ascent of
+    log g - log f over the ball of the given radius intersected with
+    supp g; the ascent is skipped when the lattice already finds an
+    infinite gap."""
     if radius <= 0:
         raise ValueError("radius must be positive")
     d = g.dim
-    X = ball_grid(d, n_points, radius, seed=seed)
+    X = ball_grid(d, 4096, radius, seed=seed)
     gap = _log_gap_many(g, f, X)
     order = np.argsort(gap)
     best = float(gap[order[-1]])
     witness = X[order[-1]]
     checked = X.shape[0]
-    did_refine = False
-    if refine and math.isfinite(best):
-        did_refine = True
+    did_refine = math.isfinite(best)
+    if did_refine:
 
         def neg(x):
             v = _log_gap_many(g, f, x[None, :])[0]
@@ -171,13 +173,13 @@ class JohnInclusionRecord:
             and self.corollary_pass
 
 
-def john_inclusion_check(f: LogConcaveFunction, grid_points: int = 1000,
-                         seed: int = 0) -> JohnInclusionRecord:
-    """For f in John position: hbar <= f, and polar(f) >= e^{-(d+1)} on the
-    ball of radius 1/(d+1)."""
+def john_inclusion_check(f: LogConcaveFunction, seed: int = 0
+                         ) -> JohnInclusionRecord:
+    """For f in John position: hbar <= f, and polar(f) >= e^{-(d+1)} on
+    about 1000 points of the ball of radius 1/(d+1)."""
     d = f.dim
     cert = check_domination(Height(d), f, radius=1.0, seed=seed)
-    P = ball_grid(d, grid_points, radius=1.0 / (d + 1), seed=seed)
+    P = ball_grid(d, 1000, radius=1.0 / (d + 1), seed=seed)
     values = polar.polar_eval_many(f, P)
     floor = math.exp(-(d + 1))
     from .lcfunc import hbar
@@ -218,14 +220,15 @@ class SandwichRecord:
         return self.left_pass and self.right_pass and self.tail_pass
 
 
-def sandwich_construct(f: LogConcaveFunction, grid_points: int = 4096,
-                       seed: int = 0) -> SandwichRecord:
+def sandwich_construct(f: LogConcaveFunction, seed: int = 0
+                       ) -> SandwichRecord:
     """Build f_tilde(x) = sqrt(d+1) f(sqrt(d/(d+1)) x) and certify
     chi_ball <= f_tilde <= sqrt(d+1) e^{-|x|/(d+2) + (d+1)}.
 
-    The right inequality is grid-checked up to R*, where the exponential
-    envelope f(x) <= e^{d+1} e^{-|x|/(d+1)} (a consequence of the polar floor
-    at p = x / ((d+1)|x|)) already sits strictly below the right-hand side.
+    Both inequalities are checked on grids of about 4096 points, the right
+    one up to R*, where the exponential envelope
+    f(x) <= e^{d+1} e^{-|x|/(d+1)} (a consequence of the polar floor at
+    p = x / ((d+1)|x|)) already sits strictly below the right-hand side.
     """
     d = f.dim
     shrink = math.sqrt(d / (d + 1.0))
@@ -240,7 +243,7 @@ def sandwich_construct(f: LogConcaveFunction, grid_points: int = 4096,
     r_star = 1.0 / (c1 - c2)
 
     # left: chi_ball <= f_tilde on the closed ball, boundary included
-    X = ball_grid(d, grid_points, radius=1.0, seed=seed)
+    X = ball_grid(d, 4096, radius=1.0, seed=seed)
     ring = sphere_points(d, 256, seed=seed + 1) * (1.0 - 1e-9)
     left_vals = ftilde.evaluate_many(np.vstack([X, ring]))
     left_min = float(left_vals.min())
@@ -248,8 +251,8 @@ def sandwich_construct(f: LogConcaveFunction, grid_points: int = 4096,
 
     # right: grid comparison against the envelope up to R*; a core grid keeps
     # the check meaningful when most of the wide ball misses where f lives
-    Y = np.vstack([ball_grid(d, grid_points, radius=r_star, seed=seed + 2),
-                   ball_grid(d, grid_points, radius=min(r_star, 4.0),
+    Y = np.vstack([ball_grid(d, 4096, radius=r_star, seed=seed + 2),
+                   ball_grid(d, 4096, radius=min(r_star, 4.0),
                              seed=seed + 4)])
     log_rhs = math.log(scale) - np.linalg.norm(Y, axis=1) / (d + 2.0) + (d + 1.0)
     log_ft = ftilde.log_evaluate_many(Y)

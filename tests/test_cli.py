@@ -16,6 +16,7 @@ from funcjohn.cli import (
     function_from_config,
     main,
     position_from_config,
+    solver_options_from_config,
 )
 from funcjohn.lcfunc import Bump, Gaussian, Height
 
@@ -119,6 +120,11 @@ def test_unknown_solver_option_is_config_error(tmp_path, capsys):
     assert main(["solve-john", "--config", str(cfg),
                  "--out", str(tmp_path / "s")]) == EXIT_CONFIG_ERROR
     assert "step_tol" in capsys.readouterr().err
+    # options that became library constants are refused the same way
+    for key, value in (("grid_density", 4), ("constraint_tol", 1e-6),
+                       ("max_outer_iterations", 50)):
+        with pytest.raises(ConfigError, match=key):
+            solver_options_from_config({"solver": {key: value}}, seed=0)
 
 
 def test_certify_needs_the_height_function(tmp_path, capsys):

@@ -177,6 +177,18 @@ def test_bump_is_min_of_majorants():
     stacked = np.min([ell_majorant(u).log_evaluate_many(X) for u in anchors],
                      axis=0)
     assert np.allclose(f.log_evaluate_many(X), stacked)
+    # two boundary anchors: the half-space branch of ell_majorant is the
+    # reference for the walls, points on a wall included
+    anchors = anchors + ((1.0, 0.0), (0.0, -1.0))
+    f = Bump(anchors=anchors)
+    assert f.walls.shape == (2, 2) and f.slopes.shape == (3, 2)
+    X = np.vstack([X, [[1.0, 0.3], [0.2, -1.0], [0.99, -0.5]]])
+    stacked = np.min([ell_majorant(u).log_evaluate_many(X) for u in anchors],
+                     axis=0)
+    logs = f.log_evaluate_many(X)
+    assert np.array_equal(np.isneginf(logs), np.isneginf(stacked))
+    assert 0 < np.isneginf(logs).sum() < X.shape[0]
+    assert np.allclose(logs, stacked)
 
 
 def test_bump_with_boundary_anchor_truncates():
