@@ -1,5 +1,8 @@
 """Numerical solution of the functional John problem.
 
+Targets with a log-polyhedral normal form (bumps and their positioned
+copies) are solved and certified exactly by the barrier method of
+funcjohn.exact.  Every other target goes through the sampled engine below:
 solve_john maximizes log(alpha) + log det A over positive-definite positions
 g(x) = alpha * w(A^{-1}(x - a)) subject to g <= f.  The scale is eliminated:
 for fixed (A, a) the best alpha is exp(m) with
@@ -21,7 +24,8 @@ import numpy as np
 from scipy import optimize
 
 from .decomp import InfeasibleWeightsError, weights_from_points
-from .lcfunc import LogConcaveFunction, hbar
+from .exact import Problem
+from .lcfunc import Height, LogConcaveFunction, hbar
 from .position import (
     AffinePosition,
     chol_factor_from_params,
@@ -55,6 +59,10 @@ class NoContactsError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Options of the sampled engine: the seed of its grids and starts, and
+    its number of restarts.  Targets with a normal form take the exact route,
+    which has no options; its reports say engine "exact"."""
+
     seed: int = 0
     restarts: int = 16
 
@@ -80,11 +88,49 @@ def target_log_grad(f: LogConcaveFunction, X: np.ndarray, tau: float = 0.0
     return f.log_value_grad(X, tau)
 
 
-def _validate_w(w: LogConcaveFunction):
+def _validate(f: LogConcaveFunction, w: LogConcaveFunction):
     if not (math.isfinite(w.support_radius()) and w.is_radial()):
         raise ValueError(
             "w must be a radial function of bounded support "
             "(height, height power, or centered ball indicator)")
+    if w.dim != f.dim:
+        raise ValueError("f and w dimensions differ")
+
+
+# ---------------------------------------------------------------------------
+# the exact route
+# ---------------------------------------------------------------------------
+
+
+def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
+                 log_alpha: float | None) -> SolveReport:
+    """Barrier solve of a target with normal form `form`, certified by the
+    same closed form."""
+    _validate(f, w)
+    problem = Problem(form, w)
+    start = problem.start(log_alpha)
+    if start is None:
+        raise InfeasibleProblemError(
+            "no position of w fits inside the support of f"
+            if log_alpha is None else
+            "no position of w attains the prescribed height strictly below f")
+    sol = problem.solve(start, log_alpha)
+    pos = make_position(math.exp(sol.log_alpha), sol.A, sol.a,
+                        positive_definite=True)
+    violation = problem.certificate(math.log(pos.alpha), pos.matrix(),
+                                    pos.a_vector())
+    return SolveReport(
+        position=pos,
+        objective=pos.log_objective(),
+        feasible=violation <= CONSTRAINT_TOL,
+        diagnostics={
+            "engine": "exact", "certificate": "exact",
+            "converged": sol.stop_reason == "gap_reached",
+            "stop_reason": sol.stop_reason,
+            "newton_steps": sol.newton_steps,
+            "barrier_stages": sol.barrier_stages,
+            "gap_bound": sol.gap_bound,
+            "max_constraint_violation": violation})
 
 
 # ---------------------------------------------------------------------------
@@ -94,11 +140,9 @@ def _validate_w(w: LogConcaveFunction):
 
 class _Engine:
     def __init__(self, f, w, opts: SolverOptions):
-        _validate_w(w)
+        _validate(f, w)
         self.f, self.w, self.opts = f, w, opts
         self.d = f.dim
-        if w.dim != self.d:
-            raise ValueError("f and w dimensions differ")
         self.K = chol_param_size(self.d)
         self.wrad = w.support_radius()
         core = ball_grid(self.d, _INIT_GRID[min(self.d, 3)],
@@ -393,7 +437,7 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
         raise InfeasibleProblemError(
             "alpha collapsed below 1e-12: no position of w fits below f")
     pos = make_position(math.exp(la), A, a, positive_definite=True)
-    diagnostics = dict(diagnostics)
+    diagnostics = dict(diagnostics, engine="sampled", certificate="sampled")
     diagnostics["max_constraint_violation"] = violation
     return SolveReport(
         position=pos,
@@ -405,7 +449,11 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
 
 def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
                opts: SolverOptions = SolverOptions()) -> SolveReport:
-    """Best found positive-definite position of w below f."""
+    """Best found positive-definite position of w below f: the optimum, to
+    a duality gap of 1e-9, for a target with a normal form."""
+    form = f.normal_form()
+    if form is not None:
+        return _solve_exact(f, w, form, None)
     engine = _Engine(f, w, opts)
     rng = np.random.default_rng(opts.seed)
     best = None
@@ -457,11 +505,15 @@ def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
 def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
                        xi: float, opts: SolverOptions = SolverOptions(),
                        warm_start: AffinePosition | None = None) -> SolveReport:
-    """As solve_john with the height pinned: alpha = xi / ||w||_inf."""
+    """As solve_john with the height pinned: alpha = xi / ||w||_inf.
+    warm_start, like opts, applies to the sampled engine only."""
     fsup = f.sup_norm()
     if not 0.0 < xi <= fsup * (1.0 + 1e-12):
         raise ValueError(f"xi={xi} out of range (0, {fsup}]")
     log_alpha = math.log(xi / w.sup_norm())
+    form = f.normal_form()
+    if form is not None:
+        return _solve_exact(f, w, form, log_alpha)
     engine = _Engine(f, w, opts)
     rng = np.random.default_rng(opts.seed)
     if warm_start is not None:
@@ -521,7 +573,8 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport
                         ) -> SolveReport:
     """Find contact points of f with hbar (in John coordinates) and recover
     decomposition weights; success certifies optimality via the John
-    condition."""
+    condition.  A target with a normal form has its contacts in closed form;
+    any other is searched on a grid."""
     if not report.feasible:
         raise ValueError("certification requires a feasible report")
     pos = report.position
@@ -532,6 +585,38 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport
     if dev > 0.05:
         raise ValueError("certification runs in John coordinates; "
                          "transform f to the solved position first")
+    form = f.normal_form()
+    if form is not None:
+        contacts = Problem(form, Height(d)).contacts(
+            math.log(pos.alpha), pos.matrix(), pos.a_vector(), _CONTACT_TOL)
+    else:
+        contacts = _searched_contacts(f)
+    if contacts.shape[0] == 0:
+        raise NoContactsError(
+            "no contact points found: the position does not certify as "
+            "optimal at this tolerance")
+    weights = None
+    certified = False
+    try:
+        weights = weights_from_points(contacts, 1e-6)
+        certified = True
+    except InfeasibleWeightsError:
+        pass
+    diag = dict(report.diagnostics)
+    diag["certified"] = certified
+    return replace(
+        report,
+        contacts=tuple(tuple(float(v) for v in u) for u in contacts),
+        recovered_weights=None if weights is None else
+        tuple(float(v) for v in weights),
+        diagnostics=diag,
+    )
+
+
+def _searched_contacts(f: LogConcaveFunction) -> np.ndarray:
+    """Contacts of f with hbar by a grid, Nelder-Mead ascents from its
+    basins of the gap, and the support edges."""
+    d = f.dim
     grid = ball_grid(d, {1: 4001, 2: 8192, 3: 16384}[min(d, 3)],
                      radius=0.99999)
     hvals = hbar(grid)
@@ -570,27 +655,7 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport
             if inside > 0.0 and outside == 0.0:
                 candidates.append(u.astype(float))
     candidates = np.reshape(candidates, (-1, d))
-    contacts = candidates[spread(candidates, 1e-5)]
-    if contacts.shape[0] == 0:
-        raise NoContactsError(
-            "no contact points found: the position does not certify as "
-            "optimal at this tolerance")
-    weights = None
-    certified = False
-    try:
-        weights = weights_from_points(contacts, 1e-6)
-        certified = True
-    except InfeasibleWeightsError:
-        pass
-    diag = dict(report.diagnostics)
-    diag["certified"] = certified
-    return replace(
-        report,
-        contacts=tuple(tuple(float(v) for v in u) for u in contacts),
-        recovered_weights=None if weights is None else
-        tuple(float(v) for v in weights),
-        diagnostics=diag,
-    )
+    return candidates[spread(candidates, 1e-5)]
 
 
 # ---------------------------------------------------------------------------
@@ -612,8 +677,8 @@ class CurveSample:
 def height_curve(f: LogConcaveFunction, w: LogConcaveFunction,
                  alphas, opts: SolverOptions = SolverOptions()
                  ) -> list[CurveSample]:
-    """Fixed-height solves along a list of heights, warm-started in
-    decreasing order; psi = det A, phi = psi^{1/d}."""
+    """Fixed-height solves along a list of heights, in decreasing order and
+    warm-started on the sampled engine; psi = det A, phi = psi^{1/d}."""
     d = f.dim
     order = sorted(range(len(alphas)), key=lambda i: -alphas[i])
     samples: dict[int, CurveSample] = {}

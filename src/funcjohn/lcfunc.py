@@ -9,7 +9,9 @@ of any of the above.
 Each variant holds its own math in one place: log f (log_evaluate_many), the
 smooth value and gradient the solver maximizes against (log_value_grad), and
 the support function S(p) = sup_x <p,x> + log f(x) behind the polar (log_sup,
-with radial_log_sup for radial variants).
+with radial_log_sup for radial variants, and its derivatives in closed form
+for the height powers and the ball).  Bumps and their positioned copies also
+give the log-polyhedral normal form the exact solver reads (normal_form).
 
 All values are immutable after construction and evaluation is pure.
 """
@@ -164,6 +166,13 @@ class LogConcaveFunction:
             f"{type(self).__name__} has no smooth solver target (log value "
             "and gradient), so the solver cannot take it as f")
 
+    def normal_form(self) -> tuple | None:
+        """(slopes, intercepts, wall normals N, wall offsets c) when the
+        function is log-polyhedral: log f(x) = min_i (intercepts[i] -
+        <slopes[i], x>), and f = 0 on every half-space <N[j], x> >= c[j].
+        None for every other variant."""
+        return None
+
     def log_sup(self, P: np.ndarray) -> np.ndarray:
         """S(p) = sup over supp f of (<p,x> + log f(x)) for each row of P."""
         if self.is_radial():
@@ -192,6 +201,15 @@ class LogConcaveFunction:
                                        method="bounded",
                                        options={"xatol": 1e-13})
         return max(-res.fun, g(0.0))
+
+    def radial_log_sup_derivatives(self, c: np.ndarray
+                                   ) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+        """(S, S', S'') of radial_log_sup at each entry of c >= 0, for the
+        exact solver; S' is the radius at which the sup is attained."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no closed-form radial support "
+            "function derivatives")
 
 
 def _generic_log_sup(f: LogConcaveFunction, p: np.ndarray,
@@ -272,6 +290,17 @@ class HeightPower(LogConcaveFunction):
     def radial_log_sup(self, c):
         return -float(_polar_height_power_log(np.array([c]), self.s)[0])
 
+    def radial_log_sup_derivatives(self, c):
+        # c r + (s/2) log(1 - r^2) peaks at r = 2c / (s + q), q^2 = s^2 + 4c^2;
+        # 1 - r = s (1 + s / (q + 2c)) / (s + q) keeps 1 - r^2 accurate for
+        # large c, and differentiating c (1 - r^2) = s r gives S''
+        s = self.s
+        c = np.asarray(c, dtype=float)
+        q = np.sqrt(s * s + 4.0 * c * c)
+        r = 2.0 * c / (s + q)
+        h2 = s * (1.0 + s / (q + 2.0 * c)) / (s + q) * (1.0 + r)
+        return c * r + 0.5 * s * np.log(h2), r, h2 / (s + 2.0 * c * r)
+
     def support_radius(self):
         return 1.0
 
@@ -342,6 +371,11 @@ class BallIndicator(LogConcaveFunction):
 
     def radial_log_sup(self, c):
         return self.radius * c
+
+    def radial_log_sup_derivatives(self, c):
+        c = np.asarray(c, dtype=float)
+        return (self.radius * c, np.full(c.shape, self.radius),
+                np.zeros(c.shape))
 
     def support_radius(self):
         return self.radius + float(np.linalg.norm(self._center()))
@@ -646,6 +680,10 @@ class Bump(LogConcaveFunction):
         idx = np.argmin(vals_all, axis=1)
         return vals_all[np.arange(X.shape[0]), idx], -slopes[idx]
 
+    def normal_form(self):
+        return (self.slopes, self.intercepts, self.walls,
+                np.ones(self.walls.shape[0]))
+
     def log_sup(self, P):
         from . import polar  # deferred: polar builds on lcfunc
         return polar.bump_log_sup(self, P)
@@ -745,6 +783,17 @@ class Positioned(LogConcaveFunction):
         Y = (X - pos.a_vector()) @ inv.T
         vals, grads = self.inner.log_value_grad(Y, tau)
         return vals + math.log(pos.alpha), grads @ inv
+
+    def normal_form(self):
+        form = self.inner.normal_form()
+        if form is None:
+            return None
+        slopes, intercepts, N, c = form
+        pos = self.position
+        inv, t = pos.inverse_matrix(), pos.a_vector()
+        slopes, N = slopes @ inv, N @ inv
+        return (slopes, intercepts + math.log(pos.alpha) + slopes @ t,
+                N, c + N @ t)
 
     def log_sup(self, P):
         pos = self.position

@@ -1,0 +1,215 @@
+"""The exact route for bumps and their positioned copies: feasibility by an
+independent closed-form certificate, agreement with the sampled engine, and
+the barrier's derivatives."""
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from funcjohn import (
+    CONSTRAINT_TOL,
+    Bump,
+    DivergentIntegralError,
+    Height,
+    InfeasibleProblemError,
+    LogConcaveFunction,
+    Positioned,
+    SolverOptions,
+    bump_from_decomposition,
+    generate_decomposition,
+    make_position,
+    solve_fixed_height,
+    solve_john,
+)
+from funcjohn.acceptance import bump_corpus
+from funcjohn.exact import Problem
+from funcjohn.johnsolve import _Engine
+
+R2 = 1.0 / math.sqrt(2.0)
+TWO_POINT = Bump(anchors=((R2,), (-R2,)))
+
+
+def _violation(anchors, alpha, A, a):
+    """max over the unit ball of log(alpha hbar(y)) - log f(Ay + a) for the
+    bump of interior anchors u_i, written out from its definition: f's
+    majorants have slopes s_i = u_i / h_i^2 and intercepts
+    b_i = log h_i + |u_i|^2 / h_i^2, and sup_y <p, y> + log hbar(y) is
+    c t + log sqrt(1 - t^2) at c = |p|, t = 2c / (1 + sqrt(1 + 4c^2))."""
+    U = np.asarray(anchors, dtype=float)
+    sq = np.sum(U * U, axis=1)
+    h2 = 1.0 - sq
+    s = U / h2[:, None]
+    b = 0.5 * np.log(h2) + sq / h2
+    c = np.linalg.norm(s @ np.asarray(A, dtype=float), axis=1)
+    t = 2.0 * c / (1.0 + np.sqrt(1.0 + 4.0 * c * c))
+    S = c * t + 0.5 * np.log1p(-t * t)
+    return math.log(alpha) + float(np.max(s @ np.asarray(a) - b + S))
+
+
+def _in_bump_coordinates(rep, outer):
+    """The solved position against the bump inside outer = Positioned(bump,
+    (alpha_T, T, t)): f(Ay + a) = alpha_T bump(T^{-1}(Ay + a - t))."""
+    pos, T = rep.position, outer.position
+    Tinv = np.linalg.inv(T.matrix())
+    return (pos.alpha / T.alpha, Tinv @ pos.matrix(),
+            Tinv @ (pos.a_vector() - T.a_vector()))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_d3_bump_solves_are_feasible(seed):
+    # the sampled engine reported these feasible at exact violations of
+    # 1.8e-3 to 1.21, and objectives up to 7.3e-4 above the optimum 0
+    f = bump_from_decomposition(generate_decomposition(3, seed)).function
+    rep = solve_john(f, Height(3), SolverOptions(seed=0, restarts=2))
+    assert rep.feasible
+    assert abs(rep.objective) <= 1e-8
+    pos = rep.position
+    assert _violation(f.anchors, pos.alpha, pos.matrix(),
+                      pos.a_vector()) <= CONSTRAINT_TOL
+
+
+def test_conjugate_with_anchors_near_the_sphere_is_feasible():
+    # anchors +-0.9999999983 lie beyond the radius 0.9999 the sampled
+    # certificate covers; the sampled engine's position here violates the
+    # closed form by 2951
+    bump = bump_from_decomposition(generate_decomposition(1, 696582)).function
+    T = make_position(1.0886571223938564, [[1.2552511830718847]],
+                      [0.4227256864229143], positive_definite=True)
+    g = Positioned(inner=bump, position=T)
+    rep = solve_john(g, Height(1), SolverOptions(seed=0, restarts=1))
+    assert rep.feasible
+    assert _violation(bump.anchors, *_in_bump_coordinates(rep, g)) \
+        <= CONSTRAINT_TOL
+    expect = math.log(T.alpha) + math.log(T.det())
+    assert abs(rep.objective - expect) <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [2127, 300885])
+@pytest.mark.parametrize("T", [[[1.182, -0.463], [-0.463, 0.922]],
+                               [[2.532, 3.146], [3.146, 5.793]]])
+def test_anchors_within_1e_6_of_the_sphere_solve(seed, T):
+    # 1 - |u|^2 of 1.4e-7 and 2.6e-10 gives slopes of 1e7 and 4e9 beside
+    # ones near 1; a start at A = Id over the peak of f, which sits against
+    # such a steep row, left the first Newton systems singular
+    f = bump_from_decomposition(generate_decomposition(2, seed)).function
+    T = make_position(1.39, T, [0.005, 0.053], positive_definite=True)
+    for g, expect in ((f, 0.0), (Positioned(inner=f, position=T),
+                                 math.log(T.alpha) + math.log(T.det()))):
+        rep = solve_john(g, Height(2))
+        assert rep.feasible and rep.diagnostics["converged"]
+        assert abs(rep.objective - expect) <= 1e-8 * max(1.0, abs(expect))
+        rep = solve_fixed_height(g, Height(2), 0.9 * g.sup_norm())
+        assert rep.feasible and rep.diagnostics["converged"]
+
+
+@pytest.mark.parametrize("d, count", [(1, 10), (2, 10), (3, 10), (4, 10),
+                                      (5, 5), (6, 5)])
+def test_regular_corpus_bumps_solve_to_the_optimum(d, count):
+    # a decomposition bump is in John position: the optimum is exactly 0
+    for seed in range(count):
+        f = bump_from_decomposition(generate_decomposition(d, seed)).function
+        assert f.is_regular
+        rep = solve_john(f, Height(d))
+        pos = rep.position
+        assert rep.diagnostics["converged"], (d, seed)
+        assert rep.feasible and abs(rep.objective) <= 1e-8, (d, seed)
+        assert _violation(f.anchors, pos.alpha, pos.matrix(),
+                          pos.a_vector()) <= CONSTRAINT_TOL, (d, seed)
+
+
+@dataclass(frozen=True)
+class _ValuesOnly(LogConcaveFunction):
+    """A bump seen only through its values and solver target, without a
+    normal form, so that the solver samples it."""
+
+    bump: Bump
+
+    @property
+    def dim(self):
+        return self.bump.dim
+
+    def log_evaluate_many(self, X):
+        return self.bump.log_evaluate_many(X)
+
+    def log_value_grad(self, X, tau=0.0):
+        return self.bump.log_value_grad(X, tau)
+
+    def sup_norm(self):
+        return self.bump.sup_norm()
+
+
+@pytest.mark.parametrize("d, idx", [(1, 0), (1, 1), (1, 2), (2, 2)])
+def test_sampled_engine_agrees_with_the_exact_route(d, idx):
+    f = bump_corpus(d)[idx].function
+    exact = solve_john(f, Height(d))
+    sampled = solve_john(_ValuesOnly(f), Height(d),
+                         SolverOptions(seed=0, restarts=1))
+    assert exact.diagnostics["engine"] == "exact"
+    assert sampled.diagnostics["engine"] == "sampled"
+    assert sampled.objective <= exact.objective + 1e-8
+    assert abs(sampled.objective - exact.objective) \
+        <= 1e-3 * max(abs(exact.objective), 1.0)
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 2), idx=st.integers(0, 4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sampled_certificate_never_exceeds_the_exact_one(d, idx, seed):
+    f = bump_corpus(d)[idx].function
+    rng = np.random.default_rng(seed)
+    B = 0.3 * rng.standard_normal((d, d))
+    A = np.eye(d) + (B + B.T) / 2.0
+    A += max(0.0, 0.3 - np.linalg.eigvalsh(A).min()) * np.eye(d)
+    a = 0.3 * rng.standard_normal(d)
+    engine = _Engine(f, Height(d), SolverOptions(seed=0, restarts=1))
+    sampled, _ = engine.certify(engine.pack(A, a))
+    exact = Problem(f.normal_form(), Height(d)).certificate(0.0, A, a)
+    assert sampled <= exact + 1e-12
+
+
+def test_fixed_height_at_the_peak_is_refused_up_front():
+    # alpha = sup f leaves no strictly feasible start for the barrier
+    with pytest.raises(InfeasibleProblemError):
+        solve_fixed_height(TWO_POINT, Height(1), TWO_POINT.sup_norm())
+
+
+@pytest.mark.parametrize("anchors", [((0.5,),), ((0.5, 0.0), (-0.5, 0.0))])
+def test_bump_with_divergent_integral_is_refused_up_front(anchors):
+    # f does not decay along some ray: no position of w below it is largest
+    with pytest.raises(DivergentIntegralError):
+        solve_john(Bump(anchors=anchors), Height(len(anchors[0])))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("height", [False, True])
+def test_barrier_step_is_the_newton_step(d, height):
+    # gradient against central differences of the merit, and the step
+    # against the central-difference Hessian of that gradient
+    f = bump_corpus(d)[1].function
+    problem = Problem(f.normal_form(), Height(d))
+    log_alpha = math.log(0.8) if height else None
+    A, a = problem.start(log_alpha)
+    x = np.concatenate([A[np.triu_indices(d)], a])
+    if log_alpha is None:
+        x = np.append(x, float(np.max(problem.values(A, a))) + 1.0)
+    # off the start's A = r Id, and strictly inside the barrier's domain
+    noise = 0.2 * np.random.default_rng(d).standard_normal(x.size) * abs(x[0])
+    while not math.isfinite(problem._merit(x + noise, 3.0, log_alpha)):
+        noise /= 2.0
+    x = x + noise
+    tau = 3.0
+    grad, step = problem._newton(x, tau, log_alpha)
+    h = 1e-6
+    E = np.eye(x.size)
+    fd = np.array([(problem._merit(x + h * e, tau, log_alpha)
+                    - problem._merit(x - h * e, tau, log_alpha)) / (2 * h)
+                   for e in E])
+    np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
+    H = np.array([(problem._newton(x + h * e, tau, log_alpha)[0]
+                   - problem._newton(x - h * e, tau, log_alpha)[0]) / (2 * h)
+                  for e in E])
+    np.testing.assert_allclose(H @ step, -grad, rtol=1e-4, atol=1e-4)

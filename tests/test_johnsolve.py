@@ -41,6 +41,13 @@ def two_point_solve():
     return solve_john(TWO_POINT, Height(1), OPTS)
 
 
+@pytest.fixture(scope="module")
+def gaussian_solve():
+    """A free solve that takes the sampled engine: the Gaussian has no
+    log-polyhedral normal form."""
+    return solve_john(Gaussian(1), Height(1), OPTS)
+
+
 def _deviation(pos, d):
     return max(abs(pos.alpha - 1.0),
                float(np.max(np.abs(pos.matrix() - np.eye(d)))),
@@ -86,15 +93,27 @@ def test_feasibility_cross_check(two_point_solve):
     assert cert.max_log_violation <= 2.0 * CONSTRAINT_TOL
 
 
-def test_objective_trace_monotone(two_point_solve):
-    rep = two_point_solve
+def test_objective_trace_monotone(gaussian_solve):
+    rep = gaussian_solve
     trace = rep.diagnostics["objective_trace"]
     assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
-def test_free_solve_reports_why_it_stopped(two_point_solve):
-    assert two_point_solve.diagnostics["stop_reason"] == "certificate_agrees"
-    assert two_point_solve.diagnostics["converged"] is True
+def test_free_solve_reports_why_it_stopped(gaussian_solve):
+    assert gaussian_solve.diagnostics["engine"] == "sampled"
+    assert gaussian_solve.diagnostics["certificate"] == "sampled"
+    assert gaussian_solve.diagnostics["stop_reason"] == "certificate_agrees"
+    assert gaussian_solve.diagnostics["converged"] is True
+
+
+def test_exact_route_reports_why_it_stopped(two_point_solve):
+    diag = two_point_solve.diagnostics
+    assert diag["engine"] == "exact"
+    assert diag["certificate"] == "exact"
+    assert diag["stop_reason"] == "gap_reached"
+    assert diag["converged"] is True
+    assert diag["gap_bound"] <= 1e-9
+    assert diag["newton_steps"] > 0 and diag["barrier_stages"] > 0
 
 
 def test_free_solve_flags_the_round_cap(monkeypatch):
@@ -106,7 +125,7 @@ def test_free_solve_flags_the_round_cap(monkeypatch):
         return engine.separation(theta)[0] + 1e-3, np.array([next(witnesses)])
 
     monkeypatch.setattr(_Engine, "certify", certify)
-    rep = solve_john(TWO_POINT, Height(1), SolverOptions(seed=0, restarts=1))
+    rep = solve_john(Gaussian(1), Height(1), SolverOptions(seed=0, restarts=1))
     assert rep.diagnostics["stop_reason"] == "round_cap"
     assert rep.diagnostics["converged"] is False
 

@@ -1,8 +1,10 @@
 """Property tests of the per-variant math behind the solver and the polar:
 the smooth target agrees with log f away from the support boundary, its
 gradient matches central differences, and the support function satisfies
-the Fenchel-Young inequality S(p) >= <p,x> + log f(x).  Also the greedy
-thinning `spread` against the point-by-point loop it replaced."""
+the Fenchel-Young inequality S(p) >= <p,x> + log f(x).  The log-polyhedral
+normal form of nested positioned bumps reproduces their values, and the
+closed-form derivatives of w's radial support function match it.  Also the
+greedy thinning `spread` against the point-by-point loop it replaced."""
 
 import numpy as np
 import pytest
@@ -149,6 +151,49 @@ def test_log_sup_fenchel_young(name, d, positioned, data):
     live = np.isfinite(logf)
     rhs = P @ X[live].T + logf[live][None, :]
     assert np.all(S[:, None] >= rhs - 1e-9 * (1.0 + np.abs(rhs)))
+
+
+@PROPERTY
+@given(d=st.integers(1, 3), depth=st.integers(1, 3), walls=st.integers(0, 2),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_normal_form_reproduces_nested_positioned_bumps(d, depth, walls,
+                                                        seed):
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((d + 2 + walls, d))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    # the first `walls` anchors stay on the sphere
+    U[walls:] *= rng.uniform(0.1, 0.9, size=(d + 2, 1))
+    f = Bump(anchors=tuple(map(tuple, U)))
+    for _ in range(depth):
+        T = rng.standard_normal((d, d)) + 2.0 * np.eye(d)
+        f = Positioned(inner=f, position=make_position(
+            rng.uniform(0.5, 2.0), T, rng.uniform(-1.0, 1.0, size=d)))
+    slopes, intercepts, N, c = f.normal_form()
+    X = rng.uniform(-3.0, 3.0, size=(200, d))
+    want = np.min(intercepts - X @ slopes.T, axis=1)
+    wall = X @ N.T - c
+    want[np.any(wall >= 0.0, axis=1)] = -np.inf
+    # rounding can put a point on either side of a wall it nearly touches
+    clear = np.all(np.abs(wall) > 1e-9 * (1.0 + np.abs(c)), axis=1)
+    got = f.log_evaluate_many(X)
+    assert np.array_equal(np.isinf(got[clear]), np.isinf(want[clear]))
+    live = clear & np.isfinite(want)
+    np.testing.assert_allclose(got[live], want[live], rtol=1e-10, atol=1e-10)
+
+
+@PROPERTY
+@given(w=st.sampled_from([Height(2), HeightPower(dimension=2, s=2.5),
+                          HeightPower(dimension=2, s=0.3),
+                          BallIndicator(dimension=2, radius=1.7)]),
+       c=st.floats(0.0, 1e3))
+def test_radial_log_sup_derivatives_match_the_support_function(w, c):
+    S, S1, S2 = w.radial_log_sup_derivatives(np.array([c, c + 1e-5,
+                                                       max(c - 1e-5, 0.0)]))
+    assert abs(S[0] - w.radial_log_sup(c)) <= 1e-12 * (1.0 + abs(S[0]))
+    if c >= 1e-5:
+        h = 1e-5
+        assert abs((S[1] - S[2]) / (2 * h) - S1[0]) <= 1e-6 * (1.0 + S1[0])
+        assert abs((S1[1] - S1[2]) / (2 * h) - S2[0]) <= 1e-5 * (1.0 + S2[0])
 
 
 def _greedy_thinning(P, radius, limit):

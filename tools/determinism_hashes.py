@@ -4,10 +4,13 @@ CLI set, so that two checkouts can be compared for identical results.
     PYTHONPATH=src python3 tools/determinism_hashes.py > hashes.txt
 
 Run it on both checkouts and diff the outputs; any difference in a hash
-means a report changed.  The set covers free solves (a bump, the Gaussian,
-a polar height power, a positioned exp-norm under a ball indicator), a
-fixed-height solve, the polar of six variants on a 7x7 lattice, and the
-john-check and sandwich certificates.  It takes a few minutes.
+means a report changed.  The set covers free solves (the two-point bump and
+a d = 3 decomposition bump on the exact route; the Gaussian, a polar height
+power and a positioned exp-norm under a ball indicator on the sampled
+engine), fixed-height solves of the two-point bump and of a positioned d = 2
+bump, the polar of six variants on a 7x7 lattice, and the john-check and
+sandwich certificates.  It takes about five seconds on two cores, most of it
+in the sampled solves.
 """
 
 from __future__ import annotations
@@ -21,11 +24,21 @@ import tempfile
 from pathlib import Path
 
 from funcjohn.cli import main
+from funcjohn.decomp import generate_decomposition
 
 R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT_BUMP = {"variant": "bump", "dimension": 1,
                   "anchors": [[R2], [-R2]]}
 GAUSSIAN_2 = {"variant": "gaussian", "dimension": 2}
+
+
+def _decomposition_bump(d: int, seed: int) -> dict:
+    return {"variant": "bump", "dimension": d, "anchors": [
+        list(u) for u in generate_decomposition(d, seed).points]}
+
+
+POSITIONED_BUMP_2 = {**_decomposition_bump(2, 0), "position": {
+    "alpha": 1.5, "A": [[1.2, 0.3], [0.3, 0.8]], "a": [0.1, -0.2]}}
 LATTICE_7X7 = [[x, y] for x in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)
                for y in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5)]
 POLAR_VARIANTS = {
@@ -43,6 +56,8 @@ POLAR_VARIANTS = {
 CASES = [
     ("solve-john/two-point-bump", ["solve-john"],
      {"f": TWO_POINT_BUMP, "certify": True}),
+    ("solve-john/decomposition-bump-3", ["solve-john"],
+     {"f": _decomposition_bump(3, 0), "certify": True}),
     ("solve-john/gaussian-2", ["solve-john"], {"f": GAUSSIAN_2}),
     ("solve-john/polar-height-power-2", ["solve-john"],
      {"f": {"variant": "polar_height_power", "dimension": 2, "s": 2.0}}),
@@ -53,6 +68,8 @@ CASES = [
       "w": {"variant": "ball_indicator", "dimension": 2, "radius": 1.0}}),
     ("fixed-height/two-point-bump-0.5", ["fixed-height", "--xi", "0.5"],
      {"f": TWO_POINT_BUMP}),
+    ("fixed-height/positioned-bump-2-1.0", ["fixed-height", "--xi", "1.0"],
+     {"f": POSITIONED_BUMP_2}),
     *[(f"polar/{name}", ["polar"], {"f": f, "points": LATTICE_7X7})
       for name, f in POLAR_VARIANTS.items()],
     *[(f"{cmd}/{name}", [cmd], {"f": f})
