@@ -1,11 +1,18 @@
 """Numerical solution of the functional John problem.
 
-Targets with a log-polyhedral normal form (bumps and their positioned
-copies) are solved and certified exactly by the barrier method of
-funcjohn.exact.  Every other target goes through the sampled engine below:
-solve_john maximizes log(alpha) + log det A over positive-definite positions
-g(x) = alpha * w(A^{-1}(x - a)) subject to g <= f.  The scale is eliminated:
-for fixed (A, a) the best alpha is exp(m) with
+Each solve takes the first route that fits its target:
+
+1. a log-polyhedral normal form (bumps and their positioned copies): solved
+   and certified exactly by the barrier method of funcjohn.exact;
+2. a radial target: the optimum is A = r Id, a = 0, found by the
+   one-dimensional solve of funcjohn.radial, with a sampled certificate;
+3. a positioned copy Positioned(g, T) of any other target: g is solved and
+   its position composed with T, which covers nested positions;
+4. anything else: the sampled constraint-exchange engine below.
+
+The sampled engine maximizes log(alpha) + log det A over positive-definite
+positions g(x) = alpha * w(A^{-1}(x - a)) subject to g <= f.  The scale is
+eliminated: for fixed (A, a) the best alpha is exp(m) with
     m(A, a) = inf over supp w of (log f(A y + a) - log w(y)),
 and m + log det A is jointly concave, so a soft-min relaxation of m over a
 finite constraint sample is maximized by quasi-Newton steps in
@@ -23,9 +30,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import optimize
 
+from . import radial
 from .decomp import InfeasibleWeightsError, weights_from_points
 from .exact import Problem
-from .lcfunc import Height, LogConcaveFunction, hbar
+from .lcfunc import Height, LogConcaveFunction, Positioned, hbar
 from .position import (
     AffinePosition,
     chol_factor_from_params,
@@ -60,8 +68,10 @@ class NoContactsError(RuntimeError):
 @dataclass(frozen=True)
 class SolverOptions:
     """Options of the sampled engine: the seed of its grids and starts, and
-    its number of restarts.  Targets with a normal form take the exact route,
-    which has no options; its reports say engine "exact"."""
+    its number of restarts.  They do not apply on the exact route (targets
+    with a normal form) nor on the radial route (radial targets and their
+    positioned copies), which have no options; their reports say engine
+    "exact" and "radial"."""
 
     seed: int = 0
     restarts: int = 16
@@ -106,7 +116,6 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
                  log_alpha: float | None) -> SolveReport:
     """Barrier solve of a target with normal form `form`, certified by the
     same closed form."""
-    _validate(f, w)
     problem = Problem(form, w)
     start = problem.start(log_alpha)
     if start is None:
@@ -131,6 +140,65 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
             "barrier_stages": sol.barrier_stages,
             "gap_bound": sol.gap_bound,
             "max_constraint_violation": violation})
+
+
+# ---------------------------------------------------------------------------
+# the radial route and composition
+# ---------------------------------------------------------------------------
+
+
+def _solve_radial(f: LogConcaveFunction, w: LogConcaveFunction,
+                  log_alpha: float | None) -> SolveReport:
+    """One-dimensional solve of a radial target at A = r Id, a = 0, with
+    the violation re-measured on a grid four times denser."""
+    problem = radial.Problem(f, w)
+    sol = problem.solve(log_alpha)
+    if sol is None:
+        raise InfeasibleProblemError(
+            "no position of w fits inside the support of f"
+            if log_alpha is None else
+            "no position of w attains the prescribed height below f")
+    check = radial.Problem(f, w, density=4)
+    violation = float(sol.log_alpha - check.m(sol.r))
+    pos = make_position(math.exp(sol.log_alpha), sol.r * np.eye(f.dim),
+                        np.zeros(f.dim), positive_definite=True)
+    return SolveReport(
+        position=pos,
+        objective=pos.log_objective(),
+        feasible=violation <= CONSTRAINT_TOL,
+        diagnostics={
+            "engine": "radial", "certificate": "sampled",
+            "converged": sol.stop_reason != "iteration_cap",
+            "stop_reason": sol.stop_reason,
+            "m_evaluations": problem.evaluations + check.evaluations,
+            "max_constraint_violation": violation})
+
+
+def _polar_factor(M: np.ndarray) -> np.ndarray:
+    """The positive-definite factor sqrt(M M^T) of M = P Q, Q orthogonal."""
+    U, s, _ = np.linalg.svd(M)
+    P = (U * s) @ U.T
+    return 0.5 * (P + P.T)
+
+
+def _solve_composed(f: Positioned, w: LogConcaveFunction,
+                    log_alpha: float | None, opts: SolverOptions
+                    ) -> SolveReport:
+    """Solve the inner function of f = alpha_T g(T^{-1}(x - t)) and carry
+    its position (alpha_g, A_g, a_g) out: (alpha_T alpha_g, T A_g,
+    t + T a_g), with T A_g replaced by its positive-definite polar factor,
+    which positions a radial w identically."""
+    outer = f.position
+    T, t = outer.matrix(), outer.a_vector()
+    inner = _solve(f.inner, w,
+                   None if log_alpha is None
+                   else log_alpha - math.log(outer.alpha), opts)
+    pos = make_position(outer.alpha * inner.position.alpha,
+                        _polar_factor(T @ inner.position.matrix()),
+                        t + T @ inner.position.a_vector(),
+                        positive_definite=True)
+    return replace(inner, position=pos, objective=pos.log_objective(),
+                   diagnostics=dict(inner.diagnostics, composed=True))
 
 
 # ---------------------------------------------------------------------------
@@ -447,13 +515,47 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
     )
 
 
+def _solve(f: LogConcaveFunction, w: LogConcaveFunction,
+           log_alpha: float | None, opts: SolverOptions,
+           warm_start: AffinePosition | None = None) -> SolveReport:
+    """The free solve (log_alpha None) or the fixed-height one, routed to
+    the exact route, the radial route, composition through a position, or
+    the sampled engine, in that order."""
+    _validate(f, w)
+    form = f.normal_form()
+    if form is not None:
+        return _solve_exact(f, w, form, log_alpha)
+    if f.is_radial():
+        return _solve_radial(f, w, log_alpha)
+    if isinstance(f, Positioned):
+        return _solve_composed(f, w, log_alpha, opts)
+    if log_alpha is None:
+        return _sampled_free(f, w, opts)
+    return _sampled_fixed_height(f, w, log_alpha, opts, warm_start)
+
+
 def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
                opts: SolverOptions = SolverOptions()) -> SolveReport:
     """Best found positive-definite position of w below f: the optimum, to
-    a duality gap of 1e-9, for a target with a normal form."""
-    form = f.normal_form()
-    if form is not None:
-        return _solve_exact(f, w, form, None)
+    a duality gap of 1e-9, for a target with a normal form, and to the
+    accuracy of the one-dimensional solve for a radial target or a
+    positioned copy of one."""
+    return _solve(f, w, None, opts)
+
+
+def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
+                       xi: float, opts: SolverOptions = SolverOptions(),
+                       warm_start: AffinePosition | None = None) -> SolveReport:
+    """As solve_john with the height pinned: alpha = xi / ||w||_inf.
+    warm_start applies only where f itself takes the sampled engine, and
+    opts only where f or, through positions, its innermost function does."""
+    fsup = f.sup_norm()
+    if not 0.0 < xi <= fsup * (1.0 + 1e-12):
+        raise ValueError(f"xi={xi} out of range (0, {fsup}]")
+    return _solve(f, w, math.log(xi / w.sup_norm()), opts, warm_start)
+
+
+def _sampled_free(f, w, opts: SolverOptions) -> SolveReport:
     engine = _Engine(f, w, opts)
     rng = np.random.default_rng(opts.seed)
     best = None
@@ -502,18 +604,8 @@ def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
         "converged": stop_reason != "round_cap", "stop_reason": stop_reason})
 
 
-def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
-                       xi: float, opts: SolverOptions = SolverOptions(),
-                       warm_start: AffinePosition | None = None) -> SolveReport:
-    """As solve_john with the height pinned: alpha = xi / ||w||_inf.
-    warm_start, like opts, applies to the sampled engine only."""
-    fsup = f.sup_norm()
-    if not 0.0 < xi <= fsup * (1.0 + 1e-12):
-        raise ValueError(f"xi={xi} out of range (0, {fsup}]")
-    log_alpha = math.log(xi / w.sup_norm())
-    form = f.normal_form()
-    if form is not None:
-        return _solve_exact(f, w, form, log_alpha)
+def _sampled_fixed_height(f, w, log_alpha: float, opts: SolverOptions,
+                          warm_start: AffinePosition | None) -> SolveReport:
     engine = _Engine(f, w, opts)
     rng = np.random.default_rng(opts.seed)
     if warm_start is not None:
@@ -677,8 +769,9 @@ class CurveSample:
 def height_curve(f: LogConcaveFunction, w: LogConcaveFunction,
                  alphas, opts: SolverOptions = SolverOptions()
                  ) -> list[CurveSample]:
-    """Fixed-height solves along a list of heights, in decreasing order and
-    warm-started on the sampled engine; psi = det A, phi = psi^{1/d}."""
+    """Fixed-height solves along a list of heights, in decreasing order,
+    each warm-started from the last where it takes the sampled engine;
+    psi = det A, phi = psi^{1/d}."""
     d = f.dim
     order = sorted(range(len(alphas)), key=lambda i: -alphas[i])
     samples: dict[int, CurveSample] = {}

@@ -123,23 +123,24 @@ def test_regular_corpus_bumps_solve_to_the_optimum(d, count):
 
 @dataclass(frozen=True)
 class _ValuesOnly(LogConcaveFunction):
-    """A bump seen only through its values and solver target, without a
-    normal form, so that the solver samples it."""
+    """A function seen only through its values and solver target, without
+    a normal form and without being radial, so that the solver samples it
+    on the constraint-exchange engine."""
 
-    bump: Bump
+    inner: LogConcaveFunction
 
     @property
     def dim(self):
-        return self.bump.dim
+        return self.inner.dim
 
     def log_evaluate_many(self, X):
-        return self.bump.log_evaluate_many(X)
+        return self.inner.log_evaluate_many(X)
 
     def log_value_grad(self, X, tau=0.0):
-        return self.bump.log_value_grad(X, tau)
+        return self.inner.log_value_grad(X, tau)
 
     def sup_norm(self):
-        return self.bump.sup_norm()
+        return self.inner.sup_norm()
 
 
 @pytest.mark.parametrize("d, idx", [(1, 0), (1, 1), (1, 2), (2, 2)])

@@ -1,20 +1,27 @@
 """Functional John solver: fixed points, certification, equivariance,
-fixed-height solves, and the height curve."""
+fixed-height solves, the height curve, and the radial route against closed
+forms and the sampled engine."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from funcjohn import (
     CONSTRAINT_TOL,
     Bump,
+    ExpNorm,
     Gaussian,
     HalfRestriction,
     Height,
+    HeightPower,
+    ImproperFunctionError,
     InfeasibleProblemError,
     NoContactsError,
     NoSolverTargetError,
+    PolarHeightPower,
     Positioned,
     SolverOptions,
     apply_position,
@@ -26,8 +33,10 @@ from funcjohn import (
     solve_fixed_height,
     solve_john,
 )
+from funcjohn import radial
 from funcjohn.acceptance import bump_corpus
 from funcjohn.johnsolve import CurveSample, _Engine
+from test_exact import _ValuesOnly
 
 R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT = Bump(anchors=((R2,), (-R2,)))
@@ -43,9 +52,9 @@ def two_point_solve():
 
 @pytest.fixture(scope="module")
 def gaussian_solve():
-    """A free solve that takes the sampled engine: the Gaussian has no
-    log-polyhedral normal form."""
-    return solve_john(Gaussian(1), Height(1), OPTS)
+    """A free solve that takes the sampled engine: the Gaussian seen only
+    through its values is neither log-polyhedral nor known to be radial."""
+    return solve_john(_ValuesOnly(Gaussian(1)), Height(1), OPTS)
 
 
 def _deviation(pos, d):
@@ -125,7 +134,8 @@ def test_free_solve_flags_the_round_cap(monkeypatch):
         return engine.separation(theta)[0] + 1e-3, np.array([next(witnesses)])
 
     monkeypatch.setattr(_Engine, "certify", certify)
-    rep = solve_john(Gaussian(1), Height(1), SolverOptions(seed=0, restarts=1))
+    rep = solve_john(_ValuesOnly(Gaussian(1)), Height(1),
+                     SolverOptions(seed=0, restarts=1))
     assert rep.diagnostics["stop_reason"] == "round_cap"
     assert rep.diagnostics["converged"] is False
 
@@ -286,3 +296,146 @@ def test_fused_gradient_matches_central_differences(d, target):
                         - engine.fused(theta - h * e, lam, tau)[0]) / (2 * h)
                        for e in np.eye(theta.shape[0])])
         np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the radial route
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_gaussian_optimum_matches_the_closed_form(d):
+    # at A = r Id the best height of hbar below exp(-|x|^2) is
+    # exp(-r^2 + 1/2 + log(2 r^2) / 2) for r^2 >= 1/2, so the objective
+    # peaks at r^2 = h = (d + 1) / 2
+    h = (d + 1) / 2.0
+    rep = solve_john(Gaussian(d), Height(d))
+    diag = rep.diagnostics
+    assert diag["engine"] == "radial" and diag["certificate"] == "sampled"
+    assert diag["converged"] and diag["stop_reason"] == "xtol_reached"
+    assert diag["m_evaluations"] > 0
+    assert rep.feasible
+    assert abs(diag["max_constraint_violation"]) <= 1e-12
+    assert abs(rep.objective - (h * math.log(h) - d / 2.0
+                                + 0.5 * math.log(2.0))) <= 1e-9
+    assert np.allclose(rep.position.matrix(), math.sqrt(h) * np.eye(d),
+                       rtol=1e-6)
+    assert not np.any(rep.position.a_vector())
+
+
+@pytest.mark.parametrize("f", [ExpNorm(2, 1.5), PolarHeightPower(2, 1.0),
+                               HeightPower(2, 2.0)], ids=type)
+def test_radial_route_agrees_with_the_sampled_engine(f):
+    radial_rep = solve_john(f, Height(2))
+    sampled = solve_john(_ValuesOnly(f), Height(2),
+                         SolverOptions(seed=0, restarts=1))
+    assert radial_rep.diagnostics["engine"] == "radial"
+    assert sampled.diagnostics["engine"] == "sampled"
+    assert radial_rep.feasible and sampled.feasible
+    assert sampled.objective <= radial_rep.objective + 1e-8
+    assert abs(sampled.objective - radial_rep.objective) \
+        <= 1e-3 * max(abs(radial_rep.objective), 1.0)
+
+
+def test_radial_fixed_height_attains_the_height():
+    rep = solve_fixed_height(Gaussian(1), Height(1), 0.5, OPTS)
+    assert rep.diagnostics["engine"] == "radial"
+    assert rep.feasible and rep.diagnostics["converged"]
+    r = rep.position.matrix()[0, 0]
+    m = radial.Problem(Gaussian(1), Height(1)).m(r)
+    assert abs(m - math.log(0.5)) <= 1e-10
+    sampled = solve_fixed_height(_ValuesOnly(Gaussian(1)), Height(1), 0.5,
+                                 OPTS)
+    assert sampled.diagnostics["engine"] == "sampled"
+    assert abs(sampled.position.det() - rep.position.det()) \
+        <= 1e-3 * rep.position.det()
+
+
+@pytest.mark.parametrize("xi", [1e-3, 1e-7, 1e-30])
+def test_radial_fixed_height_below_a_vanishing_edge_is_feasible(xi):
+    # f = 1 - |x|^2 vanishes at the unit sphere faster than hbar, so at
+    # r = 1 the constraint fails arbitrarily close to the sphere, nearer
+    # than any grid of t can reach; the solve must stop short of that
+    rep = solve_fixed_height(HeightPower(2, 2.0), Height(2), xi)
+    assert rep.feasible
+    r = rep.position.matrix()[0, 0]
+    eps = 1.0 - r
+    # along a radius at distance u from the sphere, with 1 - t^2 and
+    # 1 - r t written out so that they stay exact down to u = 1e-300
+    u = np.geomspace(1e-1, 1e-300, 6000)
+    violation = (math.log(rep.position.alpha)
+                 + 0.5 * (np.log(u) + np.log(2.0 - u))
+                 - np.log(eps + u - eps * u) - np.log(1.0 + r * (1.0 - u)))
+    assert np.max(violation) <= CONSTRAINT_TOL
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_height_curve_concavity_radial(d):
+    alphas = list(np.exp(np.linspace(math.log(0.05), 0.0, 12)))
+    samples = height_curve(Gaussian(d), Height(d), alphas, OPTS)
+    assert all(s.feasible for s in samples)
+    assert phi_concavity_violation(samples) <= 1e-6
+
+
+def test_positioned_radial_target_is_composed():
+    T = make_position(1.5, [[1.2, 0.7], [-0.4, 0.8]], [0.1, -0.2])
+    rep = solve_john(Positioned(inner=ExpNorm(2, 1.5), position=T),
+                     Height(2))
+    inner = solve_john(ExpNorm(2, 1.5), Height(2))
+    assert rep.diagnostics == dict(inner.diagnostics, composed=True)
+    assert rep.position.positive_definite
+    assert abs(rep.objective - inner.objective - math.log(1.5)
+               - math.log(abs(T.det()))) <= 1e-12
+    # the same function as T applied to the inner position
+    g = apply_position(rep.position, Height(2))
+    M = T.matrix() @ inner.position.matrix()
+    h = Positioned(inner=Height(2), position=make_position(
+        rep.position.alpha, M, T.a_vector()))
+    X = np.random.default_rng(0).uniform(-2.0, 2.0, size=(200, 2))
+    np.testing.assert_allclose(g.evaluate_many(X), h.evaluate_many(X),
+                               rtol=1e-12, atol=1e-12)
+
+
+@dataclass(frozen=True)
+class _Vanishing(Gaussian):
+    """A radial function that is zero everywhere."""
+
+    def radial_log_profile(self, r):
+        return np.full(np.shape(r), -np.inf)
+
+
+@dataclass(frozen=True)
+class _NaNBeyond(Gaussian):
+    """A radial profile that turns NaN beyond radius 0.1."""
+
+    def radial_log_profile(self, r):
+        r = np.asarray(r, dtype=float)
+        return np.where(r > 0.1, np.nan, -r * r)
+
+
+def _no_optimizer(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an optimizer ran")
+
+    monkeypatch.setattr(scipy.optimize, "minimize_scalar", refuse)
+    monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+
+
+def test_radial_target_without_any_position_is_refused():
+    with pytest.raises(InfeasibleProblemError):
+        solve_john(_Vanishing(2), Height(2))
+
+
+def test_radial_nan_profile_is_refused_before_any_optimizer(monkeypatch):
+    _no_optimizer(monkeypatch)
+    with pytest.raises(ImproperFunctionError, match="NaN"):
+        solve_john(_NaNBeyond(1), Height(1))
+
+
+def test_positioned_half_restriction_is_refused_before_any_optimizer(
+        monkeypatch):
+    _no_optimizer(monkeypatch)
+    f = Positioned(inner=HalfRestriction(inner=Gaussian(1), normal=(1.0,)),
+                   position=make_position(2.0, [[3.0]], [1.0]))
+    with pytest.raises(NoSolverTargetError, match="HalfRestriction"):
+        solve_john(f, Height(1), OPTS)

@@ -3,8 +3,11 @@ the smooth target agrees with log f away from the support boundary, its
 gradient matches central differences, and the support function satisfies
 the Fenchel-Young inequality S(p) >= <p,x> + log f(x).  The log-polyhedral
 normal form of nested positioned bumps reproduces their values, and the
-closed-form derivatives of w's radial support function match it.  Also the
-greedy thinning `spread` against the point-by-point loop it replaced."""
+closed-form derivatives of w's radial support function match it.  Solving a
+positioned radial target composes the position with the inner solve.  Also
+the greedy thinning `spread` against the point-by-point loop it replaced."""
+
+import math
 
 import numpy as np
 import pytest
@@ -25,6 +28,7 @@ from funcjohn import (
     Positioned,
     log_sup_transform,
     make_position,
+    solve_john,
 )
 from funcjohn.johnsolve import target_log_grad
 from funcjohn.verify import _SPREAD_BLOCK, spread
@@ -194,6 +198,38 @@ def test_radial_log_sup_derivatives_match_the_support_function(w, c):
         h = 1e-5
         assert abs((S[1] - S[2]) / (2 * h) - S1[0]) <= 1e-6 * (1.0 + S1[0])
         assert abs((S1[1] - S1[2]) / (2 * h) - S2[0]) <= 1e-5 * (1.0 + S2[0])
+
+
+RADIAL_TARGETS = {
+    "gaussian": Gaussian,
+    "expnorm": lambda d: ExpNorm(dimension=d, p=1.5),
+    "polar_height_power": lambda d: PolarHeightPower(dimension=d, s=1.0),
+    "height_power": lambda d: HeightPower(dimension=d, s=2.0),
+}
+
+
+@PROPERTY
+@given(name=st.sampled_from(sorted(RADIAL_TARGETS)), d=st.integers(1, 3),
+       depth=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_solving_a_positioned_target_composes_the_position(name, d, depth,
+                                                           seed):
+    # objective(Positioned(g, T)) = objective(g) + log alpha_T + log|det T|,
+    # through T that need not be symmetric or positive definite; a diagonal
+    # that dominates every row keeps T invertible
+    g = RADIAL_TARGETS[name](d)
+    rng = np.random.default_rng(seed)
+    f, expect = g, solve_john(g, Height(d)).objective
+    for _ in range(depth):
+        T = rng.uniform(-0.4, 0.4, size=(d, d))
+        T[np.diag_indices(d)] = rng.choice([-1.0, 1.0], size=d) \
+            * rng.uniform(1.0, 2.0, size=d)
+        pos = make_position(rng.uniform(0.5, 2.0), T,
+                            rng.uniform(-1.0, 1.0, size=d))
+        f = Positioned(inner=f, position=pos)
+        expect += math.log(pos.alpha) + math.log(abs(pos.det()))
+    rep = solve_john(f, Height(d))
+    assert rep.diagnostics["composed"] and rep.feasible
+    assert abs(rep.objective - expect) <= 1e-12 * max(1.0, abs(expect))
 
 
 def _greedy_thinning(P, radius, limit):

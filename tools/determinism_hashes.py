@@ -5,12 +5,13 @@ CLI set, so that two checkouts can be compared for identical results.
 
 Run it on both checkouts and diff the outputs; any difference in a hash
 means a report changed.  The set covers free solves (the two-point bump and
-a d = 3 decomposition bump on the exact route; the Gaussian, a polar height
-power and a positioned exp-norm under a ball indicator on the sampled
-engine), fixed-height solves of the two-point bump and of a positioned d = 2
-bump, the polar of six variants on a 7x7 lattice, and the john-check and
-sandwich certificates.  It takes about five seconds on two cores, most of it
-in the sampled solves.
+a d = 3 decomposition bump on the exact route; the Gaussian and a polar
+height power on the radial route, and a positioned exp-norm under a ball
+indicator composed with the radial solve of its inner function),
+fixed-height solves of the two-point bump and of a positioned d = 2 bump on
+the exact route, the polar of six variants on a 7x7 lattice, and the
+john-check and sandwich certificates.  No case takes the sampled engine,
+and the whole set takes about two seconds on two cores.
 """
 
 from __future__ import annotations
