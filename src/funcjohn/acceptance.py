@@ -23,7 +23,6 @@ from .decomp import (
     verify_decomposition,
 )
 from .johnsolve import (
-    SolverOptions,
     extract_and_certify,
     height_curve,
     phi_concavity_violation,
@@ -157,22 +156,18 @@ def criterion_5() -> tuple[bool, str]:
     return True, "300 sandwiches certified; d=1 constants verbatim"
 
 
-def _solver_opts(seed: int = 0) -> SolverOptions:
-    return SolverOptions(seed=seed, restarts=2)
-
-
 def criterion_6() -> tuple[bool, str]:
     """Solver fixed point: (Height, Height) returns the identity position;
     the two-point d=1 bump solve certifies with weights {1, 1}."""
     for d in (1, 2):
-        rep = solve_john(Height(d), Height(d), _solver_opts())
+        rep = solve_john(Height(d), Height(d))
         dev = max(abs(rep.position.alpha - 1.0),
                   float(np.max(np.abs(rep.position.matrix() - np.eye(d)))),
                   float(np.max(np.abs(rep.position.a_vector()))))
         if not rep.feasible or dev > 1e-4:
             return False, f"(Height, Height) d={d} deviation {dev:.2e}"
     bf = two_point_bump_d1()
-    rep = solve_john(bf.function, Height(1), _solver_opts())
+    rep = solve_john(bf.function, Height(1))
     dev = max(abs(rep.position.alpha - 1.0),
               abs(rep.position.matrix()[0, 0] - 1.0),
               abs(rep.position.a_vector()[0]))
@@ -198,15 +193,14 @@ def criterion_7() -> tuple[bool, str]:
         bf = bump_corpus(d)[idx]
         key = (d, idx)
         if key not in base_cache:
-            base_cache[key] = solve_john(bf.function, Height(d),
-                                         _solver_opts()).objective
+            base_cache[key] = solve_john(bf.function, Height(d)).objective
         B = rng.standard_normal((d, d))
         T = B @ B.T + (0.3 + rng.random()) * np.eye(d)
         alpha = 0.5 + 2.0 * rng.random()
         shift = 0.5 * rng.uniform(-1.0, 1.0, size=d)
         pos = make_position(alpha, T, shift, positive_definite=True)
         g = Positioned(inner=bf.function, position=pos)
-        rep = solve_john(g, Height(d), _solver_opts(seed=trial))
+        rep = solve_john(g, Height(d))
         expect = base_cache[key] + math.log(alpha) + math.log(abs(pos.det()))
         rel = abs(rep.objective - expect) / max(abs(expect), 1.0)
         worst = max(worst, rel)
@@ -221,7 +215,7 @@ def criterion_8() -> tuple[bool, str]:
     bf = two_point_bump_d1()
     f = bf.function
     alphas = np.exp(np.linspace(math.log(0.05), math.log(1.9), 20))
-    samples = height_curve(f, Height(1), list(alphas), _solver_opts())
+    samples = height_curve(f, Height(1), list(alphas))
     n_ok = sum(s.feasible for s in samples)
     if n_ok < 18:
         return False, f"only {n_ok}/20 curve samples feasible"

@@ -90,6 +90,16 @@ def _floats(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
+def _vector(d: int):
+    """A reader of a list of d finite numbers, for _read."""
+    def read(value) -> np.ndarray:
+        v = _floats(value)
+        if v.shape != (d,) or not np.all(np.isfinite(v)):
+            raise ValueError(f"expected a list of {d} finite numbers")
+        return v
+    return read
+
+
 # ---------------------------------------------------------------------------
 # config -> objects
 # ---------------------------------------------------------------------------
@@ -102,7 +112,7 @@ def position_from_config(data: dict):
     converted on parse."""
     alpha = _read(data, "alpha", float, 1.0)
     A = _read(data, "A", _floats)
-    a = _read(data, "a", _floats, np.zeros(A.shape[0]))
+    a = _read(data, "a", _vector(A.shape[0]), np.zeros(A.shape[0]))
     form = _read(data, "form", default="inverse")
     if form == "forward":
         Ainv = np.linalg.inv(A)
@@ -124,8 +134,10 @@ def function_from_config(data: dict) -> LogConcaveFunction:
         f = HeightPower(dimension=d, s=_read(data, "s", float))
     elif variant == "ball_indicator":
         f = BallIndicator(dimension=d,
-                          radius=_read(data, "radius", float, 1.0),
-                          center=_read(data, "center", tuple, None))
+                          radius=_read(data, "radius", float, 1.0))
+        if "center" in data:
+            f = Positioned(inner=f, position=make_position(
+                1.0, np.eye(d), _read(data, "center", _vector(d))))
     elif variant == "gaussian":
         f = Gaussian(dimension=d)
     elif variant == "expnorm":

@@ -7,8 +7,12 @@ Each solve takes the first route that fits its target:
 2. a radial target: the optimum is A = r Id, a = 0, found by the
    one-dimensional solve of funcjohn.radial, with a sampled certificate;
 3. a positioned copy Positioned(g, T) of any other target: g is solved and
-   its position composed with T, which covers nested positions;
-4. anything else: the sampled constraint-exchange engine below.
+   its position composed with T, which covers nested positions and a
+   translated ball indicator;
+4. anything else: the sampled constraint-exchange engine below.  No
+   function of this library reaches it; it serves LogConcaveFunction
+   subclasses defined elsewhere, and the tests use it as an independent
+   reference.
 
 The sampled engine maximizes log(alpha) + log det A over positive-definite
 positions g(x) = alpha * w(A^{-1}(x - a)) subject to g <= f.  The scale is
@@ -34,15 +38,7 @@ from . import radial
 from .decomp import InfeasibleWeightsError, weights_from_points
 from .exact import Problem
 from .lcfunc import Height, LogConcaveFunction, Positioned, hbar
-from .position import (
-    AffinePosition,
-    chol_factor_from_params,
-    chol_param_indices,
-    chol_param_size,
-    chol_params_from_pd,
-    log_det_from_chol_params,
-    make_position,
-)
+from .position import AffinePosition, make_position
 from .verify import ball_grid, log_gap, sphere_points, spread
 
 _INIT_GRID = {1: 201, 2: 421, 3: 800}
@@ -71,7 +67,8 @@ class SolverOptions:
     its number of restarts.  They do not apply on the exact route (targets
     with a normal form) nor on the radial route (radial targets and their
     positioned copies), which have no options; their reports say engine
-    "exact" and "radial"."""
+    "exact" and "radial".  Every function of this library takes one of
+    those two, so the options reach only functions defined elsewhere."""
 
     seed: int = 0
     restarts: int = 16
@@ -102,7 +99,7 @@ def _validate(f: LogConcaveFunction, w: LogConcaveFunction):
     if not (math.isfinite(w.support_radius()) and w.is_radial()):
         raise ValueError(
             "w must be a radial function of bounded support "
-            "(height, height power, or centered ball indicator)")
+            "(height, height power, or ball indicator, unpositioned)")
     if w.dim != f.dim:
         raise ValueError("f and w dimensions differ")
 
@@ -208,10 +205,13 @@ def _solve_composed(f: Positioned, w: LogConcaveFunction,
 
 class _Engine:
     def __init__(self, f, w, opts: SolverOptions):
-        _validate(f, w)
         self.f, self.w, self.opts = f, w, opts
         self.d = f.dim
-        self.K = chol_param_size(self.d)
+        # theta packs the lower triangle of the Cholesky factor L of A row
+        # by row, its diagonal as logs, followed by a
+        self._rows, self._cols = np.tril_indices(self.d)
+        self._diag = self._rows == self._cols
+        self.K = self._rows.shape[0]
         self.wrad = w.support_radius()
         core = ball_grid(self.d, _INIT_GRID[min(self.d, 3)],
                          radius=0.999 * self.wrad, seed=opts.seed)
@@ -247,7 +247,11 @@ class _Engine:
         # such probes are always rejected
         chol = np.clip(theta[:self.K], -50.0, 50.0)
         a = np.clip(theta[self.K:], -1e6, 1e6)
-        return chol, chol_factor_from_params(chol, self.d), a
+        L = np.zeros((self.d, self.d))
+        L[self._rows, self._cols] = chol
+        for i in range(self.d):
+            L[i, i] = math.exp(L[i, i])
+        return chol, L, a
 
     def unpack(self, theta):
         """(A, a) of theta."""
@@ -255,7 +259,10 @@ class _Engine:
         return L @ L.T, a
 
     def pack(self, A, a):
-        return np.concatenate([chol_params_from_pd(A), a])
+        L = np.linalg.cholesky(np.asarray(A, dtype=float))
+        for i in range(self.d):
+            L[i, i] = math.log(L[i, i])
+        return np.concatenate([L[self._rows, self._cols], a])
 
     # --- objective --------------------------------------------------------
 
@@ -270,7 +277,8 @@ class _Engine:
         Z = float(e.sum())
         m = rmin - tau * math.log(Z)
         p = e / Z
-        val = -(log_det_from_chol_params(chol, self.d) + lam * m)
+        # log det A = 2 * the sum of the log-diagonal parameters
+        val = -(2.0 * sum(chol[self._diag]) + lam * m)
 
         G = fgrads * p[:, None]     # softmax-weighted gradients of r
         # the soft-min's gradient in A is M = G^T Y, and in L it is
@@ -279,8 +287,7 @@ class _Engine:
         M = G.T @ self.Y
         dL = (M + M.T) @ L
         dL[np.diag_indices(self.d)] *= np.diag(L)
-        rows, cols = chol_param_indices(self.d)
-        grad_chol = -lam * dL[rows, cols] - 2.0 * (rows == cols)
+        grad_chol = -lam * dL[self._rows, self._cols] - 2.0 * self._diag
         return val, np.concatenate([grad_chol, -lam * G.sum(axis=0)])
 
     def grid_min(self, theta):
@@ -516,8 +523,7 @@ def _finish(engine: _Engine, theta, log_alpha, diagnostics) -> SolveReport:
 
 
 def _solve(f: LogConcaveFunction, w: LogConcaveFunction,
-           log_alpha: float | None, opts: SolverOptions,
-           warm_start: AffinePosition | None = None) -> SolveReport:
+           log_alpha: float | None, opts: SolverOptions) -> SolveReport:
     """The free solve (log_alpha None) or the fixed-height one, routed to
     the exact route, the radial route, composition through a position, or
     the sampled engine, in that order."""
@@ -531,7 +537,7 @@ def _solve(f: LogConcaveFunction, w: LogConcaveFunction,
         return _solve_composed(f, w, log_alpha, opts)
     if log_alpha is None:
         return _sampled_free(f, w, opts)
-    return _sampled_fixed_height(f, w, log_alpha, opts, warm_start)
+    return _sampled_fixed_height(f, w, log_alpha, opts)
 
 
 def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
@@ -544,15 +550,15 @@ def solve_john(f: LogConcaveFunction, w: LogConcaveFunction,
 
 
 def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
-                       xi: float, opts: SolverOptions = SolverOptions(),
-                       warm_start: AffinePosition | None = None) -> SolveReport:
-    """As solve_john with the height pinned: alpha = xi / ||w||_inf.
-    warm_start applies only where f itself takes the sampled engine, and
-    opts only where f or, through positions, its innermost function does."""
+                       xi: float, opts: SolverOptions = SolverOptions()
+                       ) -> SolveReport:
+    """As solve_john with the height pinned: alpha = xi / ||w||_inf.  opts
+    apply only where f or, through positions, its innermost function takes
+    the sampled engine."""
     fsup = f.sup_norm()
     if not 0.0 < xi <= fsup * (1.0 + 1e-12):
         raise ValueError(f"xi={xi} out of range (0, {fsup}]")
-    return _solve(f, w, math.log(xi / w.sup_norm()), opts, warm_start)
+    return _solve(f, w, math.log(xi / w.sup_norm()), opts)
 
 
 def _sampled_free(f, w, opts: SolverOptions) -> SolveReport:
@@ -604,14 +610,10 @@ def _sampled_free(f, w, opts: SolverOptions) -> SolveReport:
         "converged": stop_reason != "round_cap", "stop_reason": stop_reason})
 
 
-def _sampled_fixed_height(f, w, log_alpha: float, opts: SolverOptions,
-                          warm_start: AffinePosition | None) -> SolveReport:
+def _sampled_fixed_height(f, w, log_alpha: float, opts: SolverOptions
+                          ) -> SolveReport:
     engine = _Engine(f, w, opts)
-    rng = np.random.default_rng(opts.seed)
-    if warm_start is not None:
-        theta = engine.pack(warm_start.matrix(), warm_start.a_vector())
-    else:
-        theta = engine.initial_theta(rng, 0)
+    theta = engine.initial_theta(np.random.default_rng(opts.seed), 0)
     # bisection on the multiplier of m: grid_min is nondecreasing in lambda
     lo, hi = 1e-3, 1.0
     theta, _ = engine.solve_lambda(theta, lam=hi)
@@ -769,29 +771,24 @@ class CurveSample:
 def height_curve(f: LogConcaveFunction, w: LogConcaveFunction,
                  alphas, opts: SolverOptions = SolverOptions()
                  ) -> list[CurveSample]:
-    """Fixed-height solves along a list of heights, in decreasing order,
-    each warm-started from the last where it takes the sampled engine;
-    psi = det A, phi = psi^{1/d}."""
+    """One independent fixed-height solve per height, in the order given;
+    psi = det A, phi = psi^{1/d}.  A solve that fails is recorded in its
+    sample's error rather than raised."""
     d = f.dim
-    order = sorted(range(len(alphas)), key=lambda i: -alphas[i])
-    samples: dict[int, CurveSample] = {}
-    warm = None
-    for i in order:
-        alpha = float(alphas[i])
+    samples = []
+    for alpha in map(float, alphas):
         try:
-            rep = solve_fixed_height(f, w, alpha, opts, warm_start=warm)
+            rep = solve_fixed_height(f, w, alpha, opts)
             psi = abs(rep.position.det())
-            warm = rep.position
-            samples[i] = CurveSample(
+            samples.append(CurveSample(
                 alpha=alpha, t=math.log(alpha), psi=psi, phi=psi ** (1.0 / d),
                 feasible=rep.feasible,
-                max_violation=rep.diagnostics["max_constraint_violation"])
+                max_violation=rep.diagnostics["max_constraint_violation"]))
         except (InfeasibleProblemError, ValueError) as exc:
-            samples[i] = CurveSample(alpha=alpha, t=math.log(alpha),
-                                     psi=math.nan, phi=math.nan,
-                                     feasible=False, max_violation=math.nan,
-                                     error=str(exc))
-    return [samples[i] for i in range(len(alphas))]
+            samples.append(CurveSample(
+                alpha=alpha, t=math.log(alpha), psi=math.nan, phi=math.nan,
+                feasible=False, max_violation=math.nan, error=str(exc)))
+    return samples
 
 
 def phi_concavity_violation(samples: list[CurveSample]) -> float:

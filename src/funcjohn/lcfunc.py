@@ -322,36 +322,27 @@ class Height(HeightPower):
 
 @dataclass(frozen=True)
 class BallIndicator(LogConcaveFunction):
-    """Indicator of the closed ball of given radius and center."""
+    """Indicator of the closed ball of given radius about the origin; a
+    translated ball is a Positioned copy of it."""
 
     dimension: int
     radius: float = 1.0
-    center: tuple = None
 
     def __post_init__(self):
         super().__post_init__()
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
-        c = np.zeros(self.dimension) if self.center is None \
-            else np.asarray(self.center, dtype=float)
-        if c.shape != (self.dimension,):
-            raise DimensionMismatchError("center dimension mismatch")
-        object.__setattr__(self, "center", tuple(float(v) for v in c))
 
     @property
     def dim(self) -> int:
         return self.dimension
 
-    def _center(self) -> np.ndarray:
-        return np.asarray(self.center, dtype=float)
-
     def log_evaluate_many(self, X):
-        D = X - self._center()
-        inside = np.einsum("ij,ij->i", D, D) <= self.radius ** 2
+        inside = np.einsum("ij,ij->i", X, X) <= self.radius ** 2
         return np.where(inside, 0.0, -np.inf)
 
     def is_radial(self):
-        return not np.any(self._center())
+        return True
 
     def radial_log_profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -359,15 +350,14 @@ class BallIndicator(LogConcaveFunction):
 
     def log_value_grad(self, X, tau=0.0):
         # a steep quadratic wall outside the ball
-        D = X - self._center()
-        sq = self.radius ** 2 - np.einsum("ij,ij->i", D, D)
+        sq = self.radius ** 2 - np.einsum("ij,ij->i", X, X)
         inside = sq >= 0.0
         vals = np.where(inside, 0.0, sq / _SUPPORT_EPS)
-        grads = np.where(inside[:, None], 0.0, (2.0 / _SUPPORT_EPS) * (-D))
+        grads = np.where(inside[:, None], 0.0, (2.0 / _SUPPORT_EPS) * (-X))
         return vals, grads
 
     def log_sup(self, P):
-        return P @ self._center() + self.radius * np.linalg.norm(P, axis=1)
+        return self.radius * np.linalg.norm(P, axis=1)
 
     def radial_log_sup(self, c):
         return self.radius * c
@@ -378,7 +368,7 @@ class BallIndicator(LogConcaveFunction):
                 np.zeros(c.shape))
 
     def support_radius(self):
-        return self.radius + float(np.linalg.norm(self._center()))
+        return float(self.radius)
 
     def sup_norm(self):
         return 1.0

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -116,46 +115,3 @@ def interpolate_positions(p1: AffinePosition, p2: AffinePosition,
     A = beta * p1.matrix() + (1.0 - beta) * p2.matrix()
     a = beta * p1.a_vector() + (1.0 - beta) * p2.a_vector()
     return make_position(alpha, A, a, positive_definite=True)
-
-
-# --- log-Cholesky parametrization of the positive-definite cone -----------
-
-
-def chol_param_size(d: int) -> int:
-    return d * (d + 1) // 2
-
-
-@lru_cache(maxsize=None)
-def chol_param_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of L's parameters in packing order, row by row; shared,
-    so read-only."""
-    rows, cols = np.tril_indices(d)
-    rows.flags.writeable = cols.flags.writeable = False
-    return rows, cols
-
-
-def chol_factor_from_params(params: np.ndarray, d: int) -> np.ndarray:
-    """Lower-triangular L from its rows, the diagonal stored as logs."""
-    L = np.zeros((d, d))
-    L[chol_param_indices(d)] = params
-    for i in range(d):
-        L[i, i] = math.exp(L[i, i])
-    return L
-
-
-def pd_from_chol_params(params: np.ndarray, d: int) -> np.ndarray:
-    """A = L L^T with L lower triangular and diagonal stored as logs."""
-    L = chol_factor_from_params(params, d)
-    return L @ L.T
-
-
-def chol_params_from_pd(A: np.ndarray) -> np.ndarray:
-    L = np.linalg.cholesky(np.asarray(A, dtype=float))
-    for i in range(L.shape[0]):
-        L[i, i] = math.log(L[i, i])
-    return L[chol_param_indices(L.shape[0])]
-
-
-def log_det_from_chol_params(params: np.ndarray, d: int) -> float:
-    """log det(L L^T) = 2 * sum of the log-diagonal parameters."""
-    return 2.0 * sum(np.asarray(params)[np.equal(*chol_param_indices(d))])

@@ -18,6 +18,8 @@ from funcjohn.cli import (
     position_from_config,
     solver_options_from_config,
 )
+from funcjohn.bump import bump_from_decomposition
+from funcjohn.decomp import decomposition_to_records, generate_decomposition
 from funcjohn.lcfunc import Bump, Gaussian, Height
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -89,6 +91,44 @@ def test_verify_decomp_exit_codes(tmp_path):
                  "--out", str(tmp_path / "vb")]) == EXIT_CERT_FAIL
 
 
+def test_bump_command(tmp_path):
+    dec = generate_decomposition(2, 0)
+    cfg = tmp_path / "dec.json"
+    cfg.write_text(json.dumps(decomposition_to_records(dec)))
+    out = tmp_path / "b"
+    assert main(["bump", "--config", str(cfg), "--out", str(out)]) \
+        == EXIT_PASS
+    report = json.loads((out / "report.json").read_text())
+    assert report["command"] == "bump" and report["passed"] is True
+    assert report["regular"] is True
+    assert report["sup_norm"] == \
+        bump_from_decomposition(dec).function.sup_norm()
+    assert report["norm_gap"]["gap"] > 0
+    cfg.write_text(json.dumps({"type": "decomposition", "dimension": 2}))
+    assert main(["bump", "--config", str(cfg),
+                 "--out", str(tmp_path / "m")]) == EXIT_CONFIG_ERROR
+
+
+def test_off_centre_ball_is_a_composed_radial_solve(tmp_path):
+    # the CLI builds a ball with a "center" as a translated centred ball,
+    # which composition hands to the radial route
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"f": {
+        "variant": "ball_indicator", "dimension": 2, "radius": 1.5,
+        "center": [0.25, -0.5]}}))
+    out = tmp_path / "s"
+    assert main(["solve-john", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_PASS
+    solve = json.loads((out / "report.json").read_text())["solve"]
+    assert solve["diagnostics"]["engine"] == "radial"
+    assert solve["diagnostics"]["composed"] is True
+    assert solve["feasible"] is True
+    assert abs(solve["objective"] - 2.0 * math.log(1.5)) <= 1e-12
+    assert np.allclose(solve["position"]["A"], 1.5 * np.eye(2),
+                       rtol=0.0, atol=1e-12)
+    assert solve["position"]["a"] == [0.25, -0.5]
+
+
 def test_missing_config_is_config_error():
     assert main(["solve-john"]) == EXIT_CONFIG_ERROR
     assert main(["polar", "--config", "/nonexistent/path.json"]) \
@@ -148,6 +188,12 @@ def test_certify_needs_the_height_function(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, config, key", [
     ("solve-john", {"f": {"variant": "height_power", "dimension": 1}}, "'s'"),
+    ("solve-john", {"f": {"variant": "ball_indicator", "dimension": 2,
+                          "center": 3}}, "'center'"),
+    ("solve-john", {"f": {"variant": "ball_indicator", "dimension": 2,
+                          "center": [0.0, 1.0, 2.0]}}, "'center'"),
+    ("solve-john", {"f": {"variant": "gaussian", "dimension": 1,
+                          "position": {"A": [[1.0]], "a": None}}}, "'a'"),
     ("solve-john", {"f": BUMP_CONFIG, "solver": {"restarts": "two"}},
      "'restarts'"),
     ("polar", {"f": {"variant": "gaussian", "dimension": 1}}, "'points'"),

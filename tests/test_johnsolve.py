@@ -11,6 +11,7 @@ import scipy.optimize
 
 from funcjohn import (
     CONSTRAINT_TOL,
+    BallIndicator,
     Bump,
     ExpNorm,
     Gaussian,
@@ -19,6 +20,7 @@ from funcjohn import (
     HeightPower,
     ImproperFunctionError,
     InfeasibleProblemError,
+    LogAffineMajorant,
     NoContactsError,
     NoSolverTargetError,
     PolarHeightPower,
@@ -33,8 +35,9 @@ from funcjohn import (
     solve_fixed_height,
     solve_john,
 )
-from funcjohn import radial
+from funcjohn import johnsolve, radial
 from funcjohn.acceptance import bump_corpus
+from funcjohn.cli import function_from_config
 from funcjohn.johnsolve import CurveSample, _Engine
 from test_exact import _ValuesOnly
 
@@ -274,11 +277,32 @@ def test_phi_concavity_violation_synthetic():
     assert phi_concavity_violation(convex) == 1.0
 
 
+def test_engine_packing_roundtrip_and_logdet():
+    # theta packs the log-Cholesky factor of A row by row, then a; at
+    # lam = 0 the objective fused minimizes is -log det A
+    rng = np.random.default_rng(13)
+    for d in (1, 2, 3):
+        engine = _Engine(Gaussian(d), Height(d),
+                         SolverOptions(seed=0, restarts=1))
+        k = d * (d + 1) // 2
+        assert engine.K == k
+        B = rng.standard_normal((d, d))
+        A = B @ B.T + 0.5 * np.eye(d)
+        a = rng.standard_normal(d)
+        theta = engine.pack(A, a)
+        assert theta.shape == (k + d,)
+        A2, a2 = engine.unpack(theta)
+        assert np.allclose(A2, A, atol=1e-12)
+        assert np.array_equal(a2, a)
+        val, _ = engine.fused(theta, 0.0, 1e-3)
+        assert abs(-val - math.log(np.linalg.det(A))) < 1e-10
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("target", ["bump", "positioned_gaussian"])
 def test_fused_gradient_matches_central_differences(d, target):
-    # fused differentiates through the log-Cholesky packing of position.py,
-    # so a packing order of its own would show up here
+    # fused lays out its gradient in the packing order that _factor
+    # unpacks, so a mismatch between the two would show up here
     if target == "bump":
         f = bump_corpus(d)[1].function
     else:
@@ -439,3 +463,76 @@ def test_positioned_half_restriction_is_refused_before_any_optimizer(
                    position=make_position(2.0, [[3.0]], [1.0]))
     with pytest.raises(NoSolverTargetError, match="HalfRestriction"):
         solve_john(f, Height(1), OPTS)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("xi", [None, 0.5])
+def test_off_centre_ball_is_a_composed_radial_solve(d, xi):
+    # a ball of radius 1.5 about c holds hbar positioned at A = 1.5 Id,
+    # a = c, at every height up to 1, and no larger A fits
+    c = np.array([0.25, -0.5])[:d]
+    f = Positioned(inner=BallIndicator(dimension=d, radius=1.5),
+                   position=make_position(1.0, np.eye(d), c))
+    rep = solve_john(f, Height(d)) if xi is None else \
+        solve_fixed_height(f, Height(d), xi)
+    assert rep.diagnostics["engine"] == "radial"
+    assert rep.diagnostics["composed"] is True
+    assert rep.feasible
+    assert abs(rep.position.det() - 1.5 ** d) <= 1e-12
+    np.testing.assert_allclose(rep.position.matrix(), 1.5 * np.eye(d),
+                               rtol=0.0, atol=1e-12)
+    assert np.array_equal(rep.position.a_vector(), c)
+    if xi is None:
+        assert abs(rep.objective - d * math.log(1.5)) <= 1e-12
+    else:
+        assert rep.position.alpha == xi
+
+
+_VARIANT_CONFIGS = [
+    {"variant": "height"},
+    {"variant": "height_power", "s": 2.0},
+    {"variant": "ball_indicator", "radius": 1.5},
+    {"variant": "ball_indicator", "radius": 1.5, "center": [0.25, -0.5]},
+    {"variant": "gaussian"},
+    {"variant": "expnorm", "p": 1.5},
+    {"variant": "polar_height_power", "s": 2.0},
+    {"variant": "bump", "anchors": [[0.6, 0.0], [-0.6, 0.0], [0.0, 0.6],
+                                    [0.0, -0.6]]},
+    {"variant": "half_restriction", "normal": [1.0, 0.0],
+     "inner": {"variant": "gaussian", "dimension": 2}},
+]
+
+
+@pytest.mark.parametrize("positioned", [False, True])
+@pytest.mark.parametrize("config", _VARIANT_CONFIGS,
+                         ids=lambda c: c["variant"] + "_centre" * ("center"
+                                                                  in c))
+def test_no_library_variant_reaches_the_sampled_engine(monkeypatch, config,
+                                                       positioned):
+    config = dict(config, dimension=2)
+    if positioned:
+        config["position"] = {"alpha": 1.5, "A": [[1.2, 0.7], [-0.4, 0.8]],
+                              "a": [0.1, -0.2]}
+    f = function_from_config(config)
+    if config["variant"] == "half_restriction":
+        # it has no smooth target, so the solve is refused
+        with pytest.raises(NoSolverTargetError):
+            solve_john(f, Height(2))
+        return
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sampled engine ran")
+
+    monkeypatch.setattr(johnsolve, "_Engine", refuse)
+    for rep in (solve_john(f, Height(2)),
+                solve_fixed_height(f, Height(2), 0.5 * f.sup_norm())):
+        assert rep.diagnostics["engine"] in ("exact", "radial")
+        assert rep.feasible
+
+
+def test_a_majorant_is_refused():
+    for f in (LogAffineMajorant((0.5, 0.0)),
+              Positioned(inner=LogAffineMajorant((0.5, 0.0)),
+                         position=make_position(2.0, np.eye(2), [1.0, 0.0]))):
+        with pytest.raises(NoSolverTargetError):
+            solve_john(f, Height(2))

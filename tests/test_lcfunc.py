@@ -101,10 +101,27 @@ def test_ball_indicator():
     assert b.evaluate([1.9, 0.0]) == 1.0
     assert b.evaluate([2.1, 0.0]) == 0.0
     assert abs(b.integral() - math.pi * 4.0) < 1e-13
-    shifted = BallIndicator(dimension=2, radius=1.0, center=(3.0, 0.0))
+    # a translated ball is a positioned copy of the centred one
+    shifted = Positioned(inner=BallIndicator(dimension=2, radius=1.0),
+                         position=make_position(1.0, np.eye(2), [3.0, 0.0]))
     assert shifted.evaluate([3.0, 0.5]) == 1.0
     assert shifted.evaluate([0.0, 0.0]) == 0.0
     assert shifted.support_radius() == 4.0
+
+
+def test_generic_log_sup_of_a_half_restricted_shifted_gaussian():
+    # neither the restriction nor its inner function is radial, so S comes
+    # from the numeric multi-start ascent; for exp(-(x - t)^2) on x >= 0,
+    # S(p) = p t + p^2 / 4 where the peak t + p / 2 lies in the half-line,
+    # and -t^2 (at x = 0) otherwise
+    t = 0.7
+    f = HalfRestriction(inner=Positioned(
+        inner=Gaussian(1), position=make_position(1.0, [[1.0]], [t])),
+        normal=(1.0,))
+    p = np.linspace(-4.0, 3.0, 15)
+    want = np.where(t + p / 2.0 >= 0.0, p * t + p * p / 4.0, -t * t)
+    np.testing.assert_allclose(f.log_sup(p[:, None]), want, rtol=0.0,
+                               atol=1e-12)
 
 
 def test_gaussian_closed_forms():

@@ -1,5 +1,4 @@
-"""Affine positions: construction, integrals, interpolation, and the
-log-Cholesky parametrization."""
+"""Affine positions: construction, integrals and interpolation."""
 
 import math
 
@@ -16,12 +15,6 @@ from funcjohn import (
     interpolate_positions,
     make_position,
     position_integral,
-)
-from funcjohn.position import (
-    chol_param_size,
-    chol_params_from_pd,
-    log_det_from_chol_params,
-    pd_from_chol_params,
 )
 
 
@@ -137,20 +130,6 @@ def test_interpolated_position_stays_dominated():
         assert np.all(g1 <= fv + 1e-12) and np.all(g2 <= fv + 1e-12)
         mid = apply_position(interpolate_positions(p1, p2, rng.random()), f)
         assert np.all(mid.evaluate_many(grid) <= fv + 1e-10)
-
-
-def test_chol_roundtrip_and_logdet():
-    rng = np.random.default_rng(13)
-    for d in (1, 2, 3):
-        k = chol_param_size(d)
-        assert k == d * (d + 1) // 2
-        B = rng.standard_normal((d, d))
-        A = B @ B.T + 0.5 * np.eye(d)
-        params = chol_params_from_pd(A)
-        assert params.shape == (k,)
-        assert np.allclose(pd_from_chol_params(params, d), A, atol=1e-12)
-        assert abs(log_det_from_chol_params(params, d)
-                   - math.log(np.linalg.det(A))) < 1e-10
 
 
 def test_position_value_semantics():

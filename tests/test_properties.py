@@ -3,7 +3,9 @@ the smooth target agrees with log f away from the support boundary, its
 gradient matches central differences, and the support function satisfies
 the Fenchel-Young inequality S(p) >= <p,x> + log f(x).  The log-polyhedral
 normal form of nested positioned bumps reproduces their values, and the
-closed-form derivatives of w's radial support function match it.  Solving a
+closed-form derivatives of w's radial support function match it, and the
+support function of a positioned bump agrees with the LP dual on its
+composed normal form.  Solving a
 positioned radial target composes the position with the inner solve.  Also
 the greedy thinning `spread` against the point-by-point loop it replaced."""
 
@@ -30,6 +32,8 @@ from funcjohn import (
     make_position,
     solve_john,
 )
+from funcjohn import polar
+from funcjohn.acceptance import bump_corpus
 from funcjohn.johnsolve import target_log_grad
 from funcjohn.verify import _SPREAD_BLOCK, spread
 
@@ -71,7 +75,8 @@ CASES = {
         BallIndicator(dimension=d, radius=0.8),
         lambda Y: np.abs(0.64 - _sq(Y)) > 1e-3),
     "ball_off_centre": lambda d: (
-        BallIndicator(dimension=d, radius=0.8, center=tuple(0.3 * _e1(d))),
+        Positioned(inner=BallIndicator(dimension=d, radius=0.8),
+                   position=make_position(1.0, np.eye(d), 0.3 * _e1(d))),
         lambda Y: np.abs(0.64 - _sq(Y - 0.3 * _e1(d))) > 1e-3),
     "gaussian": lambda d: (Gaussian(d), _everywhere),
     "expnorm": lambda d: (
@@ -198,6 +203,34 @@ def test_radial_log_sup_derivatives_match_the_support_function(w, c):
         h = 1e-5
         assert abs((S[1] - S[2]) / (2 * h) - S1[0]) <= 1e-6 * (1.0 + S1[0])
         assert abs((S1[1] - S1[2]) / (2 * h) - S2[0]) <= 1e-5 * (1.0 + S2[0])
+
+
+@PROPERTY
+@given(d=st.integers(1, 3), idx=st.integers(0, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_log_sup_is_equivariant_under_positions(d, idx, seed):
+    # S of alpha * f(T^{-1}(x - t)) is <p, t> + log alpha + S_f(p T); the
+    # LP dual on the composed normal form computes the same S independently
+    f = bump_corpus(d)[idx].function
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(-0.5, 0.5, size=(d, d)) + rng.uniform(1.0, 2.0) * np.eye(d)
+    g = Positioned(inner=f, position=make_position(
+        rng.uniform(0.5, 2.0), T, rng.uniform(-1.0, 1.0, size=d)))
+    # points p T in the slope hull of f, where S is finite, and far
+    # beyond it, where S = +inf
+    lam = rng.dirichlet(np.ones(f.slopes.shape[0]), size=6)
+    far = rng.standard_normal((3, d))
+    far *= (1.0 + 2.0 * np.max(np.linalg.norm(f.slopes, axis=1))
+            / np.linalg.norm(far, axis=1))[:, None]
+    Q = np.vstack([lam @ f.slopes, far])
+    P = Q @ np.linalg.inv(T)
+    slopes, intercepts, N, _ = g.normal_form()
+    want = polar._bump_log_sup_linprog(slopes, intercepts, N, P)
+    got = g.log_sup(P)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.isinf(want[6:]).all() and np.isfinite(want[:6]).all()
+    live = np.isfinite(want)
+    np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=1e-12)
 
 
 RADIAL_TARGETS = {
