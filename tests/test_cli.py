@@ -188,17 +188,17 @@ def test_certify_needs_the_height_function(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, config, key", [
     ("solve-john", {"f": {"variant": "height_power", "dimension": 1}}, "'s'"),
+    ("solve-john", {"f": BUMP_CONFIG, "solver": {"restarts": "two"}},
+     "'restarts'"),
+    ("polar", {"f": {"variant": "gaussian", "dimension": 1}}, "'points'"),
+    ("verify-decomp", {"type": "decomposition", "dimension": 1},
+     "'records'"),
     ("solve-john", {"f": {"variant": "ball_indicator", "dimension": 2,
                           "center": 3}}, "'center'"),
     ("solve-john", {"f": {"variant": "ball_indicator", "dimension": 2,
                           "center": [0.0, 1.0, 2.0]}}, "'center'"),
     ("solve-john", {"f": {"variant": "gaussian", "dimension": 1,
                           "position": {"A": [[1.0]], "a": None}}}, "'a'"),
-    ("solve-john", {"f": BUMP_CONFIG, "solver": {"restarts": "two"}},
-     "'restarts'"),
-    ("polar", {"f": {"variant": "gaussian", "dimension": 1}}, "'points'"),
-    ("verify-decomp", {"type": "decomposition", "dimension": 1},
-     "'records'"),
 ])
 def test_missing_or_ill_typed_key_is_config_error(tmp_path, capsys, command,
                                                   config, key):
