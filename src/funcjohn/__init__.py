@@ -83,6 +83,7 @@ from .verify import (
     check_domination,
     john_inclusion_check,
     lowner_counterexample,
+    polar_floor,
     sandwich_construct,
 )
 

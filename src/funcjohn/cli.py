@@ -100,6 +100,14 @@ def _vector(d: int):
     return read
 
 
+def _square(value) -> np.ndarray:
+    """A reader of a square matrix of finite numbers, for _read."""
+    M = _floats(value)
+    if M.ndim != 2 or M.shape[0] != M.shape[1] or not np.isfinite(M).all():
+        raise ValueError("expected a square matrix of finite numbers")
+    return M
+
+
 # ---------------------------------------------------------------------------
 # config -> objects
 # ---------------------------------------------------------------------------
@@ -111,7 +119,7 @@ def position_from_config(data: dict):
     the forward form alpha * w(Ax + a) via "form": "forward", which is
     converted on parse."""
     alpha = _read(data, "alpha", float, 1.0)
-    A = _read(data, "A", _floats)
+    A = _read(data, "A", _square)
     a = _read(data, "a", _vector(A.shape[0]), np.zeros(A.shape[0]))
     form = _read(data, "form", default="inverse")
     if form == "forward":

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.spatial import ConvexHull
 
 from .lcfunc import BOUNDARY_SNAP, MAX_DIM, DimensionMismatchError, hbar
-from .verify import spread
+from .verify import hull_min_offset
 
 DEFAULT_VERIFY_TOL = 1e-8
 
@@ -193,28 +192,13 @@ def regularize_decomposition(dec: FunctionalJohnDecomposition, n: int,
 
 def hull_ball_margin(dec: FunctionalJohnDecomposition) -> HullMarginReport:
     """Min over directions of the support function of conv{u_i}, minus
-    1/(d+1).  Facets are enumerated exactly (d = 1 by hand, d >= 2 via
-    the convex hull)."""
+    1/(d+1), from the exact facets of verify.hull_min_offset."""
     res = verify_decomposition(dec)
     if not res.passes(DEFAULT_VERIFY_TOL):
         raise InvalidDecompositionError(f"decomposition fails verification: {res}")
-    U = dec.point_array()
-    d = dec.dim
-    target = 1.0 / (d + 1)
-    if d == 1:
-        u = U[:, 0]
-        hi, lo = float(np.max(u)), float(-np.min(u))
-        if hi <= lo:
-            return HullMarginReport(margin=hi - target, witness_direction=(1.0,))
-        return HullMarginReport(margin=lo - target, witness_direction=(-1.0,))
-    # deduplicate near-identical points before handing them to Qhull
-    hull = ConvexHull(U[spread(U, 1e-12)])
-    # facet equations are normal . x + offset <= 0 with unit normal
-    offsets = -hull.equations[:, -1]
-    k = int(np.argmin(offsets))
-    margin = float(offsets[k]) - target
-    witness = tuple(float(v) for v in hull.equations[k, :-1])
-    return HullMarginReport(margin=margin, witness_direction=witness)
+    offset, witness = hull_min_offset(dec.point_array())
+    return HullMarginReport(margin=offset - 1.0 / (dec.dim + 1),
+                            witness_direction=witness)
 
 
 def _identity_system(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

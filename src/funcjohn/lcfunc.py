@@ -28,11 +28,10 @@ from scipy.stats import qmc
 MAX_DIM = 8
 BOUNDARY_SNAP = 1e-12
 
-# log values below this are treated as "function is zero" in numeric probes
-LOG_ZERO = -746.0
-
 _SUPPORT_EPS = 1e-4  # smooth extension width below bounded supports
 _BOUNDARY_WALL = 1e6  # slope of a bump's wall at a boundary anchor
+_GENERIC_STARTS = 32  # ascents per point of the numeric support function
+_NEGLIGIBLE_LOG = -46.0  # log f - log peak at which f counts as negligible
 
 
 class DimensionMismatchError(ValueError):
@@ -212,9 +211,9 @@ class LogConcaveFunction:
             "function derivatives")
 
 
-def _generic_log_sup(f: LogConcaveFunction, p: np.ndarray,
-                     starts: int = 32, seed: int = 0) -> float:
-    """Seeded multi-start ascent of <p,x> + log f(x)."""
+def _generic_log_sup(f: LogConcaveFunction, p: np.ndarray) -> float:
+    """Seeded multi-start ascent of <p,x> + log f(x), from the origin and
+    _GENERIC_STARTS - 1 uniform points of the effective-radius box."""
     d = f.dim
     R = effective_radius(f)
 
@@ -224,9 +223,9 @@ def _generic_log_sup(f: LogConcaveFunction, p: np.ndarray,
             return 1e12 + float(np.linalg.norm(x))
         return -(float(p @ x) + lf)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     best = -math.inf
-    X0 = [np.zeros(d)] + [rng.uniform(-R, R, size=d) for _ in range(starts - 1)]
+    X0 = [np.zeros(d), *rng.uniform(-R, R, size=(_GENERIC_STARTS - 1, d))]
     for x0 in X0:
         if neg(x0) > 1e11:
             continue
@@ -811,8 +810,7 @@ class Positioned(LogConcaveFunction):
 # ---------------------------------------------------------------------------
 
 
-def effective_radius(f: LogConcaveFunction, log_cut: float = -46.0,
-                     seed: int = 0) -> float:
+def effective_radius(f: LogConcaveFunction) -> float:
     """Radius beyond which f is negligible relative to its peak.
 
     Probes decay along coordinate axes and seeded random rays; raises
@@ -822,7 +820,7 @@ def effective_radius(f: LogConcaveFunction, log_cut: float = -46.0,
     if math.isfinite(R):
         return R
     d = f.dim
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     dirs = [np.eye(d)[i] * s for i in range(d) for s in (1.0, -1.0)]
     for _ in range(2 * d + 4):
         v = rng.standard_normal(d)
@@ -832,7 +830,7 @@ def effective_radius(f: LogConcaveFunction, log_cut: float = -46.0,
     while radius <= 1e6:
         P = np.asarray([radius * v for v in dirs])
         logs = f.log_evaluate_many(P)
-        if np.all(logs <= log_peak + log_cut):
+        if np.all(logs <= log_peak + _NEGLIGIBLE_LOG):
             return radius
         radius *= 2.0
     raise DivergentIntegralError("no decay detected along probe rays")

@@ -88,22 +88,26 @@ def _bump_log_sup_linprog(slopes, intercepts, boundary, P):
     return out
 
 
-def _lower_facets(slopes, intercepts) -> list[np.ndarray]:
-    """The (d+1)-subsets J of the anchors whose lifted points (s_j, b_j)
-    span a lower facet of the lifted set: the affine function <c,s> + e
-    through them lies below every lifted anchor, up to a rounding
-    tolerance scaled by the terms of each residual.  Singular subsets are
-    skipped.  Subsets are enumerated a chunk at a time."""
+def lower_facets(slopes, intercepts, walls):
+    """(J, c, e), or None where the facets do not settle S (see the module
+    docstring): the (d+1)-subsets J of the anchors, by row, whose lifted
+    points (s_j, b_j) span a lower facet <c,s> + e of the lifted set, below
+    every lifted anchor up to a tolerance scaled by each residual's terms.
+    On the slope hull S(p) = max over the facets of <c,p> + e."""
     m, d = slopes.shape
+    if (walls.shape[0] or m < d + 1
+            or math.comb(m, d + 1) > _FACET_ENUM_MAX_SUBSETS):
+        return None
     lifted = np.hstack([slopes, np.ones((m, 1))])  # rows [s_k, 1]
     s_norm = np.linalg.norm(slopes, axis=1)
     b_abs = np.abs(intercepts)
     subsets = combinations(range(m), d + 1)
-    facets = []
+    facets = [(np.empty((0, d + 1), dtype=np.intp), np.empty((0, d)),
+               np.empty(0))]
     while True:
         J = np.array(list(islice(subsets, _FACET_CHUNK)), dtype=np.intp)
         if not J.size:
-            return facets
+            return tuple(np.concatenate(parts) for parts in zip(*facets))
         # the point solves factor M = rows^T and the facet solve factors
         # rows; on huge slopes one LU can meet an exact zero pivot while the
         # other does not, so both determinants must pass
@@ -119,7 +123,8 @@ def _lower_facets(slopes, intercepts) -> list[np.ndarray]:
         tol = 1e-12 * (b_abs[None, :]
                        + np.linalg.norm(c, axis=1)[:, None] * s_norm[None, :]
                        + np.abs(e)[:, None])
-        facets.extend(J[np.all(resid >= -tol, axis=1)])
+        lower = np.all(resid >= -tol, axis=1)
+        facets.append((J[lower], c[lower], e[lower]))
 
 
 def bump_log_sup(bump: Bump, P) -> np.ndarray:
@@ -138,17 +143,17 @@ def bump_log_sup(bump: Bump, P) -> np.ndarray:
     slopes, intercepts, boundary = bump.slopes, bump.intercepts, bump.walls
     if not intercepts.shape[0]:
         raise ImproperFunctionError("bump has no interior anchor")
-    m, d = slopes.shape
-    if (boundary.shape[0] or m < d + 1
-            or math.comb(m, d + 1) > _FACET_ENUM_MAX_SUBSETS):
+    facets = lower_facets(slopes, intercepts, boundary)
+    if facets is None:
         return _bump_log_sup_linprog(slopes, intercepts, boundary, P)
 
     # LP dual: S(p) = min { b . lam : lam >= 0, sum lam = 1, lam . s = p },
     # attained on the lower facet whose simplex holds p
+    d = slopes.shape[1]
     n = P.shape[0]
     rhs = np.vstack([P.T, np.ones(n)])  # (d+1, n)
     best = np.full(n, -math.inf)
-    for J in _lower_facets(slopes, intercepts):
+    for J in facets[0]:
         M = np.vstack([slopes[J].T, np.ones(d + 1)])
         lam = np.linalg.solve(M, rhs)  # (d+1, n)
         covered = np.all(lam >= -1e-11, axis=0)

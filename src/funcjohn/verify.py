@@ -1,17 +1,18 @@
 """Inclusion and inequality verifiers.
 
-Domination certificates (pointwise g <= f over a ball), the John-type
-inclusion checks, the sandwich construction with its analytic tail envelope,
-and the Löwner counterexample suite.
+Domination certificates (pointwise g <= f over a ball), the polar floor
+behind the John-type inclusion check and the right side of the sandwich
+construction, and the Löwner counterexample suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.spatial import ConvexHull
 
 from . import polar
 from .lcfunc import (
@@ -155,47 +156,77 @@ def check_domination(g: LogConcaveFunction, f: LogConcaveFunction,
 
 
 # ---------------------------------------------------------------------------
-# John-type inclusion
+# the polar floor, John-type inclusion and the sandwich
 # ---------------------------------------------------------------------------
+
+
+def hull_min_offset(U: np.ndarray) -> tuple[float, tuple]:
+    """(h, n): the smallest support value h = max_i <n, u_i> over the
+    outward unit facet normals n of conv{u_i}, exactly (d = 1 by hand, else
+    by Qhull); B_r lies in the hull iff r <= h."""
+    if U.shape[1] == 1:
+        hi, lo = float(np.max(U)), float(-np.min(U))
+        return (hi, (1.0,)) if hi <= lo else (lo, (-1.0,))
+    # deduplicate near-identical points before handing them to Qhull
+    hull = ConvexHull(U[spread(U, 1e-12)])
+    # facet equations are normal . x + offset <= 0 with unit normal
+    offsets = -hull.equations[:, -1]
+    k = int(np.argmin(offsets))
+    return float(offsets[k]), tuple(float(v) for v in hull.equations[k, :-1])
+
+
+def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
+    """(exp(-M), "exact" or "sampled"): the minimum of polar(f) on the ball
+    of radius rho = 1/(d+1), with M = max_{|p| = rho} S(p), as S is convex.
+    Exact for radial f, and for bumps and positioned bumps without walls
+    whose lower facets <c_J, p> + e_J polar enumerates: M = max_J (e_J +
+    rho |c_J|), or +inf when the slope hull misses part of the ball.
+    Sampled on 1000 seeded points of the sphere for every other f."""
+    d = f.dim
+    rho = 1.0 / (d + 1)
+    if f.is_radial():
+        return math.exp(-f.radial_log_sup(rho)), "exact"
+    form = f.normal_form()
+    facets = None if form is None else polar.lower_facets(*form[:3])
+    if facets is not None:
+        _, c, e = facets
+        if not e.size or hull_min_offset(form[0])[0] < rho:
+            return 0.0, "exact"
+        return math.exp(-np.max(e + rho * np.linalg.norm(c, axis=1))), "exact"
+    # in d = 1 the 1000 points are copies of -rho and rho
+    P = np.unique(sphere_points(d, 1000, seed=seed) * rho, axis=0)
+    return float(polar.polar_eval_many(f, P).min()), "sampled"
+
+
+def _floor_holds(floor: float, d: int) -> bool:
+    return floor >= math.exp(-(d + 1)) - 1e-9
 
 
 @dataclass(frozen=True)
 class JohnInclusionRecord:
     height_below: DominationCertificate
     polar_floor_min: float
+    polar_floor_certificate: str  # "exact" or "sampled"
     polar_floor_pass: bool
-    corollary_min_gap: float  # polar(f)(p) - e^{-(d+1)} hbar((d+1) p)
-    corollary_pass: bool
 
     @property
     def passed(self) -> bool:
-        return self.height_below.passed and self.polar_floor_pass \
-            and self.corollary_pass
+        return self.height_below.passed and self.polar_floor_pass
 
 
 def john_inclusion_check(f: LogConcaveFunction, seed: int = 0
                          ) -> JohnInclusionRecord:
-    """For f in John position: hbar <= f, and polar(f) >= e^{-(d+1)} on
-    about 1000 points of the ball of radius 1/(d+1)."""
+    """For f in John position: hbar <= f by check_domination, and
+    polar(f) >= e^{-(d+1)} on the ball of radius 1/(d+1) by polar_floor,
+    which implies the corollary polar(f)(p) >= e^{-(d+1)} hbar((d+1) p)."""
     d = f.dim
-    cert = check_domination(Height(d), f, radius=1.0, seed=seed)
-    P = ball_grid(d, 1000, radius=1.0 / (d + 1), seed=seed)
-    values = polar.polar_eval_many(f, P)
-    floor = math.exp(-(d + 1))
-    from .lcfunc import hbar
-    corollary = values - floor * hbar((d + 1) * P)
+    floor, how = polar_floor(f, seed)
     return JohnInclusionRecord(
-        height_below=cert,
-        polar_floor_min=float(values.min()),
-        polar_floor_pass=bool(values.min() >= floor - 1e-9),
-        corollary_min_gap=float(corollary.min()),
-        corollary_pass=bool(corollary.min() >= -1e-9),
+        height_below=check_domination(Height(d), f, radius=1.0, seed=seed),
+        polar_floor_min=floor,
+        polar_floor_certificate=how,
+        polar_floor_pass=_floor_holds(floor, d),
     )
-
-
-# ---------------------------------------------------------------------------
-# sandwich construction
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -209,15 +240,13 @@ class SandwichRecord:
     r_star: float
     left_min: float
     left_pass: bool
-    right_max_log_gap: float
+    right_log_gap_bound: float  # M - (d+1), see sandwich_construct
+    polar_floor_certificate: str  # "exact" or "sampled"
     right_pass: bool
-    tail_coefficient_ok: bool
-    tail_polar_floor_min: float
-    tail_pass: bool
 
     @property
     def passed(self) -> bool:
-        return self.left_pass and self.right_pass and self.tail_pass
+        return self.left_pass and self.right_pass
 
 
 def sandwich_construct(f: LogConcaveFunction, seed: int = 0
@@ -225,11 +254,12 @@ def sandwich_construct(f: LogConcaveFunction, seed: int = 0
     """Build f_tilde(x) = sqrt(d+1) f(sqrt(d/(d+1)) x) and certify
     chi_ball <= f_tilde <= sqrt(d+1) e^{-|x|/(d+2) + (d+1)}.
 
-    Both inequalities are checked on grids of about 4096 points, the right
-    one up to R*, where the exponential envelope
-    f(x) <= e^{d+1} e^{-|x|/(d+1)} (a consequence of the polar floor at
-    p = x / ((d+1)|x|)) already sits strictly below the right-hand side.
-    """
+    The left side is checked on about 4096 points of the unit ball and 256
+    of its sphere.  The right side follows from polar_floor by Fenchel:
+    log f(y) <= M - |y|/(d+1), so its log gap is at most M - (d+1) -
+    (c1 - c2)|x|, c1 = sqrt(d/(d+1))/(d+1) > c2 = 1/(d+2), and it holds when
+    M <= d+1.  The record reports M - (d+1); past r_star = 1/(c1 - c2) the
+    gap is at least one below it."""
     d = f.dim
     shrink = math.sqrt(d / (d + 1.0))
     scale = math.sqrt(d + 1.0)
@@ -239,50 +269,27 @@ def sandwich_construct(f: LogConcaveFunction, seed: int = 0
 
     c1 = shrink / (d + 1.0)
     c2 = 1.0 / (d + 2.0)
-    tail_coefficient_ok = c1 > c2
-    r_star = 1.0 / (c1 - c2)
 
     # left: chi_ball <= f_tilde on the closed ball, boundary included
     X = ball_grid(d, 4096, radius=1.0, seed=seed)
     ring = sphere_points(d, 256, seed=seed + 1) * (1.0 - 1e-9)
-    left_vals = ftilde.evaluate_many(np.vstack([X, ring]))
-    left_min = float(left_vals.min())
-    left_pass = left_min >= 1.0 - 1e-9
+    left_min = float(ftilde.evaluate_many(np.vstack([X, ring])).min())
 
-    # right: grid comparison against the envelope up to R*; a core grid keeps
-    # the check meaningful when most of the wide ball misses where f lives
-    Y = np.vstack([ball_grid(d, 4096, radius=r_star, seed=seed + 2),
-                   ball_grid(d, 4096, radius=min(r_star, 4.0),
-                             seed=seed + 4)])
-    log_rhs = math.log(scale) - np.linalg.norm(Y, axis=1) / (d + 2.0) + (d + 1.0)
-    log_ft = ftilde.log_evaluate_many(Y)
-    gaps = log_ft - log_rhs
-    right_max = float(np.max(gaps))
-    right_pass = right_max <= 1e-9
-
-    # tail: spot-check the polar floor feeding the envelope
-    dirs = sphere_points(d, 64, seed=seed + 3)
-    floor_vals = polar.polar_eval_many(f, dirs / (d + 1.0))
-    tail_floor_min = float(floor_vals.min())
-    tail_pass = tail_coefficient_ok and \
-        tail_floor_min >= math.exp(-(d + 1)) - 1e-9
-
-    envelope = f"sqrt({d + 1})*exp(-|x|/{d + 2}+{d + 1})"
+    floor, how = polar_floor(f, seed)
     return SandwichRecord(
         position=pos,
         left_floor=1.0,
         right_scale=scale,
         right_decay_rate=c2,
         right_offset=float(d + 1),
-        right_envelope=envelope,
-        r_star=r_star,
+        right_envelope=f"sqrt({d + 1})*exp(-|x|/{d + 2}+{d + 1})",
+        r_star=1.0 / (c1 - c2),
         left_min=left_min,
-        left_pass=left_pass,
-        right_max_log_gap=right_max,
-        right_pass=right_pass,
-        tail_coefficient_ok=tail_coefficient_ok,
-        tail_polar_floor_min=tail_floor_min,
-        tail_pass=tail_pass,
+        left_pass=left_min >= 1.0 - 1e-9,
+        right_log_gap_bound=(-math.log(floor) if floor > 0.0 else math.inf)
+        - (d + 1.0),
+        polar_floor_certificate=how,
+        right_pass=c1 > c2 and _floor_holds(floor, d),
     )
 
 

@@ -199,6 +199,13 @@ def test_certify_needs_the_height_function(tmp_path, capsys):
                           "center": [0.0, 1.0, 2.0]}}, "'center'"),
     ("solve-john", {"f": {"variant": "gaussian", "dimension": 1,
                           "position": {"A": [[1.0]], "a": None}}}, "'a'"),
+    ("solve-john", {"f": {"variant": "gaussian", "dimension": 1,
+                          "position": {"A": 3}}}, "'A'"),
+    ("solve-john", {"f": {"variant": "gaussian", "dimension": 2,
+                          "position": {"A": [[1.0, 0.0]]}}}, "'A'"),
+    ("solve-john", {"f": {"variant": "gaussian", "dimension": 2,
+                          "position": {"A": [[1.0, 0.0], [0.0, None]]}}},
+     "'A'"),
 ])
 def test_missing_or_ill_typed_key_is_config_error(tmp_path, capsys, command,
                                                   config, key):

@@ -347,6 +347,29 @@ def test_gaussian_optimum_matches_the_closed_form(d):
     assert not np.any(rep.position.a_vector())
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gaussian_under_a_ball_indicator_matches_the_closed_form(d):
+    # w keeps its edge in the grid of t; at A = r Id the best height is
+    # exp(-r^2), so d log r - r^2 peaks at r^2 = d / 2
+    rep = solve_john(Gaussian(d), BallIndicator(d))
+    assert rep.diagnostics["engine"] == "radial" and rep.feasible
+    assert abs(rep.objective - ((d / 2.0) * math.log(d / 2.0) - d / 2.0)) \
+        <= 1e-12
+    assert np.allclose(rep.position.matrix(), math.sqrt(d / 2.0) * np.eye(d),
+                       rtol=1e-6)
+
+
+def test_radial_fixed_height_walks_down_from_its_start():
+    # m(1/2) < log 0.95 for exp(-|x|), so the search for the height steps
+    # down in r from its start at r = 1/2 before it bisects
+    rep = solve_fixed_height(ExpNorm(1, 1.0), Height(1), 0.95)
+    assert rep.diagnostics["engine"] == "radial" and rep.feasible
+    r = rep.position.matrix()[0, 0]
+    assert r < 0.5
+    m = radial.Problem(ExpNorm(1, 1.0), Height(1)).m(r)
+    assert abs(m - math.log(0.95)) <= 1e-10
+
+
 @pytest.mark.parametrize("f", [ExpNorm(2, 1.5), PolarHeightPower(2, 1.0),
                                HeightPower(2, 2.0)], ids=type)
 def test_radial_route_agrees_with_the_sampled_engine(f):

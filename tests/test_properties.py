@@ -5,9 +5,11 @@ the Fenchel-Young inequality S(p) >= <p,x> + log f(x).  The log-polyhedral
 normal form of nested positioned bumps reproduces their values, and the
 closed-form derivatives of w's radial support function match it, and the
 support function of a positioned bump agrees with the LP dual on its
-composed normal form.  Solving a
-positioned radial target composes the position with the inner solve.  Also
-the greedy thinning `spread` against the point-by-point loop it replaced."""
+composed normal form, and the exact polar floor of bumps and their
+positioned copies is the maximum of S on the sphere of radius 1/(d+1).
+Solving a positioned radial target composes the position with the inner
+solve.  Also the greedy thinning `spread` against the point-by-point loop
+it replaced."""
 
 import math
 
@@ -30,12 +32,13 @@ from funcjohn import (
     Positioned,
     log_sup_transform,
     make_position,
+    polar_floor,
     solve_john,
 )
 from funcjohn import polar
 from funcjohn.acceptance import bump_corpus
 from funcjohn.johnsolve import target_log_grad
-from funcjohn.verify import _SPREAD_BLOCK, spread
+from funcjohn.verify import _SPREAD_BLOCK, sphere_points, spread
 
 SUPPORT_EPS = 1e-4  # width of the target's smooth extension below a support
 REFUSED = (HalfRestriction, LogAffineMajorant)  # no smooth solver target
@@ -231,6 +234,33 @@ def test_log_sup_is_equivariant_under_positions(d, idx, seed):
     assert np.isinf(want[6:]).all() and np.isfinite(want[:6]).all()
     live = np.isfinite(want)
     np.testing.assert_allclose(got[live], want[live], rtol=1e-12, atol=1e-12)
+
+
+@PROPERTY
+@given(d=st.integers(1, 4), idx=st.integers(0, 9), positioned=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_exact_polar_floor_is_the_max_of_S_on_the_small_sphere(
+        d, idx, positioned, seed):
+    # M = -log polar_floor = max_J (e_J + rho |c_J|) bounds S at sampled
+    # points of the sphere |p| = rho, and S attains it at rho c_J / |c_J|
+    # of the maximizing facet
+    f = bump_corpus(d)[idx].function
+    rng = np.random.default_rng(seed)
+    if positioned:
+        T = np.eye(d) + rng.uniform(-0.1, 0.1, size=(d, d))
+        f = Positioned(inner=f, position=make_position(
+            rng.uniform(0.5, 2.0), T, rng.uniform(-0.5, 0.5, size=d)))
+    rho = 1.0 / (d + 1)
+    floor, how = polar_floor(f)
+    assert how == "exact" and floor > 0.0
+    M = -math.log(floor)
+    S = f.log_sup(sphere_points(d, 1000, seed=seed) * rho)
+    assert np.max(S) <= M + 1e-12
+    _, c, e = polar.lower_facets(*f.normal_form()[:3])
+    k = int(np.argmax(e + rho * np.linalg.norm(c, axis=1)))
+    norm = np.linalg.norm(c[k])
+    p = rho * (c[k] / norm if norm else _e1(d))
+    assert abs(f.log_sup(p[None, :])[0] - M) <= 1e-12
 
 
 RADIAL_TARGETS = {

@@ -1,5 +1,5 @@
-"""Domination certificates, inclusion checks, the sandwich construction, and
-the half-restriction counterexample suite."""
+"""Domination certificates, the polar floor behind the inclusion check and
+the sandwich construction, and the half-restriction counterexample suite."""
 
 import math
 
@@ -9,15 +9,19 @@ import pytest
 from funcjohn import (
     Bump,
     Gaussian,
+    HalfRestriction,
     Height,
     Positioned,
     check_domination,
     john_inclusion_check,
     lowner_counterexample,
     make_position,
+    polar_floor,
     sandwich_construct,
 )
-from funcjohn.verify import ball_grid
+from funcjohn import polar
+from funcjohn.acceptance import bump_corpus
+from funcjohn.verify import ball_grid, sphere_points
 
 R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT = Bump(anchors=((R2,), (-R2,)))
@@ -73,15 +77,59 @@ def test_john_inclusion_height():
     for d in (1, 2):
         rec = john_inclusion_check(Height(d))
         assert rec.passed
+        assert rec.polar_floor_certificate == "exact"
         assert rec.polar_floor_min >= math.exp(-(d + 1)) - 1e-9
 
 
 def test_john_inclusion_two_point_bump():
     rec = john_inclusion_check(TWO_POINT)
     assert rec.passed
-    # min of the polar over [-1/2, 1/2] is at least e^{-2}
-    assert rec.polar_floor_min >= math.exp(-2.0) - 1e-9
-    assert rec.corollary_min_gap >= -1e-9
+    # S is the constant intercept 1 - log(2)/2 on the slope hull
+    # [-sqrt 2, sqrt 2], so the polar is sqrt(2)/e on [-1/2, 1/2]
+    assert rec.polar_floor_certificate == "exact"
+    assert abs(rec.polar_floor_min - math.sqrt(2.0) / math.e) <= 1e-15
+
+
+@pytest.mark.parametrize("anchors", [
+    ((0.1,), (-0.1,)),
+    ((0.1,), (0.2,)),
+    tuple((0.05 * math.cos(a), 0.05 * math.sin(a)) for a in (0.0, 2.0, 4.0)),
+], ids=["d1-about-the-origin", "d1-off-the-origin", "d2-about-the-origin"])
+def test_a_slope_hull_missing_the_small_ball_gives_floor_zero(anchors):
+    # S = +inf off the slope hull, so the polar vanishes on the part of the
+    # ball of radius 1/(d+1) that the hull misses
+    f = Bump(anchors=anchors)
+    d = f.dim
+    assert polar_floor(f) == (0.0, "exact")
+    assert np.isinf(f.log_sup(sphere_points(d, 100) / (d + 1))).any()
+    assert not john_inclusion_check(f).polar_floor_pass
+    assert not sandwich_construct(f).right_pass
+
+
+def test_sampled_polar_floor_is_labelled_and_never_below_the_exact(
+        monkeypatch):
+    for d in (2, 3):
+        f = bump_corpus(d)[3].function
+        exact, how = polar_floor(f)
+        assert how == "exact"
+        # past the subset cap the lower facets are not enumerated
+        monkeypatch.setattr(polar, "_FACET_ENUM_MAX_SUBSETS", 0)
+        sampled, how = polar_floor(f)
+        monkeypatch.undo()
+        assert how == "sampled"
+        assert exact - 1e-12 <= sampled <= exact + 0.02
+    # neither radial nor log-polyhedral; S = |p|^2 / 4 where p points into
+    # the half-plane and |p_2|^2 / 4 elsewhere, so it peaks at rho^2 / 4
+    floor, how = polar_floor(HalfRestriction(inner=Gaussian(2),
+                                             normal=(1.0, 0.0)))
+    assert how == "sampled"
+    assert math.exp(-1.0 / 36.0) <= floor <= math.exp(-1.0 / 36.0) + 1e-3
+    # in d = 1 the sphere is {-1/2, 1/2}; for exp(-(x - 0.3)^2) on x >= 0,
+    # S(p) = 0.3 p + p^2 / 4 at both, by the numeric multi-start ascent
+    floor, how = polar_floor(HalfRestriction(inner=Positioned(
+        inner=Gaussian(1), position=make_position(1.0, [[1.0]], [0.3])),
+        normal=(1.0,)))
+    assert how == "sampled" and abs(floor - math.exp(-0.2125)) <= 1e-9
 
 
 def test_sandwich_two_point_constants():
@@ -92,6 +140,10 @@ def test_sandwich_two_point_constants():
     assert abs(rec.right_scale - math.sqrt(2.0)) < 1e-15
     assert abs(rec.right_decay_rate - 1.0 / 3.0) < 1e-15
     assert rec.right_offset == 2.0
+    # the Fenchel bound M - (d+1) with M = 1 - log(2)/2
+    assert rec.polar_floor_certificate == "exact"
+    assert abs(rec.right_log_gap_bound - (-1.0 - 0.5 * math.log(2.0))) \
+        <= 1e-15
 
 
 def test_sandwich_height_equality_at_boundary():

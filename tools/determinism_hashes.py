@@ -10,8 +10,10 @@ height power on the radial route, and a positioned exp-norm under a ball
 indicator composed with the radial solve of its inner function),
 fixed-height solves of the two-point bump and of a positioned d = 2 bump on
 the exact route, the polar of six variants on a 7x7 lattice, and the
-john-check and sandwich certificates.  No case takes the sampled engine,
-and the whole set takes about two seconds on two cores.
+john-check and sandwich certificates of the two-point bump, the Gaussian
+(radial polar floor) and a d = 3 decomposition bump (polar floor from its
+lower facets).  No case takes the sampled engine, and the whole set takes
+about three seconds on two cores.
 """
 
 from __future__ import annotations
@@ -76,7 +78,8 @@ CASES = [
     *[(f"{cmd}/{name}", [cmd], {"f": f})
       for cmd in ("john-check", "sandwich")
       for name, f in (("two-point-bump", TWO_POINT_BUMP),
-                      ("gaussian-2", GAUSSIAN_2))],
+                      ("gaussian-2", GAUSSIAN_2),
+                      ("decomposition-bump-3", _decomposition_bump(3, 0)))],
 ]
 
 
