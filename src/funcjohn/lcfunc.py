@@ -6,12 +6,14 @@ densities, log-affine majorants touching the height function, bumps (pointwise
 minima of majorants), half-space restrictions, and affinely positioned copies
 of any of the above.
 
-Each variant holds its own math in one place: log f (log_evaluate_many), the
-smooth value and gradient the solver maximizes against (log_value_grad), and
-the support function S(p) = sup_x <p,x> + log f(x) behind the polar (log_sup,
-with radial_log_sup for radial variants, and its derivatives in closed form
-for the height powers and the ball).  Bumps and their positioned copies also
-give the log-polyhedral normal form the exact solver reads (normal_form).
+Each variant holds its own math in one place: log f (log_evaluate_many), log f
+and its gradient where f > 0 (log_value_grad), from which the solver's cut
+route takes tangent majorants, and the support function
+S(p) = sup_x <p,x> + log f(x) behind the polar (log_sup, with radial_log_sup
+for radial variants, and its derivatives in closed form for the height powers
+and the ball).  Bumps, their half-restrictions and their positioned copies
+also give the log-polyhedral normal form the exact solver reads
+(normal_form).
 
 All values are immutable after construction and evaluation is pure.
 """
@@ -28,8 +30,6 @@ from scipy.stats import qmc
 MAX_DIM = 8
 BOUNDARY_SNAP = 1e-12
 
-_SUPPORT_EPS = 1e-4  # smooth extension width below bounded supports
-_BOUNDARY_WALL = 1e6  # slope of a bump's wall at a boundary anchor
 _GENERIC_STARTS = 32  # ascents per point of the numeric support function
 _NEGLIGIBLE_LOG = -46.0  # log f - log peak at which f counts as negligible
 
@@ -51,7 +51,8 @@ class DivergentIntegralError(ValueError):
 
 
 class NoSolverTargetError(ValueError):
-    """The variant has no smooth log value and gradient for the solver."""
+    """The solver has no route for the variant: it has no log value and
+    gradient to cut with, or a bounded support that cuts cannot follow."""
 
 
 def _check_dim(d: int) -> int:
@@ -101,7 +102,7 @@ def zeta(t: float) -> float:
 @dataclass(frozen=True)
 class LogConcaveFunction:
     """Base class; subclasses implement log_evaluate_many and override the
-    solver target and support-function hooks where they have closed forms."""
+    gradient and support-function hooks where they have closed forms."""
 
     def __post_init__(self):
         _check_dim(self.dim)
@@ -151,19 +152,16 @@ class LogConcaveFunction:
     def integral(self) -> float:
         return _numeric_integral(self)
 
-    # --- solver target and support function ---------------------------
+    # --- gradient, normal form and support function -------------------
 
-    def log_value_grad(self, X: np.ndarray, tau: float = 0.0
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """(log f, grad log f) rows of the solver's smooth target.
-
-        Bounded supports are extended smoothly below their boundary so that
-        iterates stepping outside still see a gradient; tau > 0 smooths a
-        bump's min over majorants.  Variants without an analytic target are
-        refused rather than finite-differenced through -inf."""
+    def log_value_grad(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(log f, grad log f) at the rows of X where f > 0 (a gradient of
+        the active piece where log f has a kink); the value is -inf where
+        f = 0, and the gradient there means nothing.  Variants without an
+        analytic gradient are refused rather than finite-differenced."""
         raise NoSolverTargetError(
-            f"{type(self).__name__} has no smooth solver target (log value "
-            "and gradient), so the solver cannot take it as f")
+            f"{type(self).__name__} has no log value and gradient, so the "
+            "solver cannot take it as f")
 
     def normal_form(self) -> tuple | None:
         """(slopes, intercepts, wall normals N, wall offsets c) when the
@@ -275,16 +273,10 @@ class HeightPower(LogConcaveFunction):
             return np.where(sq > 0.0,
                             0.5 * self.s * np.log(np.maximum(sq, 1e-320)), -np.inf)
 
-    def log_value_grad(self, X, tau=0.0):
-        s = self.s
+    def log_value_grad(self, X):
         sq = 1.0 - np.einsum("ij,ij->i", X, X)
-        sq_safe = np.maximum(sq, _SUPPORT_EPS)
-        # linear continuation in sq below the extension threshold keeps the
-        # pull-back gradient alive for iterates that step outside the support
-        vals = np.where(sq >= _SUPPORT_EPS, 0.5 * s * np.log(sq_safe),
-                        0.5 * s * math.log(_SUPPORT_EPS)
-                        + 0.5 * s * (sq - _SUPPORT_EPS) / _SUPPORT_EPS)
-        return vals, (-s / sq_safe)[:, None] * X
+        scale = np.divide(-self.s, sq, out=np.zeros_like(sq), where=sq > 0.0)
+        return self.log_evaluate_many(X), scale[:, None] * X
 
     def radial_log_sup(self, c):
         return -float(_polar_height_power_log(np.array([c]), self.s)[0])
@@ -347,13 +339,8 @@ class BallIndicator(LogConcaveFunction):
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.radius, 0.0, -np.inf)
 
-    def log_value_grad(self, X, tau=0.0):
-        # a steep quadratic wall outside the ball
-        sq = self.radius ** 2 - np.einsum("ij,ij->i", X, X)
-        inside = sq >= 0.0
-        vals = np.where(inside, 0.0, sq / _SUPPORT_EPS)
-        grads = np.where(inside[:, None], 0.0, (2.0 / _SUPPORT_EPS) * (-X))
-        return vals, grads
+    def log_value_grad(self, X):
+        return self.log_evaluate_many(X), np.zeros_like(X)
 
     def log_sup(self, P):
         return self.radius * np.linalg.norm(P, axis=1)
@@ -396,7 +383,7 @@ class Gaussian(LogConcaveFunction):
         r = np.asarray(r, dtype=float)
         return -r * r
 
-    def log_value_grad(self, X, tau=0.0):
+    def log_value_grad(self, X):
         return -np.einsum("ij,ij->i", X, X), -2.0 * X
 
     def radial_log_sup(self, c):
@@ -435,7 +422,7 @@ class ExpNorm(LogConcaveFunction):
         r = np.asarray(r, dtype=float)
         return -r ** self.p
 
-    def log_value_grad(self, X, tau=0.0):
+    def log_value_grad(self, X):
         r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
         return -r ** self.p, (-self.p * r ** (self.p - 2.0))[:, None] * X
 
@@ -495,7 +482,7 @@ class PolarHeightPower(LogConcaveFunction):
     def radial_log_profile(self, r):
         return _polar_height_power_log(np.asarray(r, dtype=float), self.s)
 
-    def log_value_grad(self, X, tau=0.0):
+    def log_value_grad(self, X):
         r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
         s = self.s
         # envelope theorem: the derivative in r is -r*(r), the inner maximizer
@@ -650,24 +637,9 @@ class Bump(LogConcaveFunction):
             logs[np.any(X @ self.walls.T >= 1.0, axis=1)] = -np.inf
         return logs
 
-    def log_value_grad(self, X, tau=0.0):
-        """tau > 0 replaces the min over majorants by a soft-min at that
-        temperature (a lower bound on the bump, so the relaxation stays
-        conservative); quasi-Newton steps need it because the hard min has
-        gradient ridges.  Boundary anchors become steep linear walls."""
-        vals_all = self.intercepts - X @ self.slopes.T
-        slopes = self.slopes
-        if self.walls.shape[0]:
-            vals_all = np.hstack(
-                [vals_all, _BOUNDARY_WALL * (1.0 - X @ self.walls.T)])
-            slopes = np.vstack([slopes, _BOUNDARY_WALL * self.walls])
-        if tau > 0.0:
-            vmin = vals_all.min(axis=1, keepdims=True)
-            e = np.exp(-(vals_all - vmin) / tau)
-            Z = e.sum(axis=1)
-            return vmin[:, 0] - tau * np.log(Z), -(e / Z[:, None]) @ slopes
-        idx = np.argmin(vals_all, axis=1)
-        return vals_all[np.arange(X.shape[0]), idx], -slopes[idx]
+    def log_value_grad(self, X):
+        idx = np.argmin(self.intercepts - X @ self.slopes.T, axis=1)
+        return self.log_evaluate_many(X), -self.slopes[idx]
 
     def normal_form(self):
         return (self.slopes, self.intercepts, self.walls,
@@ -718,6 +690,15 @@ class HalfRestriction(LogConcaveFunction):
         logs = self.inner.log_evaluate_many(X)
         return np.where(X @ self.normal_vector() >= 0.0, logs, -np.inf)
 
+    def normal_form(self):
+        """The inner normal form plus the wall f = 0 on <-n, x> >= 0."""
+        form = self.inner.normal_form()
+        if form is None:
+            return None
+        slopes, intercepts, N, c = form
+        return (slopes, intercepts, np.vstack([N, -self.normal_vector()]),
+                np.append(c, 0.0))
+
     def log_sup(self, P):
         if not self.inner.is_radial():
             return super().log_sup(P)
@@ -734,10 +715,7 @@ class HalfRestriction(LogConcaveFunction):
         return self.inner.support_radius()
 
     def sup_norm(self):
-        if self.inner.is_radial():
-            # radial profiles shipped here are nonincreasing, max at 0
-            return math.exp(float(self.inner.radial_log_profile(np.array([0.0]))[0]))
-        return self.inner.sup_norm()
+        return math.exp(float(self.log_sup(np.zeros((1, self.dim)))[0]))
 
     def integral(self):
         if self.inner.is_radial():
@@ -766,11 +744,11 @@ class Positioned(LogConcaveFunction):
         Y = (X - pos.a_vector()) @ pos.inverse_matrix().T
         return math.log(pos.alpha) + self.inner.log_evaluate_many(Y)
 
-    def log_value_grad(self, X, tau=0.0):
+    def log_value_grad(self, X):
         pos = self.position
         inv = pos.inverse_matrix()
         Y = (X - pos.a_vector()) @ inv.T
-        vals, grads = self.inner.log_value_grad(Y, tau)
+        vals, grads = self.inner.log_value_grad(Y)
         return vals + math.log(pos.alpha), grads @ inv
 
     def normal_form(self):

@@ -143,13 +143,28 @@ def test_precondition_failure_exit(tmp_path):
 
 
 def test_solve_john_refuses_half_restriction(tmp_path, capsys):
+    # of a bounded support, which tangent cuts cannot follow
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"f": {
+        "variant": "half_restriction", "normal": [1.0],
+        "inner": {"variant": "height", "dimension": 1}}}))
+    assert main(["solve-john", "--config", str(cfg),
+                 "--out", str(tmp_path / "h")]) == EXIT_PRECONDITION
+    assert "HalfRestriction" in capsys.readouterr().err
+
+
+def test_solve_john_solves_a_half_restricted_gaussian(tmp_path):
     cfg = tmp_path / "f.json"
     cfg.write_text(json.dumps({"f": {
         "variant": "half_restriction", "normal": [1.0],
         "inner": {"variant": "gaussian", "dimension": 1}}}))
+    out = tmp_path / "h"
     assert main(["solve-john", "--config", str(cfg),
-                 "--out", str(tmp_path / "h")]) == EXIT_PRECONDITION
-    assert "HalfRestriction" in capsys.readouterr().err
+                 "--out", str(out)]) == EXIT_PASS
+    solve = json.loads((out / "report.json").read_text())["solve"]
+    assert solve["feasible"] is True
+    assert solve["diagnostics"]["engine"] == "cuts"
+    assert solve["diagnostics"]["certificate"] == "sampled"
 
 
 def test_unknown_solver_option_is_config_error(tmp_path, capsys):

@@ -1,6 +1,6 @@
 """The exact route for bumps and their positioned copies: feasibility by an
-independent closed-form certificate, agreement with the sampled engine, and
-the barrier's derivatives."""
+independent closed-form certificate, agreement with the cut route (whose
+certificate is sampled), and the barrier's derivatives."""
 
 import math
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from funcjohn import (
 )
 from funcjohn.acceptance import bump_corpus
 from funcjohn.exact import Problem
-from funcjohn.johnsolve import _Engine
+from funcjohn.johnsolve import _cut_sample, _sampled_violation
 
 R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT = Bump(anchors=((R2,), (-R2,)))
@@ -61,8 +61,9 @@ def _in_bump_coordinates(rep, outer):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_d3_bump_solves_are_feasible(seed):
-    # the sampled engine reported these feasible at exact violations of
-    # 1.8e-3 to 1.21, and objectives up to 7.3e-4 above the optimum 0
+    # the sampled solver this library once had reported these feasible at
+    # exact violations of 1.8e-3 to 1.21, and objectives up to 7.3e-4 above
+    # the optimum 0
     f = bump_from_decomposition(generate_decomposition(3, seed)).function
     rep = solve_john(f, Height(3), SolverOptions(seed=0, restarts=2))
     assert rep.feasible
@@ -73,9 +74,9 @@ def test_d3_bump_solves_are_feasible(seed):
 
 
 def test_conjugate_with_anchors_near_the_sphere_is_feasible():
-    # anchors +-0.9999999983 lie beyond the radius 0.9999 the sampled
-    # certificate covers; the sampled engine's position here violates the
-    # closed form by 2951
+    # anchors +-0.9999999983 lie beyond the radius 0.9999 that the
+    # certificate of the former sampled solver covered; its position here
+    # violated the closed form by 2951
     bump = bump_from_decomposition(generate_decomposition(1, 696582)).function
     T = make_position(1.0886571223938564, [[1.2552511830718847]],
                       [0.4227256864229143], positive_definite=True)
@@ -123,9 +124,9 @@ def test_regular_corpus_bumps_solve_to_the_optimum(d, count):
 
 @dataclass(frozen=True)
 class _ValuesOnly(LogConcaveFunction):
-    """A function seen only through its values and solver target, without
-    a normal form and without being radial, so that the solver samples it
-    on the constraint-exchange engine."""
+    """A function seen only through its values and their gradients, without
+    a normal form and without being radial, so that the solver takes it on
+    the cut route."""
 
     inner: LogConcaveFunction
 
@@ -136,8 +137,8 @@ class _ValuesOnly(LogConcaveFunction):
     def log_evaluate_many(self, X):
         return self.inner.log_evaluate_many(X)
 
-    def log_value_grad(self, X, tau=0.0):
-        return self.inner.log_value_grad(X, tau)
+    def log_value_grad(self, X):
+        return self.inner.log_value_grad(X)
 
     def sup_norm(self):
         return self.inner.sup_norm()
@@ -150,10 +151,9 @@ def test_sampled_engine_agrees_with_the_exact_route(d, idx):
     sampled = solve_john(_ValuesOnly(f), Height(d),
                          SolverOptions(seed=0, restarts=1))
     assert exact.diagnostics["engine"] == "exact"
-    assert sampled.diagnostics["engine"] == "sampled"
-    assert sampled.objective <= exact.objective + 1e-8
-    assert abs(sampled.objective - exact.objective) \
-        <= 1e-3 * max(abs(exact.objective), 1.0)
+    assert sampled.diagnostics["engine"] == "cuts"
+    assert sampled.feasible and sampled.diagnostics["converged"]
+    assert abs(sampled.objective - exact.objective) <= 1e-8
 
 
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
@@ -166,8 +166,9 @@ def test_sampled_certificate_never_exceeds_the_exact_one(d, idx, seed):
     A = np.eye(d) + (B + B.T) / 2.0
     A += max(0.0, 0.3 - np.linalg.eigvalsh(A).min()) * np.eye(d)
     a = 0.3 * rng.standard_normal(d)
-    engine = _Engine(f, Height(d), SolverOptions(seed=0, restarts=1))
-    sampled, _ = engine.certify(engine.pack(A, a))
+    # the cut route's violation on its sample of supp w
+    sampled, _ = _sampled_violation(f, *_cut_sample(Height(d), seed=0),
+                                    0.0, A, a)
     exact = Problem(f.normal_form(), Height(d)).certificate(0.0, A, a)
     assert sampled <= exact + 1e-12
 

@@ -1,9 +1,10 @@
 """Functional John solver: fixed points, certification, equivariance,
-fixed-height solves, the height curve, and the radial route against closed
-forms and the sampled engine."""
+fixed-height solves, the height curve, the radial route against closed
+forms and the cut route, and the cut route on half-restrictions against the
+exact route."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -38,7 +39,9 @@ from funcjohn import (
 from funcjohn import johnsolve, radial
 from funcjohn.acceptance import bump_corpus
 from funcjohn.cli import function_from_config
-from funcjohn.johnsolve import CurveSample, _Engine
+from funcjohn.exact import Problem
+from funcjohn.johnsolve import CurveSample
+from funcjohn.verify import ball_grid
 from test_exact import _ValuesOnly
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -55,7 +58,7 @@ def two_point_solve():
 
 @pytest.fixture(scope="module")
 def gaussian_solve():
-    """A free solve that takes the sampled engine: the Gaussian seen only
+    """A free solve that takes the cut route: the Gaussian seen only
     through its values is neither log-polyhedral nor known to be radial."""
     return solve_john(_ValuesOnly(Gaussian(1)), Height(1), OPTS)
 
@@ -81,8 +84,8 @@ def test_height_height_fixed_point():
 
 
 def test_half_restriction_target_is_refused():
-    # finite differences of its -inf values would hand the solver NaN
-    f = HalfRestriction(inner=Gaussian(1), normal=(1.0,))
+    # a bounded support has no tangent cuts, and its edge is not a wall
+    f = HalfRestriction(inner=Height(1), normal=(1.0,))
     with pytest.raises(NoSolverTargetError, match="HalfRestriction"):
         solve_john(f, Height(1), OPTS)
 
@@ -105,17 +108,17 @@ def test_feasibility_cross_check(two_point_solve):
     assert cert.max_log_violation <= 2.0 * CONSTRAINT_TOL
 
 
-def test_objective_trace_monotone(gaussian_solve):
-    rep = gaussian_solve
-    trace = rep.diagnostics["objective_trace"]
-    assert all(b >= a - 1e-12 for a, b in zip(trace, trace[1:]))
-
-
 def test_free_solve_reports_why_it_stopped(gaussian_solve):
-    assert gaussian_solve.diagnostics["engine"] == "sampled"
-    assert gaussian_solve.diagnostics["certificate"] == "sampled"
-    assert gaussian_solve.diagnostics["stop_reason"] == "certificate_agrees"
-    assert gaussian_solve.diagnostics["converged"] is True
+    diag = gaussian_solve.diagnostics
+    assert diag["engine"] == "cuts"
+    assert diag["certificate"] == "sampled"
+    assert diag["stop_reason"] == "violation_below_tol"
+    assert diag["converged"] is True
+    assert diag["rounds"] >= 1 and diag["cuts"] >= 4
+    assert diag["newton_steps"] > 0
+    # the relaxation's optimum bounds the true one from above
+    assert gaussian_solve.objective <= diag["upper_bound"] <= \
+        gaussian_solve.objective + 1e-8
 
 
 def test_exact_route_reports_why_it_stopped(two_point_solve):
@@ -129,17 +132,39 @@ def test_exact_route_reports_why_it_stopped(two_point_solve):
 
 
 def test_free_solve_flags_the_round_cap(monkeypatch):
-    # a certificate that never agrees with the separation sup, with a fresh
-    # witness each time, runs the feedback loop out of rounds
-    witnesses = iter(np.linspace(-0.5, 0.5, 50))
+    # a sampled violation that never falls below the tolerance runs the
+    # cut loop out of rounds
+    sampled_violation = johnsolve._sampled_violation
 
-    def certify(engine, theta):
-        return engine.separation(theta)[0] + 1e-3, np.array([next(witnesses)])
+    def stuck(*args):
+        violation, worst = sampled_violation(*args)
+        return max(violation, 1e-3), worst
 
-    monkeypatch.setattr(_Engine, "certify", certify)
+    monkeypatch.setattr(johnsolve, "_sampled_violation", stuck)
     rep = solve_john(_ValuesOnly(Gaussian(1)), Height(1),
                      SolverOptions(seed=0, restarts=1))
     assert rep.diagnostics["stop_reason"] == "round_cap"
+    assert rep.diagnostics["converged"] is False
+    assert rep.diagnostics["rounds"] == johnsolve._MAX_ROUNDS
+    # the free height absorbed the violation the loop left
+    assert rep.feasible
+    assert rep.diagnostics["upper_bound"] - rep.objective >= 1e-3 - 1e-12
+
+
+def test_cut_route_is_not_converged_when_its_relaxation_is_not(
+        monkeypatch):
+    # a feasible position from a barrier solve cut short is no optimum
+    solve = Problem.solve
+
+    def capped(problem, start, log_alpha):
+        return replace(solve(problem, start, log_alpha),
+                       stop_reason="iteration_cap")
+
+    monkeypatch.setattr(Problem, "solve", capped)
+    rep = solve_john(_ValuesOnly(Gaussian(1)), Height(1), OPTS)
+    assert rep.feasible
+    assert rep.diagnostics["stop_reason"] == "violation_below_tol"
+    assert rep.diagnostics["relaxation_stop_reason"] == "iteration_cap"
     assert rep.diagnostics["converged"] is False
 
 
@@ -277,51 +302,6 @@ def test_phi_concavity_violation_synthetic():
     assert phi_concavity_violation(convex) == 1.0
 
 
-def test_engine_packing_roundtrip_and_logdet():
-    # theta packs the log-Cholesky factor of A row by row, then a; at
-    # lam = 0 the objective fused minimizes is -log det A
-    rng = np.random.default_rng(13)
-    for d in (1, 2, 3):
-        engine = _Engine(Gaussian(d), Height(d),
-                         SolverOptions(seed=0, restarts=1))
-        k = d * (d + 1) // 2
-        assert engine.K == k
-        B = rng.standard_normal((d, d))
-        A = B @ B.T + 0.5 * np.eye(d)
-        a = rng.standard_normal(d)
-        theta = engine.pack(A, a)
-        assert theta.shape == (k + d,)
-        A2, a2 = engine.unpack(theta)
-        assert np.allclose(A2, A, atol=1e-12)
-        assert np.array_equal(a2, a)
-        val, _ = engine.fused(theta, 0.0, 1e-3)
-        assert abs(-val - math.log(np.linalg.det(A))) < 1e-10
-
-
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("target", ["bump", "positioned_gaussian"])
-def test_fused_gradient_matches_central_differences(d, target):
-    # fused lays out its gradient in the packing order that _factor
-    # unpacks, so a mismatch between the two would show up here
-    if target == "bump":
-        f = bump_corpus(d)[1].function
-    else:
-        B = np.tri(d) + 0.3 * np.tri(d, k=-1)
-        f = Positioned(inner=Gaussian(d), position=make_position(
-            1.5, B @ B.T, 0.2 * np.arange(1.0, d + 1.0)))
-    engine = _Engine(f, Height(d), SolverOptions(seed=0, restarts=1))
-    rng = np.random.default_rng(d)
-    theta = engine.initial_theta(rng, 1)
-    theta[:engine.K] += 0.1 * rng.standard_normal(engine.K)
-    for lam, tau in ((1.0, 1e-1), (0.5, 1e-2)):
-        _, grad = engine.fused(theta, lam, tau)
-        h = 1e-6
-        fd = np.array([(engine.fused(theta + h * e, lam, tau)[0]
-                        - engine.fused(theta - h * e, lam, tau)[0]) / (2 * h)
-                       for e in np.eye(theta.shape[0])])
-        np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
-
-
 # ---------------------------------------------------------------------------
 # the radial route
 # ---------------------------------------------------------------------------
@@ -370,18 +350,40 @@ def test_radial_fixed_height_walks_down_from_its_start():
     assert abs(m - math.log(0.95)) <= 1e-10
 
 
-@pytest.mark.parametrize("f", [ExpNorm(2, 1.5), PolarHeightPower(2, 1.0),
-                               HeightPower(2, 2.0)], ids=type)
-def test_radial_route_agrees_with_the_sampled_engine(f):
-    radial_rep = solve_john(f, Height(2))
-    sampled = solve_john(_ValuesOnly(f), Height(2),
+def _agrees_with_the_cut_route(f):
+    radial_rep = solve_john(f, Height(f.dim))
+    sampled = solve_john(_ValuesOnly(f), Height(f.dim),
                          SolverOptions(seed=0, restarts=1))
     assert radial_rep.diagnostics["engine"] == "radial"
-    assert sampled.diagnostics["engine"] == "sampled"
+    assert sampled.diagnostics["engine"] == "cuts"
     assert radial_rep.feasible and sampled.feasible
-    assert sampled.objective <= radial_rep.objective + 1e-8
-    assert abs(sampled.objective - radial_rep.objective) \
-        <= 1e-3 * max(abs(radial_rep.objective), 1.0)
+    assert sampled.diagnostics["converged"]
+    assert abs(sampled.objective - radial_rep.objective) <= 1e-8
+
+
+@pytest.mark.parametrize("f", [ExpNorm(2, 1.5), PolarHeightPower(2, 1.0)],
+                         ids=type)
+def test_radial_route_agrees_with_the_sampled_engine(f):
+    # the sampled engine is the cut route, whose certificate is sampled
+    _agrees_with_the_cut_route(f)
+
+
+@pytest.mark.parametrize("f", [Gaussian(1), Gaussian(2), Gaussian(3),
+                               ExpNorm(3, 1.5)], ids=repr)
+def test_radial_route_agrees_with_the_cut_route(f):
+    _agrees_with_the_cut_route(f)
+
+
+def test_values_only_height_power_is_refused_before_any_relaxation(
+        monkeypatch):
+    # its support ends at the unit sphere, which is no half-space wall, and
+    # the first tangent points lie on that sphere, where log f = -inf
+    def refuse(*args, **kwargs):
+        raise AssertionError("a relaxation was built")
+
+    monkeypatch.setattr(johnsolve, "Problem", refuse)
+    with pytest.raises(NoSolverTargetError, match="_ValuesOnly"):
+        solve_john(_ValuesOnly(HeightPower(2, 2.0)), Height(2))
 
 
 def test_radial_fixed_height_attains_the_height():
@@ -393,9 +395,8 @@ def test_radial_fixed_height_attains_the_height():
     assert abs(m - math.log(0.5)) <= 1e-10
     sampled = solve_fixed_height(_ValuesOnly(Gaussian(1)), Height(1), 0.5,
                                  OPTS)
-    assert sampled.diagnostics["engine"] == "sampled"
-    assert abs(sampled.position.det() - rep.position.det()) \
-        <= 1e-3 * rep.position.det()
+    assert sampled.diagnostics["engine"] == "cuts" and sampled.feasible
+    assert abs(sampled.objective - rep.objective) <= 1e-8
 
 
 @pytest.mark.parametrize("xi", [1e-3, 1e-7, 1e-30])
@@ -482,7 +483,7 @@ def test_radial_nan_profile_is_refused_before_any_optimizer(monkeypatch):
 def test_positioned_half_restriction_is_refused_before_any_optimizer(
         monkeypatch):
     _no_optimizer(monkeypatch)
-    f = Positioned(inner=HalfRestriction(inner=Gaussian(1), normal=(1.0,)),
+    f = Positioned(inner=HalfRestriction(inner=Height(1), normal=(1.0,)),
                    position=make_position(2.0, [[3.0]], [1.0]))
     with pytest.raises(NoSolverTargetError, match="HalfRestriction"):
         solve_john(f, Height(1), OPTS)
@@ -532,25 +533,92 @@ _VARIANT_CONFIGS = [
                                                                   in c))
 def test_no_library_variant_reaches_the_sampled_engine(monkeypatch, config,
                                                        positioned):
+    # every variant solves, free and at half its peak, on a route with an
+    # exact or a one-dimensional certificate, or on the cut route
     config = dict(config, dimension=2)
     if positioned:
         config["position"] = {"alpha": 1.5, "A": [[1.2, 0.7], [-0.4, 0.8]],
                               "a": [0.1, -0.2]}
     f = function_from_config(config)
-    if config["variant"] == "half_restriction":
-        # it has no smooth target, so the solve is refused
-        with pytest.raises(NoSolverTargetError):
-            solve_john(f, Height(2))
-        return
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("the sampled engine ran")
+    def finite(form, w):
+        # no NaN reaches the barrier
+        assert all(np.all(np.isfinite(part)) for part in form)
+        return Problem(form, w)
 
-    monkeypatch.setattr(johnsolve, "_Engine", refuse)
+    monkeypatch.setattr(johnsolve, "Problem", finite)
+    route = "cuts" if config["variant"] == "half_restriction" else None
     for rep in (solve_john(f, Height(2)),
                 solve_fixed_height(f, Height(2), 0.5 * f.sup_norm())):
-        assert rep.diagnostics["engine"] in ("exact", "radial")
-        assert rep.feasible
+        assert rep.diagnostics["engine"] in ((route,) if route else
+                                             ("exact", "radial"))
+        assert rep.feasible and rep.diagnostics["converged"]
+
+
+@pytest.mark.parametrize("positioned", [False, True])
+@pytest.mark.parametrize("inner", [
+    {"variant": "height"}, {"variant": "height_power", "s": 2.0},
+    {"variant": "ball_indicator", "radius": 1.5}], ids=lambda c: c["variant"])
+def test_half_restriction_of_a_bounded_support_is_refused_up_front(
+        monkeypatch, inner, positioned):
+    config = {"variant": "half_restriction", "dimension": 2,
+              "normal": [1.0, 0.0], "inner": dict(inner, dimension=2)}
+    if positioned:
+        config["position"] = {"alpha": 1.5, "A": [[1.2, 0.7], [-0.4, 0.8]],
+                              "a": [0.1, -0.2]}
+    f = function_from_config(config)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a relaxation was built")
+
+    monkeypatch.setattr(johnsolve, "Problem", refuse)
+    with pytest.raises(NoSolverTargetError, match="HalfRestriction"):
+        solve_john(f, Height(2))
+    with pytest.raises(NoSolverTargetError, match="HalfRestriction"):
+        solve_fixed_height(f, Height(2), 0.5 * f.sup_norm())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("inner", ["gaussian", "expnorm"])
+def test_half_restriction_solves_on_the_cut_route(d, inner):
+    f = HalfRestriction(
+        inner=Gaussian(d) if inner == "gaussian" else ExpNorm(d, 1.5),
+        normal=tuple(np.eye(d)[-1]))
+    assert f.sup_norm() == 1.0
+    # a sample ten times denser than the route's own, drawn apart from it
+    Y = ball_grid(d, 200_000, seed=123)
+    logw = Height(d).log_evaluate_many(Y)
+    Y, logw = Y[np.isfinite(logw)], logw[np.isfinite(logw)]
+    for rep in (solve_john(f, Height(d)),
+                solve_fixed_height(f, Height(d), 0.5)):
+        diag = rep.diagnostics
+        assert diag["engine"] == "cuts" and diag["certificate"] == "sampled"
+        assert rep.feasible and diag["converged"]
+        assert rep.objective <= diag["upper_bound"] <= rep.objective + 1e-8
+        pos = rep.position
+        violation, _ = johnsolve._sampled_violation(
+            f, Y, logw, math.log(pos.alpha), pos.matrix(), pos.a_vector())
+        assert violation <= CONSTRAINT_TOL
+        # the positioned support stays strictly inside the half-space
+        n = np.eye(d)[-1]
+        assert float(n @ pos.a_vector()) \
+            > np.linalg.norm(pos.matrix() @ n) * (1.0 + 1e-12)
+
+
+@pytest.mark.parametrize("d, idx", [(1, 0), (1, 1), (2, 0), (2, 2), (3, 0)])
+def test_half_restricted_bump_takes_the_exact_route(d, idx):
+    # the inner normal form plus the wall (-n, 0) solves exactly; the same
+    # function seen through values only takes the cut route
+    bump = bump_corpus(d)[idx].function
+    n = tuple(np.full(d, 1.0 / math.sqrt(d)))
+    exact = solve_john(HalfRestriction(inner=bump, normal=n), Height(d))
+    cuts = solve_john(HalfRestriction(inner=_ValuesOnly(bump), normal=n),
+                      Height(d))
+    assert exact.diagnostics["engine"] == "exact"
+    assert exact.diagnostics["certificate"] == "exact"
+    assert cuts.diagnostics["engine"] == "cuts"
+    assert exact.feasible and cuts.feasible
+    assert abs(cuts.objective - exact.objective) <= 1e-8
 
 
 def test_a_majorant_is_refused():

@@ -229,6 +229,29 @@ def test_half_restriction():
     assert abs(f.integral() - math.pi / 2.0) < 1e-13
 
 
+def test_half_restriction_sup_norm_of_a_shifted_inner():
+    # the peak of exp(-|x + e_1|^2) lies outside x_1 >= 0, so the sup of the
+    # restriction sits on the boundary line, at e^-1, not at the inner's 1
+    shifted = Positioned(inner=Gaussian(2),
+                         position=make_position(1.0, np.eye(2), [-1.0, 0.0]))
+    f = HalfRestriction(inner=shifted, normal=(1.0, 0.0))
+    assert abs(f.sup_norm() - math.exp(-1.0)) <= 1e-12
+    X = np.random.default_rng(0).uniform(-3.0, 3.0, size=(20_000, 2))
+    assert float(f.evaluate_many(X).max()) <= f.sup_norm()
+
+
+def test_half_restriction_normal_form_adds_its_wall():
+    bump = Bump(anchors=((0.6, 0.0), (-0.6, 0.0), (0.0, 0.6), (0.0, -0.6)))
+    f = HalfRestriction(inner=bump, normal=(0.6, 0.8))
+    slopes, intercepts, N, c = f.normal_form()
+    np.testing.assert_array_equal(slopes, bump.slopes)
+    np.testing.assert_array_equal(intercepts, bump.intercepts)
+    np.testing.assert_array_equal(N, [[-0.6, -0.8]])
+    np.testing.assert_array_equal(c, [0.0])
+    assert HalfRestriction(inner=Gaussian(2), normal=(1.0, 0.0)) \
+        .normal_form() is None
+
+
 def test_positioned_evaluation_rule():
     pos = make_position(2.0, 3.0 * np.eye(1), np.array([1.0]))
     g = Positioned(inner=Height(1), position=pos)

@@ -12,8 +12,9 @@ fixed-height solves of the two-point bump and of a positioned d = 2 bump on
 the exact route, the polar of six variants on a 7x7 lattice, and the
 john-check and sandwich certificates of the two-point bump, the Gaussian
 (radial polar floor) and a d = 3 decomposition bump (polar floor from its
-lower facets).  No case takes the sampled engine, and the whole set takes
-about three seconds on two cores.
+lower facets), and last the free and fixed-height solves of a
+half-restricted d = 2 Gaussian on the cut route.  The whole set takes a few
+seconds on two cores.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT_BUMP = {"variant": "bump", "dimension": 1,
                   "anchors": [[R2], [-R2]]}
 GAUSSIAN_2 = {"variant": "gaussian", "dimension": 2}
+HALF_GAUSSIAN_2 = {"variant": "half_restriction", "dimension": 2,
+                   "normal": [1.0, 0.0], "inner": GAUSSIAN_2}
 
 
 def _decomposition_bump(d: int, seed: int) -> dict:
@@ -80,6 +83,10 @@ CASES = [
       for name, f in (("two-point-bump", TWO_POINT_BUMP),
                       ("gaussian-2", GAUSSIAN_2),
                       ("decomposition-bump-3", _decomposition_bump(3, 0)))],
+    ("solve-john/half-restriction-gaussian-2", ["solve-john"],
+     {"f": HALF_GAUSSIAN_2}),
+    ("fixed-height/half-restriction-gaussian-2-0.25",
+     ["fixed-height", "--xi", "0.25"], {"f": HALF_GAUSSIAN_2}),
 ]
 
 
