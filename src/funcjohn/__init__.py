@@ -81,6 +81,7 @@ from .verify import (
     LownerRecord,
     SandwichRecord,
     check_domination,
+    height_below,
     john_inclusion_check,
     lowner_counterexample,
     polar_floor,

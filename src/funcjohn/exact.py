@@ -12,8 +12,9 @@ alpha * w(A^{-1}(x - a)) lies below f everywhere exactly when
 Each row is convex in (A, a), so the John problem, maximize
 log alpha + log det A, is a small convex program.  Problem.solve runs a
 log-barrier method on it, with exact gradients and Hessians and damped
-Newton steps in (upper triangle of a symmetric A, a, t = -log alpha); the
-same closed form is the certificate of the result.
+Newton steps in (upper triangle of a symmetric A, a, t = -log alpha).  The
+same closed form, `certificate`, certifies the result; at the identity
+position it is the exact hbar <= f of funcjohn.verify.
 """
 
 from __future__ import annotations
@@ -65,6 +66,43 @@ def _surrounds_origin(P) -> bool:
                            bounds=[(0.0, None)] * n + [(None, None)],
                            method="highs")
     return res.status == 0 and -res.fun > 1e-9
+
+
+def _row_values(P, off, m_int, w, R, A, a) -> np.ndarray:
+    """<p, a> + offset + sigma(|A^T p|) for every row: sigma = S_w on the
+    first m_int (interior) rows, R c on the walls after them."""
+    c = np.linalg.norm(P @ A, axis=1)
+    S = w.radial_log_sup_derivatives(c[:m_int])[0]
+    return P @ a + off + np.concatenate([S, R * c[m_int:]])
+
+
+def certificate(form: tuple, w: LogConcaveFunction, log_alpha: float, A, a,
+                snap: float = 0.0) -> float:
+    """Exact sup over supp w of log(alpha w(y)) - log f(Ay + a) for the
+    target of normal form `form`: +inf when the positioned support reaches
+    a wall, -inf when f has walls only and none is reached.
+
+    The open ball |y| < R where w > 0 reaches the wall <n, x> >= c exactly
+    when R |A^T n| + <n, a> > c; at equality the two touch where w = 0,
+    unless w is positive at its edge (a ball indicator).  Where w vanishes
+    there, a crossing of at most snap times the wall's scale 1 + |c| counts
+    as a touch; the solver's own certificate leaves snap at 0."""
+    slopes, intercepts, normals, offsets = form
+    m_int = slopes.shape[0]
+    R = w.support_radius()
+    v = _row_values(np.vstack([slopes, normals]),
+                    -np.concatenate([intercepts, offsets]), m_int, w, R,
+                    np.asarray(A, dtype=float), np.asarray(a, dtype=float))
+    walls = v[m_int:]
+    if math.isfinite(float(w.radial_log_profile(np.array([R]))[0])):
+        reached = walls >= 0.0
+    else:
+        reached = walls > snap * (1.0 + np.abs(offsets))
+    if np.any(reached):
+        return math.inf
+    if not m_int:
+        return -math.inf
+    return log_alpha + float(np.max(v[:m_int]))
 
 
 @dataclass(frozen=True)
@@ -122,16 +160,7 @@ class Problem:
 
     def values(self, A, a) -> np.ndarray:
         """<p, a> + offset + sigma(|A^T p|) for every row."""
-        c = np.linalg.norm(self.P @ A, axis=1)
-        return self.P @ a + self.off + self._sigma(c)[0]
-
-    def certificate(self, log_alpha: float, A, a) -> float:
-        """Exact sup over supp w of log(alpha w(y)) - log f(Ay + a); +inf
-        when the positioned support reaches a wall."""
-        v = self.values(np.asarray(A, dtype=float), np.asarray(a, dtype=float))
-        if np.any(v[self.m_int:] >= 0.0):
-            return math.inf
-        return log_alpha + float(np.max(v[:self.m_int]))
+        return _row_values(self.P, self.off, self.m_int, self.w, self.R, A, a)
 
     def contacts(self, log_alpha: float, A, a, tol: float) -> np.ndarray:
         """Points y of supp w where alpha w(y) = f(Ay + a) within tol in

@@ -36,7 +36,7 @@ from scipy import optimize
 
 from . import radial
 from .decomp import InfeasibleWeightsError, weights_from_points
-from .exact import Problem
+from .exact import Problem, certificate
 from .lcfunc import (
     DivergentIntegralError,
     HalfRestriction,
@@ -120,8 +120,8 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
     sol = problem.solve(start, log_alpha)
     pos = make_position(math.exp(sol.log_alpha), sol.A, sol.a,
                         positive_definite=True)
-    violation = problem.certificate(math.log(pos.alpha), pos.matrix(),
-                                    pos.a_vector())
+    violation = certificate(form, w, math.log(pos.alpha), pos.matrix(),
+                            pos.a_vector())
     return SolveReport(
         position=pos,
         objective=pos.log_objective(),

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate, optimize, special
-from scipy.stats import qmc
 
 MAX_DIM = 8
 BOUNDARY_SNAP = 1e-12
@@ -169,6 +168,16 @@ class LogConcaveFunction:
         <slopes[i], x>), and f = 0 on every half-space <N[j], x> >= c[j].
         None for every other variant."""
         return None
+
+    def lower_facets(self) -> tuple | None:
+        """polar.lower_facets of the normal form: (J, c, e) for the lower
+        facets <c, p> + e of the support function S, or None without a
+        normal form or where the facets do not settle S."""
+        form = self.normal_form()
+        if form is None:
+            return None
+        from . import polar  # deferred: polar builds on lcfunc
+        return polar.lower_facets(*form[:3])
 
     def log_sup(self, P: np.ndarray) -> np.ndarray:
         """S(p) = sup over supp f of (<p,x> + log f(x)) for each row of P."""
@@ -645,6 +654,17 @@ class Bump(LogConcaveFunction):
         return (self.slopes, self.intercepts, self.walls,
                 np.ones(self.walls.shape[0]))
 
+    def lower_facets(self):
+        """As for every variant, found on first use and kept read-only
+        beside the normal form: the sup norm, the polar and the polar floor
+        of one bump all read them."""
+        if "_facets" not in self.__dict__:
+            facets = super().lower_facets()
+            for arr in facets or ():
+                arr.flags.writeable = False
+            object.__setattr__(self, "_facets", facets)
+        return self._facets
+
     def log_sup(self, P):
         from . import polar  # deferred: polar builds on lcfunc
         return polar.bump_log_sup(self, P)
@@ -831,7 +851,9 @@ def _numeric_integral(f: LogConcaveFunction) -> float:
         return integrate.dblquad(
             lambda y, x: f.evaluate([x, y]), -R, R, -R, R,
             epsabs=1e-10, epsrel=1e-10)[0]
-    # d >= 3: seeded quasi-Monte Carlo over the bounding box
+    # d >= 3: seeded quasi-Monte Carlo over the bounding box; scipy.stats
+    # is imported here, its one user, as it takes about half a second
+    from scipy.stats import qmc
     m = 20  # 2^20 ~ 1e6 points
     sampler = qmc.Sobol(d=d, scramble=True, seed=12345)
     U = sampler.random_base2(m)

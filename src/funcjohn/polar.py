@@ -143,7 +143,7 @@ def bump_log_sup(bump: Bump, P) -> np.ndarray:
     slopes, intercepts, boundary = bump.slopes, bump.intercepts, bump.walls
     if not intercepts.shape[0]:
         raise ImproperFunctionError("bump has no interior anchor")
-    facets = lower_facets(slopes, intercepts, boundary)
+    facets = bump.lower_facets()
     if facets is None:
         return _bump_log_sup_linprog(slopes, intercepts, boundary, P)
 

@@ -1,8 +1,8 @@
 """Inclusion and inequality verifiers.
 
-Domination certificates (pointwise g <= f over a ball), the polar floor
-behind the John-type inclusion check and the right side of the sandwich
-construction, and the Löwner counterexample suite.
+Domination certificates (pointwise g <= f over a ball), the two facts behind
+the John-type inclusion check (hbar <= f and the polar floor), the sandwich
+construction built on them, and the Löwner counterexample suite.
 """
 
 from __future__ import annotations
@@ -14,8 +14,9 @@ import numpy as np
 from scipy import optimize
 from scipy.spatial import ConvexHull
 
-from . import polar
+from . import exact, polar
 from .lcfunc import (
+    BOUNDARY_SNAP,
     ExpNorm,
     HalfRestriction,
     Height,
@@ -156,8 +157,25 @@ def check_domination(g: LogConcaveFunction, f: LogConcaveFunction,
 
 
 # ---------------------------------------------------------------------------
-# the polar floor, John-type inclusion and the sandwich
+# hbar <= f, the polar floor, John-type inclusion and the sandwich
 # ---------------------------------------------------------------------------
+
+
+def height_below(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
+    """(max over the unit ball of log hbar - log f, "exact" or "sampled"),
+    with hbar <= f exactly when it is <= 0.  Exact for a normal form: the
+    exact route's certificate of Height(d) at the identity position, which
+    is +inf when a wall cuts into the open unit ball and -inf for walls
+    only; the wall of a boundary anchor touches the unit sphere, and a
+    crossing within BOUNDARY_SNAP of the wall's scale is a touch.  Sampled
+    by check_domination for every other f."""
+    d = f.dim
+    form = f.normal_form()
+    if form is not None:
+        return exact.certificate(form, Height(d), 0.0, np.eye(d), np.zeros(d),
+                                 snap=BOUNDARY_SNAP), "exact"
+    return check_domination(Height(d), f, radius=1.0,
+                            seed=seed).max_log_violation, "sampled"
 
 
 def hull_min_offset(U: np.ndarray) -> tuple[float, tuple]:
@@ -186,11 +204,10 @@ def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     rho = 1.0 / (d + 1)
     if f.is_radial():
         return math.exp(-f.radial_log_sup(rho)), "exact"
-    form = f.normal_form()
-    facets = None if form is None else polar.lower_facets(*form[:3])
+    facets = f.lower_facets()
     if facets is not None:
         _, c, e = facets
-        if not e.size or hull_min_offset(form[0])[0] < rho:
+        if not e.size or hull_min_offset(f.normal_form()[0])[0] < rho:
             return 0.0, "exact"
         return math.exp(-np.max(e + rho * np.linalg.norm(c, axis=1))), "exact"
     # in d = 1 the 1000 points are copies of -rho and rho
@@ -204,25 +221,30 @@ def _floor_holds(floor: float, d: int) -> bool:
 
 @dataclass(frozen=True)
 class JohnInclusionRecord:
-    height_below: DominationCertificate
+    height_below_max_log_violation: float  # see height_below
+    height_below_certificate: str  # "exact" or "sampled"
+    height_below_pass: bool
     polar_floor_min: float
     polar_floor_certificate: str  # "exact" or "sampled"
     polar_floor_pass: bool
 
     @property
     def passed(self) -> bool:
-        return self.height_below.passed and self.polar_floor_pass
+        return self.height_below_pass and self.polar_floor_pass
 
 
 def john_inclusion_check(f: LogConcaveFunction, seed: int = 0
                          ) -> JohnInclusionRecord:
-    """For f in John position: hbar <= f by check_domination, and
+    """For f in John position: hbar <= f by height_below, and
     polar(f) >= e^{-(d+1)} on the ball of radius 1/(d+1) by polar_floor,
     which implies the corollary polar(f)(p) >= e^{-(d+1)} hbar((d+1) p)."""
     d = f.dim
+    violation, height_how = height_below(f, seed)
     floor, how = polar_floor(f, seed)
     return JohnInclusionRecord(
-        height_below=check_domination(Height(d), f, radius=1.0, seed=seed),
+        height_below_max_log_violation=violation,
+        height_below_certificate=height_how,
+        height_below_pass=violation <= DOMINATION_PASS_TOL,
         polar_floor_min=floor,
         polar_floor_certificate=how,
         polar_floor_pass=_floor_holds(floor, d),
@@ -239,6 +261,7 @@ class SandwichRecord:
     right_envelope: str
     r_star: float
     left_min: float
+    left_certificate: str  # "exact" or "sampled"
     left_pass: bool
     right_log_gap_bound: float  # M - (d+1), see sandwich_construct
     polar_floor_certificate: str  # "exact" or "sampled"
@@ -254,8 +277,13 @@ def sandwich_construct(f: LogConcaveFunction, seed: int = 0
     """Build f_tilde(x) = sqrt(d+1) f(sqrt(d/(d+1)) x) and certify
     chi_ball <= f_tilde <= sqrt(d+1) e^{-|x|/(d+2) + (d+1)}.
 
-    The left side is checked on about 4096 points of the unit ball and 256
-    of its sphere.  The right side follows from polar_floor by Fenchel:
+    The left side is the minimum of f_tilde on the closed unit ball,
+    sqrt(d+1) times that of f on the ball of radius rho = sqrt(d/(d+1)).
+    It is exact for a normal form, sqrt(d+1) exp(min_i (b_i - rho |s_i|)),
+    or 0 when a wall meets that ball; and for radial f, sqrt(d+1) phi(rho),
+    as the profile phi is nonincreasing.  For every other f it is sampled
+    on about 4096 points of the unit ball and 256 of its sphere.  The right
+    side follows from polar_floor by Fenchel:
     log f(y) <= M - |y|/(d+1), so its log gap is at most M - (d+1) -
     (c1 - c2)|x|, c1 = sqrt(d/(d+1))/(d+1) > c2 = 1/(d+2), and it holds when
     M <= d+1.  The record reports M - (d+1); past r_star = 1/(c1 - c2) the
@@ -265,15 +293,31 @@ def sandwich_construct(f: LogConcaveFunction, seed: int = 0
     scale = math.sqrt(d + 1.0)
     pos = make_position(scale, np.eye(d) / shrink, np.zeros(d),
                         positive_definite=True)
-    ftilde = apply_position(pos, f)
 
     c1 = shrink / (d + 1.0)
     c2 = 1.0 / (d + 2.0)
 
     # left: chi_ball <= f_tilde on the closed ball, boundary included
-    X = ball_grid(d, 4096, radius=1.0, seed=seed)
-    ring = sphere_points(d, 256, seed=seed + 1) * (1.0 - 1e-9)
-    left_min = float(ftilde.evaluate_many(np.vstack([X, ring])).min())
+    form = f.normal_form()
+    if form is not None:
+        slopes, intercepts, N, c = form
+        left_how = "exact"
+        if np.any(shrink * np.linalg.norm(N, axis=1) >= c):
+            left_min = 0.0
+        else:
+            left_min = scale * float(np.exp(np.min(
+                intercepts - shrink * np.linalg.norm(slopes, axis=1),
+                initial=math.inf)))
+    elif f.is_radial():
+        left_how = "exact"
+        left_min = scale * math.exp(
+            float(f.radial_log_profile(np.array([shrink]))[0]))
+    else:
+        left_how = "sampled"
+        X = ball_grid(d, 4096, radius=1.0, seed=seed)
+        ring = sphere_points(d, 256, seed=seed + 1) * (1.0 - 1e-9)
+        left_min = float(apply_position(pos, f).evaluate_many(
+            np.vstack([X, ring])).min())
 
     floor, how = polar_floor(f, seed)
     return SandwichRecord(
@@ -285,6 +329,7 @@ def sandwich_construct(f: LogConcaveFunction, seed: int = 0
         right_envelope=f"sqrt({d + 1})*exp(-|x|/{d + 2}+{d + 1})",
         r_star=1.0 / (c1 - c2),
         left_min=left_min,
+        left_certificate=left_how,
         left_pass=left_min >= 1.0 - 1e-9,
         right_log_gap_bound=(-math.log(floor) if floor > 0.0 else math.inf)
         - (d + 1.0),

@@ -2,6 +2,8 @@
 log-concavity property."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -294,3 +296,13 @@ def test_midpoint_log_concavity(f):
     lm = f.log_evaluate_many(0.5 * (X + Y))
     ok = np.isfinite(lx) & np.isfinite(ly)
     assert np.all(lm[ok] >= 0.5 * (lx[ok] + ly[ok]) - 1e-10)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats takes about half a second to import; only the
+    # quasi-Monte Carlo integral of d >= 3 needs it, and imports it there
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, funcjohn; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -22,11 +22,14 @@ from funcjohn import (
     Positioned,
     generate_decomposition,
     improperness_probe,
+    john_inclusion_check,
     make_position,
     polar_eval,
     polar_eval_many,
     polar_of_ell,
+    sandwich_construct,
 )
+from funcjohn import polar
 from funcjohn.cli import EXIT_PASS, main
 from funcjohn.polar import bump_log_sup
 
@@ -264,3 +267,25 @@ def test_bump_log_sup_matches_the_lp_dual(d, corpus, near_sphere, seed):
     fin = np.isfinite(ref)
     assert np.all(np.abs(got[fin] - ref[fin])
                   <= 1e-9 * (1.0 + np.abs(ref[fin])))
+
+
+def test_a_bump_finds_its_lower_facets_once(monkeypatch):
+    calls = []
+    enumerate_facets = polar.lower_facets
+
+    def counted(*form):
+        calls.append(form)
+        return enumerate_facets(*form)
+
+    monkeypatch.setattr(polar, "lower_facets", counted)
+    f = Bump(anchors=generate_decomposition(3, 0).points)
+    f.sup_norm()
+    polar_eval_many(f, np.zeros((4, 3)))
+    sandwich_construct(f)
+    john_inclusion_check(f)
+    assert len(calls) == 1
+    J, c, e = f.lower_facets()
+    assert not (J.flags.writeable or c.flags.writeable or e.flags.writeable)
+    # equality and hashing still see the anchors only
+    copy = Bump(anchors=f.anchors)
+    assert copy == f and hash(copy) == hash(f)

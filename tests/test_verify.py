@@ -7,24 +7,75 @@ import numpy as np
 import pytest
 
 from funcjohn import (
+    BallIndicator,
     Bump,
+    ExpNorm,
     Gaussian,
     HalfRestriction,
     Height,
+    ImproperFunctionError,
+    PolarHeightPower,
     Positioned,
     check_domination,
+    height_below,
     john_inclusion_check,
     lowner_counterexample,
     make_position,
     polar_floor,
     sandwich_construct,
 )
-from funcjohn import polar
+from funcjohn import exact, polar
 from funcjohn.acceptance import bump_corpus
-from funcjohn.verify import ball_grid, sphere_points
+from funcjohn.lcfunc import BOUNDARY_SNAP
+from funcjohn.position import apply_position
+from funcjohn.verify import DOMINATION_PASS_TOL, ball_grid, sphere_points
 
 R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT = Bump(anchors=((R2,), (-R2,)))
+# boundary anchors |u| = 1 give walls <u, x> >= 1 tangent to the unit sphere
+BOUNDARY_BUMPS = (
+    Bump(anchors=((1.0,), (-R2,))),
+    Bump(anchors=((1.0, 0.0), (-0.5, 0.6), (-0.5, -0.6))),
+    Bump(anchors=((1.0,), (-1.0,))),
+)
+
+
+def _conjugate(f, rng):
+    """A positive-definite position of f, drawn as in criterion 7."""
+    d = f.dim
+    B = rng.standard_normal((d, d))
+    T = B @ B.T + (0.3 + rng.random()) * np.eye(d)
+    alpha = 0.5 + 2.0 * rng.random()
+    shift = 0.5 * rng.uniform(-1.0, 1.0, size=d)
+    return Positioned(inner=f, position=make_position(
+        alpha, T, shift, positive_definite=True))
+
+
+def _height_below_inputs():
+    rng = np.random.default_rng(7)
+    for d in range(1, 7):
+        for idx in (0, 1):
+            f = bump_corpus(d)[idx].function
+            yield f"corpus-d{d}-{idx}", f
+            yield f"positioned-d{d}-{idx}", _conjugate(f, rng)
+    for k, f in enumerate(BOUNDARY_BUMPS):
+        yield f"boundary-{k}", f
+    for f in (Gaussian(2), ExpNorm(2, 1.5), PolarHeightPower(2, 1.0),
+              *(Height(d) for d in (1, 2, 3))):
+        yield f"{type(f).__name__}-{f.dim}", f
+
+
+HEIGHT_BELOW_INPUTS = dict(_height_below_inputs())
+
+
+def _grid_left_min(f, seed=0):
+    """The sampled left side of the sandwich: f_tilde on about 4096 points
+    of the unit ball and 256 just inside its sphere."""
+    d = f.dim
+    ftilde = apply_position(sandwich_construct(f, seed).position, f)
+    X = ball_grid(d, 4096, radius=1.0, seed=seed)
+    ring = sphere_points(d, 256, seed=seed + 1) * (1.0 - 1e-9)
+    return float(ftilde.evaluate_many(np.vstack([X, ring])).min())
 
 
 def test_domination_height_below_bump():
@@ -81,6 +132,95 @@ def test_john_inclusion_height():
         assert rec.polar_floor_min >= math.exp(-(d + 1)) - 1e-9
 
 
+@pytest.mark.parametrize("name", HEIGHT_BELOW_INPUTS)
+def test_height_below_agrees_with_check_domination(name):
+    f = HEIGHT_BELOW_INPUTS[name]
+    d = f.dim
+    value, how = height_below(f)
+    assert how == ("exact" if f.normal_form() is not None else "sampled")
+    sampled = check_domination(Height(d), f, radius=1.0).max_log_violation
+    assert value >= sampled - 1e-12
+    if math.isfinite(value) and math.isfinite(sampled):
+        assert abs(value - sampled) <= 1e-9
+    else:
+        assert value == sampled
+    if name != "boundary-2":  # walls only: the polar floor is refused
+        rec = john_inclusion_check(f)
+        assert rec.height_below_max_log_violation == value
+        assert rec.height_below_certificate == how
+        assert rec.height_below_pass == (sampled <= DOMINATION_PASS_TOL)
+
+
+def test_tangent_walls_of_boundary_anchors_pass():
+    for f in BOUNDARY_BUMPS[:2]:
+        value, how = height_below(f)
+        assert how == "exact" and abs(value) <= 1e-15
+    # walls only: f = +inf inside them, so log hbar - log f is -inf
+    assert height_below(BOUNDARY_BUMPS[2]) == (-math.inf, "exact")
+    with pytest.raises(ImproperFunctionError):
+        exact.Problem(BOUNDARY_BUMPS[2].normal_form(), Height(1))
+
+
+def test_a_wall_is_reached_past_tangency_or_at_a_positive_edge():
+    form = BOUNDARY_BUMPS[0].normal_form()
+    Id, zero = np.eye(1), np.zeros(1)
+    assert abs(exact.certificate(form, Height(1), 0.0, Id, zero)) <= 1e-15
+    # the ball indicator is positive on the wall where they touch
+    assert exact.certificate(form, BallIndicator(1), 0.0, Id, zero) \
+        == math.inf
+    # a shift of 1e-9 takes the open unit ball past the wall
+    assert exact.certificate(form, Height(1), 0.0, Id, np.full(1, 1e-9)) \
+        == math.inf
+    assert math.isfinite(exact.certificate(form, Height(1), 0.0, Id,
+                                           np.full(1, -1e-9)))
+    # a crossing of 1e-13 reaches the wall for a solve's certificate, and
+    # is a touch within the snap that height_below allows
+    shift = np.full(1, 1e-13)
+    assert exact.certificate(form, Height(1), 0.0, Id, shift) == math.inf
+    assert math.isfinite(exact.certificate(form, Height(1), 0.0, Id, shift,
+                                           snap=BOUNDARY_SNAP))
+
+
+def test_height_below_of_a_lowered_two_point_bump_is_log_2():
+    f = Positioned(inner=TWO_POINT,
+                   position=make_position(0.5, np.eye(1), np.zeros(1)))
+    assert height_below(f) == (math.log(2.0), "exact")
+    rec = john_inclusion_check(f)
+    assert not rec.passed and not rec.height_below_pass
+
+
+@pytest.mark.parametrize("name", HEIGHT_BELOW_INPUTS)
+def test_exact_left_min_is_never_above_the_grid(name):
+    f = HEIGHT_BELOW_INPUTS[name]
+    if name == "boundary-2":
+        # walls only: f_tilde = +inf on the ball, and no polar floor
+        with pytest.raises(ImproperFunctionError):
+            sandwich_construct(f)
+        return
+    rec = sandwich_construct(f)
+    assert rec.left_certificate == "exact"
+    grid = _grid_left_min(f)
+    assert rec.left_min <= grid * (1.0 + 1e-12)
+    assert rec.left_pass == (rec.left_min >= 1.0 - 1e-9)
+
+
+def test_grid_overstates_the_left_min_in_high_dimension():
+    # 4,352 points leave most of the sphere unseen in d = 5 and 6; the
+    # grid is seeded by the corpus index, as in criterion 5
+    for d, idx, exact_min, grid_min in ((5, 2, 1.0889, 1.2370),
+                                        (6, 4, 1.0054, 1.2293)):
+        f = bump_corpus(d)[idx].function
+        assert abs(sandwich_construct(f).left_min - exact_min) <= 1e-4
+        assert abs(_grid_left_min(f, seed=idx) - grid_min) <= 1e-4
+
+
+def test_sampled_left_min_is_labelled():
+    f = HalfRestriction(inner=Gaussian(2), normal=(1.0, 0.0))
+    rec = sandwich_construct(f)
+    assert rec.left_certificate == "sampled"
+    assert rec.left_min == _grid_left_min(f)
+
+
 def test_john_inclusion_two_point_bump():
     rec = john_inclusion_check(TWO_POINT)
     assert rec.passed
@@ -112,9 +252,10 @@ def test_sampled_polar_floor_is_labelled_and_never_below_the_exact(
         f = bump_corpus(d)[3].function
         exact, how = polar_floor(f)
         assert how == "exact"
-        # past the subset cap the lower facets are not enumerated
+        # past the subset cap the lower facets are not enumerated; a fresh
+        # copy, since a bump keeps the facets it has found
         monkeypatch.setattr(polar, "_FACET_ENUM_MAX_SUBSETS", 0)
-        sampled, how = polar_floor(f)
+        sampled, how = polar_floor(Bump(anchors=f.anchors))
         monkeypatch.undo()
         assert how == "sampled"
         assert exact - 1e-12 <= sampled <= exact + 0.02

@@ -11,10 +11,12 @@ indicator composed with the radial solve of its inner function),
 fixed-height solves of the two-point bump and of a positioned d = 2 bump on
 the exact route, the polar of six variants on a 7x7 lattice, and the
 john-check and sandwich certificates of the two-point bump, the Gaussian
-(radial polar floor) and a d = 3 decomposition bump (polar floor from its
-lower facets), and last the free and fixed-height solves of a
-half-restricted d = 2 Gaussian on the cut route.  The whole set takes a few
-seconds on two cores.
+(radial polar floor), a d = 3 decomposition bump (polar floor from its
+lower facets), the positioned d = 2 bump, and a d = 2 bump with a boundary
+anchor (a wall tangent to the unit sphere, sampled polar floor), and last
+the free and fixed-height solves of a half-restricted d = 2 Gaussian on the
+cut route.  The whole set takes about 7 s on two cores, most of it the
+sampled polar floor of the boundary-anchor bump.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ R2 = 1.0 / math.sqrt(2.0)
 TWO_POINT_BUMP = {"variant": "bump", "dimension": 1,
                   "anchors": [[R2], [-R2]]}
 GAUSSIAN_2 = {"variant": "gaussian", "dimension": 2}
+# a boundary anchor (1, 0): its wall <(1, 0), x> >= 1 touches the unit
+# sphere where hbar vanishes
+BOUNDARY_BUMP_2 = {"variant": "bump", "dimension": 2,
+                   "anchors": [[1.0, 0.0], [-0.5, 0.6], [-0.5, -0.6]]}
 HALF_GAUSSIAN_2 = {"variant": "half_restriction", "dimension": 2,
                    "normal": [1.0, 0.0], "inner": GAUSSIAN_2}
 
@@ -82,7 +88,9 @@ CASES = [
       for cmd in ("john-check", "sandwich")
       for name, f in (("two-point-bump", TWO_POINT_BUMP),
                       ("gaussian-2", GAUSSIAN_2),
-                      ("decomposition-bump-3", _decomposition_bump(3, 0)))],
+                      ("decomposition-bump-3", _decomposition_bump(3, 0)),
+                      ("positioned-bump-2", POSITIONED_BUMP_2),
+                      ("boundary-anchor-bump-2", BOUNDARY_BUMP_2))],
     ("solve-john/half-restriction-gaussian-2", ["solve-john"],
      {"f": HALF_GAUSSIAN_2}),
     ("fixed-height/half-restriction-gaussian-2-0.25",
