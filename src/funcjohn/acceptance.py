@@ -28,7 +28,7 @@ from .johnsolve import (
     phi_concavity_violation,
     solve_john,
 )
-from .lcfunc import Height, Positioned, hbar
+from .lcfunc import Height, Positioned
 from .position import interpolate_positions, make_position, position_integral
 from .verify import lowner_counterexample, polar_floor, sandwich_construct
 

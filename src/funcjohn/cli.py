@@ -57,7 +57,6 @@ from .lcfunc import (
 )
 from .position import make_position
 from .verify import (
-    check_domination,
     john_inclusion_check,
     lowner_counterexample,
     sandwich_construct,

@@ -24,6 +24,9 @@ takes the first route that fits its target:
    violation is at most CONSTRAINT_TOL; a free solve then lowers alpha by
    any violation left.  The certificate is that sample plus the contacts.
    A bounded support has no tangent cuts, so the route refuses it.
+
+Each route reports where its constraint binds, as the contacts of the
+solved position; extract_and_certify recovers John weights from them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import radial
 from .decomp import InfeasibleWeightsError, weights_from_points
@@ -40,14 +42,12 @@ from .exact import Problem, certificate
 from .lcfunc import (
     DivergentIntegralError,
     HalfRestriction,
-    Height,
     LogConcaveFunction,
     NoSolverTargetError,
     Positioned,
-    hbar,
 )
 from .position import AffinePosition, make_position
-from .verify import ball_grid, spread
+from .verify import ball_grid
 
 _CUT_SAMPLE = 20_000  # points of supp w the cut route measures violations on
 _MAX_ROUNDS = 50  # cap on the relaxations of one cut-route solve
@@ -87,6 +87,9 @@ class SolveReport:
     position: AffinePosition
     objective: float  # log alpha + log det A
     feasible: bool
+    # points y of supp w where alpha w(y) = f(Ay + a) within _CONTACT_TOL in
+    # log, in the coordinates of `position`; () when the route cannot vouch
+    # for them
     contacts: tuple = ()
     recovered_weights: tuple | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -99,6 +102,11 @@ def _validate(f: LogConcaveFunction, w: LogConcaveFunction):
             "(height, height power, or ball indicator, unpositioned)")
     if w.dim != f.dim:
         raise ValueError("f and w dimensions differ")
+
+
+def _points(Y: np.ndarray) -> tuple:
+    """Rows of Y as the tuples SolveReport.contacts holds."""
+    return tuple(tuple(float(v) for v in y) for y in Y)
 
 
 # ---------------------------------------------------------------------------
@@ -120,12 +128,13 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
     sol = problem.solve(start, log_alpha)
     pos = make_position(math.exp(sol.log_alpha), sol.A, sol.a,
                         positive_definite=True)
-    violation = certificate(form, w, math.log(pos.alpha), pos.matrix(),
-                            pos.a_vector())
+    log_alpha, A, a = math.log(pos.alpha), pos.matrix(), pos.a_vector()
+    violation = certificate(form, w, log_alpha, A, a)
     return SolveReport(
         position=pos,
         objective=pos.log_objective(),
         feasible=violation <= CONSTRAINT_TOL,
+        contacts=_points(problem.contacts(log_alpha, A, a, _CONTACT_TOL)),
         diagnostics={
             "engine": "exact", "certificate": "exact",
             "converged": sol.stop_reason == "gap_reached",
@@ -144,7 +153,7 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
 def _solve_radial(f: LogConcaveFunction, w: LogConcaveFunction,
                   log_alpha: float | None) -> SolveReport:
     """One-dimensional solve of a radial target at A = r Id, a = 0, with
-    the violation re-measured on a grid four times denser."""
+    the violation and the contacts measured on a grid four times denser."""
     problem = radial.Problem(f, w)
     sol = problem.solve(log_alpha)
     if sol is None:
@@ -153,13 +162,24 @@ def _solve_radial(f: LogConcaveFunction, w: LogConcaveFunction,
             if log_alpha is None else
             "no position of w attains the prescribed height below f")
     check = radial.Problem(f, w, density=4)
-    violation = float(sol.log_alpha - check.m(sol.r))
+    m, gaps, t_min = check.minimum(sol.r)
+    violation = float(sol.log_alpha - m)
+    # the contact spheres |y| = t: at the smallest and largest grid radius
+    # within _CONTACT_TOL, at the radius where m is attained, and at the
+    # edge of supp w when the edge of f's support binds
+    near = check.t[gaps - sol.log_alpha <= _CONTACT_TOL]
+    radii = {float(near[0]), float(near[-1])} if near.size else set()
+    if m - sol.log_alpha <= _CONTACT_TOL:
+        radii.add(t_min)
+    if sol.stop_reason == "support_edge":
+        radii.add(check.R)
     pos = make_position(math.exp(sol.log_alpha), sol.r * np.eye(f.dim),
                         np.zeros(f.dim), positive_definite=True)
     return SolveReport(
         position=pos,
         objective=pos.log_objective(),
         feasible=violation <= CONSTRAINT_TOL,
+        contacts=_points(_sphere_points(f.dim, sorted(radii))),
         diagnostics={
             "engine": "radial", "certificate": "sampled",
             "converged": sol.stop_reason != "iteration_cap",
@@ -168,11 +188,20 @@ def _solve_radial(f: LogConcaveFunction, w: LogConcaveFunction,
             "max_constraint_violation": violation})
 
 
-def _polar_factor(M: np.ndarray) -> np.ndarray:
-    """The positive-definite factor sqrt(M M^T) of M = P Q, Q orthogonal."""
-    U, s, _ = np.linalg.svd(M)
+def _sphere_points(d: int, radii) -> np.ndarray:
+    """The points +-t e_i that represent the sphere |y| = t of each radius,
+    and the origin for t = 0."""
+    E = np.vstack([np.eye(d), -np.eye(d)])
+    return np.vstack([np.zeros((0, d)), *(t * E if t > 0.0 else
+                                          np.zeros((1, d)) for t in radii)])
+
+
+def _polar_factor(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (P, Q) of M = P Q: P = sqrt(M M^T) positive definite, Q
+    orthogonal."""
+    U, s, Vt = np.linalg.svd(M)
     P = (U * s) @ U.T
-    return 0.5 * (P + P.T)
+    return 0.5 * (P + P.T), U @ Vt
 
 
 def _solve_composed(f: Positioned, w: LogConcaveFunction,
@@ -180,18 +209,21 @@ def _solve_composed(f: Positioned, w: LogConcaveFunction,
                     ) -> SolveReport:
     """Solve the inner function of f = alpha_T g(T^{-1}(x - t)) and carry
     its position (alpha_g, A_g, a_g) out: (alpha_T alpha_g, T A_g,
-    t + T a_g), with T A_g replaced by its positive-definite polar factor,
-    which positions a radial w identically."""
+    t + T a_g), with T A_g = P Q replaced by its positive-definite polar
+    factor P, which positions a radial w identically.  A contact y of the
+    inner solve moves to Q y."""
     outer = f.position
     T, t = outer.matrix(), outer.a_vector()
     inner = _solve(f.inner, w,
                    None if log_alpha is None
                    else log_alpha - math.log(outer.alpha), opts)
-    pos = make_position(outer.alpha * inner.position.alpha,
-                        _polar_factor(T @ inner.position.matrix()),
+    P, Q = _polar_factor(T @ inner.position.matrix())
+    pos = make_position(outer.alpha * inner.position.alpha, P,
                         t + T @ inner.position.a_vector(),
                         positive_definite=True)
+    Y = np.reshape(inner.contacts, (-1, f.dim))
     return replace(inner, position=pos, objective=pos.log_objective(),
+                   contacts=_points(Y @ Q.T),
                    diagnostics=dict(inner.diagnostics, composed=True))
 
 
@@ -302,16 +334,18 @@ def _solve_cuts(f: LogConcaveFunction, w: LogConcaveFunction,
         la -= max(violation, 0.0)
         violation = min(violation, 0.0)
     pos = make_position(math.exp(la), sol.A, sol.a, positive_definite=True)
+    # the answer is the last relaxation's optimum only if its barrier solve
+    # reached the duality gap; only then do its contacts vouch for it
+    converged = (stop_reason == "violation_below_tol"
+                 and sol.stop_reason == "gap_reached")
     return SolveReport(
         position=pos,
         objective=pos.log_objective(),
         feasible=violation <= CONSTRAINT_TOL,
+        contacts=_points(Yc) if converged else (),
         diagnostics={
             "engine": "cuts", "certificate": "sampled",
-            # the answer is the last relaxation's optimum only if its
-            # barrier solve reached the duality gap
-            "converged": (stop_reason == "violation_below_tol"
-                          and sol.stop_reason == "gap_reached"),
+            "converged": converged,
             "stop_reason": stop_reason,
             "relaxation_stop_reason": sol.stop_reason,
             "rounds": rounds, "cuts": int(problem.m_int),
@@ -363,26 +397,13 @@ def solve_fixed_height(f: LogConcaveFunction, w: LogConcaveFunction,
 
 def extract_and_certify(f: LogConcaveFunction, report: SolveReport
                         ) -> SolveReport:
-    """Find contact points of f with hbar (in John coordinates) and recover
-    decomposition weights; success certifies optimality via the John
-    condition.  A target with a normal form has its contacts in closed form;
-    any other is searched on a grid."""
+    """Recover John weights for the contacts the solve of f reported: the
+    weights certify the solved position as optimal for w = hbar by the John
+    condition (Ivanov and Naszodi, Functional John ellipsoids, 2022), read
+    at that position.  NoContactsError when the solve reported none."""
     if not report.feasible:
         raise ValueError("certification requires a feasible report")
-    pos = report.position
-    d = f.dim
-    dev = max(abs(pos.alpha - 1.0),
-              float(np.max(np.abs(pos.matrix() - np.eye(d)))),
-              float(np.max(np.abs(pos.a_vector()))))
-    if dev > 0.05:
-        raise ValueError("certification runs in John coordinates; "
-                         "transform f to the solved position first")
-    form = f.normal_form()
-    if form is not None:
-        contacts = Problem(form, Height(d)).contacts(
-            math.log(pos.alpha), pos.matrix(), pos.a_vector(), _CONTACT_TOL)
-    else:
-        contacts = _searched_contacts(f)
+    contacts = np.reshape(report.contacts, (-1, f.dim))
     if contacts.shape[0] == 0:
         raise NoContactsError(
             "no contact points found: the position does not certify as "
@@ -398,56 +419,10 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport
     diag["certified"] = certified
     return replace(
         report,
-        contacts=tuple(tuple(float(v) for v in u) for u in contacts),
         recovered_weights=None if weights is None else
         tuple(float(v) for v in weights),
         diagnostics=diag,
     )
-
-
-def _searched_contacts(f: LogConcaveFunction) -> np.ndarray:
-    """Contacts of f with hbar by a grid, Nelder-Mead ascents from its
-    basins of the gap, and the support edges."""
-    d = f.dim
-    grid = ball_grid(d, {1: 4001, 2: 8192, 3: 16384}[min(d, 3)],
-                     radius=0.99999)
-    hvals = hbar(grid)
-    fvals = f.evaluate_many(grid)
-    ratio = (fvals - hvals) / np.maximum(hvals, 1e-12)
-
-    def rel_gap(u):
-        h = float(hbar(u))
-        if np.linalg.norm(u) >= 1.0 or h < 1e-8:
-            return 1e9
-        return (float(f.evaluate_many(u[None, :])[0]) - h) / h
-
-    # spatially clustered seeds: one ascent start per basin of the ratio
-    order = np.argsort(ratio)
-    order = order[ratio[order] <= max(1.0, 10.0 * ratio.min())]
-    seeds = grid[order[spread(grid[order], 0.05, 48)]]
-    candidates = []
-    for s in seeds:
-        res = optimize.minimize(rel_gap, s, method="Nelder-Mead",
-                                options={"xatol": 1e-13, "fatol": 1e-15,
-                                         "maxiter": 4000})
-        if res.fun <= _CONTACT_TOL:
-            candidates.append(res.x)
-    # when the gap vanishes on a sizable region (f coincides with the height
-    # function there), any spanning subset certifies; a clustered refinement
-    # set alone can be one-sided, so add spatially spread exact grid contacts
-    exact = np.flatnonzero((np.abs(ratio) <= _CONTACT_TOL) & (hvals > 1e-6))
-    if exact.size >= 0.05 * grid.shape[0]:
-        candidates.extend(grid[exact[spread(grid[exact], 0.3, 8 * (d + 1))]])
-    # boundary-of-support contacts for targets with bounded support
-    if math.isfinite(f.support_radius()):
-        dirs = np.vstack([np.eye(d), -np.eye(d)])
-        for u in dirs:
-            inside = float(f.evaluate_many((1.0 - 1e-9) * u[None, :])[0])
-            outside = float(f.evaluate_many((1.0 + 1e-9) * u[None, :])[0])
-            if inside > 0.0 and outside == 0.0:
-                candidates.append(u.astype(float))
-    candidates = np.reshape(candidates, (-1, d))
-    return candidates[spread(candidates, 1e-5)]
 
 
 # ---------------------------------------------------------------------------

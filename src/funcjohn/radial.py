@@ -18,6 +18,12 @@ on the infimum, exact at the points it samples, so its certificate is
 sampled.  Where w vanishes at R the grid stops 1e-13 R short of it, and a
 minimum at the grid's last point counts as m = -inf: a position is returned
 only when the grid sees where its constraint binds.
+
+The same pass locates the contacts: at the position r Id of height alpha,
+alpha w(y) = f(r y) on the spheres |y| = t whose gap log phi_f(r t) -
+log phi_w(t) - log alpha vanishes, which Problem.minimum returns on the grid
+with the t where m(r) is attained; when r reaches the edge of f's support,
+the sphere |y| = R of supp w touches it too.
 """
 
 from __future__ import annotations
@@ -81,16 +87,21 @@ class Problem:
     def m(self, r: float) -> float:
         """m(r) from the grid and its refinement: an upper bound on the
         infimum, exact at its samples, or -inf where it cannot be bounded."""
+        return self.minimum(r)[0]
+
+    def minimum(self, r: float) -> tuple[float, np.ndarray, float]:
+        """(m(r), the gap log phi_f(r t) - log phi_w(t) at each grid point
+        t, the t where that value of m(r) was found)."""
         self.evaluations += 1
         t = self.t
         v = self._checked(self.f.radial_log_profile(r * t) - self.log_w)
         k = int(np.argmin(v))
         if not math.isfinite(v[k]):
-            return float(v[k])
+            return float(v[k]), v, float(t[k])
         if self.open_edge and k == t.size - 1:
             # still falling at the last point short of the edge: the
             # infimum may lie beyond the grid's reach, so count it as -inf
-            return -math.inf
+            return -math.inf, v, float(t[k])
 
         def gap(u):
             y = np.array([self.R - u])
@@ -104,7 +115,9 @@ class Problem:
             gap, bounds=(self.R - t[min(k + 1, t.size - 1)],
                          self.R - t[max(k - 1, 0)]),
             method="bounded", options={"xatol": 1e-14})
-        return min(float(v[k]), float(res.fun))
+        if float(res.fun) < v[k]:
+            return float(res.fun), v, float(self.R - res.x)
+        return float(v[k]), v, float(t[k])
 
     def solve(self, log_alpha: float | None) -> RadialSolution | None:
         """The optimal r of the free problem (log_alpha None) or of the

@@ -167,6 +167,25 @@ def test_solve_john_solves_a_half_restricted_gaussian(tmp_path):
     assert solve["diagnostics"]["certificate"] == "sampled"
 
 
+@pytest.mark.parametrize("f", [
+    {"variant": "gaussian", "dimension": 2},
+    {"variant": "half_restriction", "dimension": 2, "normal": [1.0, 0.0],
+     "inner": {"variant": "gaussian", "dimension": 2}}],
+    ids=["radial", "cuts"])
+def test_certify_passes_on_the_radial_and_cut_routes(tmp_path, f):
+    # each route reports its contacts, so certification needs neither a
+    # normal form nor a position near the identity
+    cfg = tmp_path / "f.json"
+    cfg.write_text(json.dumps({"f": f, "certify": True}))
+    out = tmp_path / "s"
+    assert main(["solve-john", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_PASS
+    report = json.loads((out / "report.json").read_text())
+    assert report["certified"] is True
+    assert report["solve"]["diagnostics"]["certified"] is True
+    assert "certification_error" not in report["solve"]["diagnostics"]
+
+
 def test_unknown_solver_option_is_config_error(tmp_path, capsys):
     # an option the solver does not know must not be silently ignored
     cfg = tmp_path / "f.json"

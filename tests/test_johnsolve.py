@@ -149,6 +149,10 @@ def test_free_solve_flags_the_round_cap(monkeypatch):
     # the free height absorbed the violation the loop left
     assert rep.feasible
     assert rep.diagnostics["upper_bound"] - rep.objective >= 1e-3 - 1e-12
+    # a position short of the optimum reports no contacts to certify with
+    assert rep.contacts == ()
+    with pytest.raises(NoContactsError):
+        extract_and_certify(_ValuesOnly(Gaussian(1)), rep)
 
 
 def test_cut_route_is_not_converged_when_its_relaxation_is_not(
@@ -219,17 +223,20 @@ def test_fixed_height_uniqueness_across_seeds():
 
 
 def test_extract_fails_to_certify_strictly_larger_f():
-    # f = 1.5 * Height never touches the height function; only the support
-    # edge yields candidates and weight recovery is infeasible there
+    # f = 1.5 * Height lies strictly above hbar inside the ball: a report
+    # at the identity carries no contacts, while its own solve, at height
+    # 1.5, touches f everywhere and certifies
     f = Positioned(inner=Height(1),
                    position=make_position(1.5, np.eye(1), np.zeros(1)))
     from funcjohn import SolveReport, identity_position
     rep = SolveReport(position=identity_position(1), objective=0.0,
                       feasible=True)
-    out = extract_and_certify(f, rep)
-    assert out.recovered_weights is None
-    assert out.diagnostics["certified"] is False
-    assert all(abs(abs(u[0]) - 1.0) < 1e-12 for u in out.contacts)
+    with pytest.raises(NoContactsError):
+        extract_and_certify(f, rep)
+    out = extract_and_certify(f, solve_john(f, Height(1)))
+    assert abs(out.position.alpha - 1.5) < 1e-12
+    assert out.diagnostics["certified"] is True
+    assert abs(sum(out.recovered_weights) - 2.0) < 1e-5
 
 
 def test_extract_no_contacts_for_gaussian_like_target():
@@ -245,26 +252,29 @@ def test_extract_no_contacts_for_gaussian_like_target():
 
 
 def test_extract_height_every_point_contacts():
-    from funcjohn import SolveReport, identity_position
-    rep = SolveReport(position=identity_position(2), objective=0.0,
-                      feasible=True)
-    rep = extract_and_certify(Height(2), rep)
+    rep = extract_and_certify(Height(2), solve_john(Height(2), Height(2)))
     assert rep.recovered_weights is not None
     assert rep.diagnostics["certified"]
     assert abs(sum(rep.recovered_weights) - 3.0) < 1e-5
 
 
-def test_extract_requires_feasible_identity():
+def test_extract_requires_a_feasible_report():
     from funcjohn import SolveReport, identity_position
     infeasible = SolveReport(position=identity_position(1), objective=0.0,
                              feasible=False)
     with pytest.raises(ValueError):
         extract_and_certify(TWO_POINT, infeasible)
-    shifted = SolveReport(
-        position=make_position(1.0, np.eye(1), np.array([0.5])),
-        objective=0.0, feasible=True)
-    with pytest.raises(ValueError):
-        extract_and_certify(TWO_POINT, shifted)
+    # no John coordinates are needed: a shifted and scaled copy of the
+    # two-point bump certifies at its own solved position, with the
+    # contacts and weights of the bump itself
+    shifted = Positioned(inner=TWO_POINT, position=make_position(
+        2.0, np.array([[3.0]]), np.array([0.5])))
+    out = extract_and_certify(shifted, solve_john(shifted, Height(1)))
+    assert abs(out.position.a_vector()[0] - 0.5) < 1e-9
+    assert out.diagnostics["certified"] is True
+    assert np.allclose(np.sort(np.ravel(out.contacts)), [-R2, R2],
+                       atol=1e-6)
+    assert np.allclose(out.recovered_weights, [1.0, 1.0], atol=1e-6)
 
 
 def test_height_curve_psi_one_at_alpha_one():
@@ -548,11 +558,26 @@ def test_no_library_variant_reaches_the_sampled_engine(monkeypatch, config,
 
     monkeypatch.setattr(johnsolve, "Problem", finite)
     route = "cuts" if config["variant"] == "half_restriction" else None
-    for rep in (solve_john(f, Height(2)),
+    free = solve_john(f, Height(2))
+    for rep in (free,
                 solve_fixed_height(f, Height(2), 0.5 * f.sup_norm())):
         assert rep.diagnostics["engine"] in ((route,) if route else
                                              ("exact", "radial"))
         assert rep.feasible and rep.diagnostics["converged"]
+    # the free solve's own contacts certify it, at its position
+    out = extract_and_certify(f, free)
+    assert out.diagnostics["certified"] is True
+    assert abs(sum(out.recovered_weights) - 3.0) < 1e-5
+    # and each touches: alpha w(y) = f(Ay + a), or y is at the edge of
+    # supp w, where w vanishes and the logs only measure rounding
+    pos = free.position
+    Y = np.asarray(out.contacts)
+    norms = np.linalg.norm(Y, axis=1)
+    inner = Y[norms < 1.0 - 1e-6]
+    gap = (math.log(pos.alpha) + Height(2).log_evaluate_many(inner)
+           - f.log_evaluate_many(inner @ pos.matrix().T + pos.a_vector()))
+    assert np.all(np.abs(gap) <= 1e-6 + CONSTRAINT_TOL)
+    assert np.allclose(norms[norms >= 1.0 - 1e-6], 1.0, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("positioned", [False, True])

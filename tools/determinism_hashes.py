@@ -13,10 +13,12 @@ the exact route, the polar of six variants on a 7x7 lattice, and the
 john-check and sandwich certificates of the two-point bump, the Gaussian
 (radial polar floor), a d = 3 decomposition bump (polar floor from its
 lower facets), the positioned d = 2 bump, and a d = 2 bump with a boundary
-anchor (a wall tangent to the unit sphere, sampled polar floor), and last
+anchor (a wall tangent to the unit sphere, sampled polar floor), then
 the free and fixed-height solves of a half-restricted d = 2 Gaussian on the
-cut route.  The whole set takes about 7 s on two cores, most of it the
-sampled polar floor of the boundary-anchor bump.
+cut route, and last the certified free solves of the d = 2 Gaussian (radial
+route) and of its half-restriction (cut route).  The 27 cases take about
+7 s on two cores, most of it the sampled polar floor of the boundary-anchor
+bump.
 """
 
 from __future__ import annotations
@@ -95,6 +97,10 @@ CASES = [
      {"f": HALF_GAUSSIAN_2}),
     ("fixed-height/half-restriction-gaussian-2-0.25",
      ["fixed-height", "--xi", "0.25"], {"f": HALF_GAUSSIAN_2}),
+    ("solve-john/gaussian-2-certified", ["solve-john"],
+     {"f": GAUSSIAN_2, "certify": True}),
+    ("solve-john/half-restriction-gaussian-2-certified", ["solve-john"],
+     {"f": HALF_GAUSSIAN_2, "certify": True}),
 ]
 
 
