@@ -395,32 +395,21 @@ def cmd_polar(args, config, started):
     return EXIT_PASS
 
 
-def cmd_john_check(args, config, started):
-    f = function_from_config(_read(config, "f"))
-    rec = john_inclusion_check(f, seed=args.seed)
-    report = {
-        "command": "john-check",
-        "config": config,
-        "seed": args.seed,
-        "record": _jsonable(rec),
-        "passed": rec.passed,
-    }
-    write_report(report, args.out, started)
-    return EXIT_PASS if rec.passed else EXIT_CERT_FAIL
-
-
-def cmd_sandwich(args, config, started):
-    f = function_from_config(_read(config, "f"))
-    rec = sandwich_construct(f, seed=args.seed)
-    report = {
-        "command": "sandwich",
-        "config": config,
-        "seed": args.seed,
-        "record": _jsonable(rec),
-        "passed": rec.passed,
-    }
-    write_report(report, args.out, started)
-    return EXIT_PASS if rec.passed else EXIT_CERT_FAIL
+def _cmd_record(command: str, check):
+    """The subcommand that reports the record check(f, seed) of the f in
+    its config: john-check and sandwich."""
+    def cmd(args, config, started):
+        rec = check(function_from_config(_read(config, "f")), seed=args.seed)
+        report = {
+            "command": command,
+            "config": config,
+            "seed": args.seed,
+            "record": _jsonable(rec),
+            "passed": rec.passed,
+        }
+        write_report(report, args.out, started)
+        return EXIT_PASS if rec.passed else EXIT_CERT_FAIL
+    return cmd
 
 
 def cmd_lowner_check(args, config, started):
@@ -481,8 +470,8 @@ COMMANDS = {
     "fixed-height": cmd_fixed_height,
     "height-curve": cmd_height_curve,
     "polar": cmd_polar,
-    "john-check": cmd_john_check,
-    "sandwich": cmd_sandwich,
+    "john-check": _cmd_record("john-check", john_inclusion_check),
+    "sandwich": _cmd_record("sandwich", sandwich_construct),
     "lowner-check": cmd_lowner_check,
     "corpus": cmd_corpus,
 }

@@ -12,9 +12,11 @@ alpha * w(A^{-1}(x - a)) lies below f everywhere exactly when
 Each row is convex in (A, a), so the John problem, maximize
 log alpha + log det A, is a small convex program.  Problem.solve runs a
 log-barrier method on it, with exact gradients and Hessians and damped
-Newton steps in (upper triangle of a symmetric A, a, t = -log alpha).  The
-same closed form, `certificate`, certifies the result; at the identity
-position it is the exact hbar <= f of funcjohn.verify.
+Newton steps in (upper triangle of a symmetric A, a, t = -log alpha); each
+point it visits is evaluated once, by Problem._point.  The same closed form,
+`certificate`, certifies the result; at the identity position it is the
+exact hbar <= f of funcjohn.verify.  Whether f decays (`surrounds_origin`)
+is for the caller to ask.
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .lcfunc import (
-    DivergentIntegralError,
-    ImproperFunctionError,
-    LogConcaveFunction,
-)
+from .lcfunc import ImproperFunctionError, LogConcaveFunction
 
 _STAGE_FACTOR = 50.0  # growth of the barrier weight tau per stage
 # the solve stops once (number of rows + squared decrement) / tau, a bound on
@@ -45,7 +43,7 @@ _MAX_NEWTON_STEPS = 400
 _MAX_HALVINGS = 60  # line-search and start-radius halvings
 
 
-def _surrounds_origin(P) -> bool:
+def surrounds_origin(P) -> bool:
     """Whether the rays through the nonzero rows of P positively span R^d,
     that is, whether no direction theta has <p, theta> <= 0 for every row;
     f decays along every ray exactly then.  Holds when the unit rows span
@@ -68,12 +66,18 @@ def _surrounds_origin(P) -> bool:
     return res.status == 0 and -res.fun > 1e-9
 
 
-def _row_values(P, off, m_int, w, R, A, a) -> np.ndarray:
-    """<p, a> + offset + sigma(|A^T p|) for every row: sigma = S_w on the
-    first m_int (interior) rows, R c on the walls after them."""
-    c = np.linalg.norm(P @ A, axis=1)
-    S = w.radial_log_sup_derivatives(c[:m_int])[0]
-    return P @ a + off + np.concatenate([S, R * c[m_int:]])
+def _row_values(P, off, m_int, w, R, A, a) -> tuple:
+    """(V = P A, c = |A^T p|, (sigma, sigma', sigma'') at c, and
+    <p, a> + offset + sigma(c)) for every row: sigma = S_w on the first
+    m_int (interior) rows, R c on the walls after them."""
+    V = P @ A
+    c = np.linalg.norm(V, axis=1)
+    S, S1, S2 = w.radial_log_sup_derivatives(c[:m_int])
+    cw = c[m_int:]
+    sigma = (np.concatenate([S, R * cw]),
+             np.concatenate([S1, np.full(cw.shape, R)]),
+             np.concatenate([S2, np.zeros(cw.shape)]))
+    return V, c, sigma, P @ a + off + sigma[0]
 
 
 def certificate(form: tuple, w: LogConcaveFunction, log_alpha: float, A, a,
@@ -92,7 +96,7 @@ def certificate(form: tuple, w: LogConcaveFunction, log_alpha: float, A, a,
     R = w.support_radius()
     v = _row_values(np.vstack([slopes, normals]),
                     -np.concatenate([intercepts, offsets]), m_int, w, R,
-                    np.asarray(A, dtype=float), np.asarray(a, dtype=float))
+                    np.asarray(A, dtype=float), np.asarray(a, dtype=float))[3]
     walls = v[m_int:]
     if math.isfinite(float(w.radial_log_profile(np.array([R]))[0])):
         reached = walls >= 0.0
@@ -116,6 +120,23 @@ class ExactSolution:
     gap_bound: float  # (rows + decrement^2) / tau at the last stage
 
 
+@dataclass
+class _Point:
+    """What the barrier reads at one x of its domain."""
+    x: np.ndarray
+    A: np.ndarray
+    V: np.ndarray  # P A
+    c: np.ndarray  # |A^T p| for every row
+    sigma: tuple  # (sigma, sigma', sigma'') at c
+    rows: np.ndarray  # <p, a> + offset + sigma(c)
+    v: np.ndarray  # rows, the interior ones shifted by log alpha or by -t
+    f0: float  # -log det A, plus t on the free solve
+    log_sum: float  # sum log(-v)
+
+    def merit(self, tau: float) -> float:
+        return tau * self.f0 - self.log_sum
+
+
 class Problem:
     """The closed-form rows of one target f and one radial w.
 
@@ -133,14 +154,16 @@ class Problem:
         self.R = w.support_radius()
         self.m_int = slopes.shape[0]
         self.P = np.vstack([slopes, normals])
-        if not _surrounds_origin(self.P):
-            raise DivergentIntegralError(
-                "f does not decay along some ray, so its integral diverges "
-                "and positions of w below it grow without bound")
         self.off = -np.concatenate([intercepts, offsets])
         rows, cols = np.triu_indices(self.d)
         self._rows, self._cols = rows, cols
+        # x[_sym] is the symmetric A whose upper triangle is x[:K]
+        self._sym = np.empty((self.d, self.d), dtype=int)
+        self._sym[rows, cols] = self._sym[cols, rows] = np.arange(rows.size)
         self._half = np.where(rows == cols, 0.5, 1.0)
+        self._half2 = np.outer(self._half, self._half)
+        self._ix = (np.ix_(rows, rows), np.ix_(cols, cols),
+                    np.ix_(rows, cols), np.ix_(cols, rows))
         # J[i, :, k] = E_k p_i for the basis E_k = e_r e_c^T + e_c e_r^T of
         # symmetric matrices, halved on the diagonal
         K = rows.size
@@ -150,26 +173,19 @@ class Problem:
 
     # --- the closed form ------------------------------------------------
 
-    def _sigma(self, c):
-        """(sigma, sigma', sigma'') of every row at c = |A^T p|."""
-        S, S1, S2 = self.w.radial_log_sup_derivatives(c[:self.m_int])
-        cw = c[self.m_int:]
-        return (np.concatenate([S, self.R * cw]),
-                np.concatenate([S1, np.full(cw.shape, self.R)]),
-                np.concatenate([S2, np.zeros(cw.shape)]))
+    def _rows_at(self, A, a) -> tuple:
+        return _row_values(self.P, self.off, self.m_int, self.w, self.R, A, a)
 
     def values(self, A, a) -> np.ndarray:
         """<p, a> + offset + sigma(|A^T p|) for every row."""
-        return _row_values(self.P, self.off, self.m_int, self.w, self.R, A, a)
+        return self._rows_at(A, a)[3]
 
     def contacts(self, log_alpha: float, A, a, tol: float) -> np.ndarray:
         """Points y of supp w where alpha w(y) = f(Ay + a) within tol in
         log: y_i = sigma'(|A^T p_i|) A^T p_i / |A^T p_i| for each row within
         tol of zero (the origin when p_i = 0)."""
-        V = self.P @ np.asarray(A, dtype=float)
-        c = np.linalg.norm(V, axis=1)
-        S, S1, _ = self._sigma(c)
-        g = self.P @ np.asarray(a, dtype=float) + self.off + S
+        V, c, (_, S1, _), g = self._rows_at(np.asarray(A, dtype=float),
+                                            np.asarray(a, dtype=float))
         g[:self.m_int] += log_alpha
         scale = np.divide(S1, c, out=np.zeros_like(c), where=c > 0.0)
         return (scale[:, None] * V)[g >= -tol]
@@ -178,47 +194,39 @@ class Problem:
 
     def _unpack(self, x):
         K, d = self._rows.size, self.d
-        A = np.empty((d, d))
-        A[self._rows, self._cols] = x[:K]
-        A[self._cols, self._rows] = x[:K]
-        return A, x[K:K + d], x[K + d:]
+        return x[self._sym], x[K:K + d], x[K + d:]
 
-    def _barrier_rows(self, x, log_alpha):
-        """(A, its Cholesky factor, rows shifted by log alpha or by -t), or
-        None when A is not positive definite or a row is not negative."""
+    def _point(self, x, log_alpha) -> _Point | None:
+        """The barrier at x, or None when A is not positive definite or a
+        row is not negative.  A free x without its t (the solve's start)
+        takes t one above the highest interior row."""
         A, a, t = self._unpack(x)
         try:
             L = np.linalg.cholesky(A)
         except np.linalg.LinAlgError:
             return None
-        v = self.values(A, a)
+        V, c, sigma, rows = self._rows_at(A, a)
+        if log_alpha is None and not t.size:
+            x = np.append(x, float(np.max(rows[:self.m_int])) + 1.0)
+            t = x[-1:]
+        v = rows.copy()
         v[:self.m_int] += -t[0] if log_alpha is None else log_alpha
-        if not np.all(v < 0.0):
+        if not (v < 0.0).all():
             return None
-        return A, L, v
-
-    def _merit(self, x, tau, log_alpha) -> float:
-        """tau (-log det A + t) - sum log(-row), +inf outside the domain."""
-        got = self._barrier_rows(x, log_alpha)
-        if got is None:
-            return math.inf
-        _, L, v = got
-        f0 = -2.0 * float(np.sum(np.log(np.diag(L))))
+        f0 = -2.0 * float(np.log(L.diagonal()).sum())
         if log_alpha is None:
             f0 += float(x[-1])
-        return tau * f0 - float(np.sum(np.log(-v)))
+        return _Point(x, A, V, c, sigma, rows, v, f0,
+                      float(np.log(-v).sum()))
 
-    def _newton(self, x, tau, log_alpha):
-        """(gradient, Newton step) of the merit at a strictly feasible x."""
-        A, _, v = self._barrier_rows(x, log_alpha)
+    def _newton(self, pt: _Point, tau, log_alpha):
+        """(gradient, Newton step) of the merit at pt."""
         rows, cols, half, J = self._rows, self._cols, self._half, self._J
-        K, d, n = rows.size, self.d, x.size
-        B = np.linalg.inv(A)
-        V = self.P @ A
-        c = np.linalg.norm(V, axis=1)
-        _, S1, S2 = self._sigma(c)
+        K, d, n = rows.size, self.d, pt.x.size
+        B = np.linalg.inv(pt.A)
+        c, v, (_, S1, S2) = pt.c, pt.v, pt.sigma
         inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
-        Gz = np.einsum("id,idk->ik", V * inv_c[:, None], J)  # d|A p| / dz
+        Gz = np.einsum("id,idk->ik", pt.V * inv_c[:, None], J)  # d|A p| / dz
         D = np.zeros((v.size, n))  # row gradients
         D[:, :K] = S1[:, None] * Gz
         D[:, K:K + d] = self.P
@@ -229,10 +237,9 @@ class Problem:
         grad[:K] -= tau * 2.0 * half * B[rows, cols]
         H = (D.T * wt * wt) @ D
         # Hessian of -log det A, tr(B E_k B E_l), in the symmetric basis
-        Brr, Bcc = B[np.ix_(rows, rows)], B[np.ix_(cols, cols)]
-        Brc, Bcr = B[np.ix_(rows, cols)], B[np.ix_(cols, rows)]
-        H[:K, :K] += tau * np.outer(half, half) * 2.0 * (Brr * Bcc
-                                                          + Brc * Bcr)
+        rr, cc, rc, cr = self._ix
+        H[:K, :K] += tau * self._half2 * 2.0 * (B[rr] * B[cc]
+                                                 + B[rc] * B[cr])
         # curvature of each row: sigma'' grad|Ap| grad|Ap|^T plus
         # sigma' (J^T J - grad grad^T) / |Ap|
         H[:K, :K] += (Gz.T * (wt * (S2 - S1 * inv_c))) @ Gz
@@ -241,16 +248,17 @@ class Problem:
             grad[-1] += tau
         return grad, np.linalg.solve(H, -grad)
 
-    def _line_search(self, x, step, decrement2, tau, log_alpha):
-        """Largest step in 1, 1/2, 1/4, ... that keeps every row strictly
-        negative and A positive definite, and (above _FULL_STEP) passes
-        Armijo's test; None when none does."""
+    def _line_search(self, pt: _Point, step, decrement2, tau, log_alpha
+                     ) -> _Point | None:
+        """The point at the largest step in 1, 1/2, 1/4, ... that keeps
+        every row strictly negative and A positive definite, and (above
+        _FULL_STEP) passes Armijo's test; None when none does."""
         s = 1.0
         full = decrement2 <= _FULL_STEP
-        merit = self._merit(x, tau, log_alpha)
+        merit = pt.merit(tau)
         for _ in range(_MAX_HALVINGS):
-            trial = x + s * step
-            value = self._merit(trial, tau, log_alpha)
+            trial = self._point(pt.x + s * step, log_alpha)
+            value = math.inf if trial is None else trial.merit(tau)
             if math.isfinite(value) and (
                     full or value <= merit - 0.25 * s * decrement2):
                 return trial
@@ -309,10 +317,8 @@ class Problem:
         maximizes log det A - t with t >= every interior row, a number
         maximizes log det A at that height."""
         A, a = start
-        x = np.concatenate([A[self._rows, self._cols], a])
-        if log_alpha is None:
-            x = np.append(x, float(np.max(self.values(A, a)[:self.m_int]))
-                          + 1.0)
+        pt = self._point(np.concatenate([A[self._rows, self._cols], a]),
+                         log_alpha)
         m = self.P.shape[0]
         tau, tau_last = 1.0, 2.0 * m / _GAP_TOL
         steps = stages = 0
@@ -321,7 +327,7 @@ class Problem:
             stages += 1
             for _ in range(_STAGE_STEPS):
                 try:
-                    grad, step = self._newton(x, tau, log_alpha)
+                    grad, step = self._newton(pt, tau, log_alpha)
                     decrement2 = -float(grad @ step)
                 except np.linalg.LinAlgError:
                     decrement2 = math.nan
@@ -333,20 +339,21 @@ class Problem:
                 if decrement2 <= _CENTERED:
                     break
                 steps += 1
-                moved = self._line_search(x, step, decrement2, tau, log_alpha)
+                moved = self._line_search(pt, step, decrement2, tau,
+                                          log_alpha)
                 if moved is None:
                     break
-                x = moved
+                pt = moved
                 if steps >= _MAX_NEWTON_STEPS:
                     break
             gap = (m + decrement2) / tau
             if gap <= _GAP_TOL:
                 stop = "gap_reached"
             tau = min(tau * _STAGE_FACTOR, tau_last)
-        A, a, _ = self._unpack(x)
+        _, a, _ = self._unpack(pt.x)
         if log_alpha is None:
-            log_alpha = -float(np.max(self.values(A, a)[:self.m_int]))
-        return ExactSolution(A=A, a=a.copy(), log_alpha=log_alpha,
+            log_alpha = -float(np.max(pt.rows[:self.m_int]))
+        return ExactSolution(A=pt.A, a=a.copy(), log_alpha=log_alpha,
                              stop_reason=stop or "iteration_cap",
                              newton_steps=steps,
                              barrier_stages=stages, gap_bound=gap)

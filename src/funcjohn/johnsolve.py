@@ -38,7 +38,7 @@ import numpy as np
 
 from . import radial
 from .decomp import InfeasibleWeightsError, weights_from_points
-from .exact import Problem, certificate
+from .exact import Problem, certificate, surrounds_origin
 from .lcfunc import (
     DivergentIntegralError,
     HalfRestriction,
@@ -53,6 +53,8 @@ _CUT_SAMPLE = 20_000  # points of supp w the cut route measures violations on
 _MAX_ROUNDS = 50  # cap on the relaxations of one cut-route solve
 _MAX_CUT_RADIUS = 1e6  # farthest first cut that may still surround the origin
 _CONTACT_TOL = 1e-6  # relative gap below which a point counts as a contact
+_NO_DECAY = ("f does not decay along some ray, so its integral diverges and "
+             "positions of w below it grow without bound")
 
 # a solve is feasible when its certified log-violation is at most this
 CONSTRAINT_TOL = 1e-8
@@ -119,6 +121,8 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
     """Barrier solve of a target with normal form `form`, certified by the
     same closed form."""
     problem = Problem(form, w)
+    if not surrounds_origin(problem.P):
+        raise DivergentIntegralError(_NO_DECAY)
     start = problem.start(log_alpha)
     if start is None:
         raise InfeasibleProblemError(
@@ -290,17 +294,17 @@ def _solve_cuts(f: LogConcaveFunction, w: LogConcaveFunction,
     radius = 3.0
     Y, logw = _cut_sample(w, seed)
     rounds = newton_steps = 0
+    cuts = _tangents(body, X)
+    # cut farther out until the slopes surround the origin; later rounds
+    # only add rows, which keeps it surrounded
+    while not surrounds_origin(np.vstack([cuts[0], N])):
+        radius *= 3.0
+        if radius > _MAX_CUT_RADIUS:
+            raise DivergentIntegralError(_NO_DECAY)
+        X = np.vstack([X, radius * E])
+        cuts = _tangents(body, X)
     while True:
-        try:
-            problem = Problem((*_tangents(body, X), N, c), w)
-        except DivergentIntegralError:
-            # the first slopes do not surround the origin yet (later rounds
-            # only add rows): cut farther out
-            radius *= 3.0
-            if radius > _MAX_CUT_RADIUS:
-                raise
-            X = np.vstack([X, radius * E])
-            continue
+        problem = Problem((*cuts, N, c), w)
         rounds += 1
         start = problem.start(log_alpha)
         if start is None:
@@ -325,6 +329,7 @@ def _solve_cuts(f: LogConcaveFunction, w: LogConcaveFunction,
         # and at each contact of the relaxation that f violates (a contact
         # at a point already cut would only repeat its row)
         X = np.vstack([X, Xc[gap > CONSTRAINT_TOL], worst])
+        cuts = _tangents(body, X)
     stop_reason = ("violation_below_tol" if violation <= CONSTRAINT_TOL
                    else "round_cap")
     upper_bound = sol.log_alpha + math.log(np.linalg.det(sol.A))
@@ -408,21 +413,13 @@ def extract_and_certify(f: LogConcaveFunction, report: SolveReport
         raise NoContactsError(
             "no contact points found: the position does not certify as "
             "optimal at this tolerance")
-    weights = None
-    certified = False
     try:
-        weights = weights_from_points(contacts, 1e-6)
-        certified = True
+        weights = tuple(float(v) for v in weights_from_points(contacts, 1e-6))
     except InfeasibleWeightsError:
-        pass
-    diag = dict(report.diagnostics)
-    diag["certified"] = certified
-    return replace(
-        report,
-        recovered_weights=None if weights is None else
-        tuple(float(v) for v in weights),
-        diagnostics=diag,
-    )
+        weights = None
+    return replace(report, recovered_weights=weights,
+                   diagnostics=dict(report.diagnostics,
+                                    certified=weights is not None))
 
 
 # ---------------------------------------------------------------------------

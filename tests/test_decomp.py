@@ -1,10 +1,13 @@
 """Decompositions of the identity: generation, verification, regularization,
 hull margins, weight recovery, and serialization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from funcjohn import (
     FunctionalJohnDecomposition,
@@ -146,6 +149,20 @@ def test_serialization_roundtrip_exact():
         data = decomposition_to_records(dec)
         back = decomposition_from_records(data)
         assert back == dec  # bit-exact float round trip
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       n=st.integers(1, 200))
+def test_records_round_trip_through_json_bit_equal(d, seed, n):
+    dec = generate_decomposition(d, seed)
+    for rec in (dec, regularize_decomposition(dec, n, seed=seed)):
+        text = json.dumps(decomposition_to_records(rec))
+        back = decomposition_from_records(json.loads(text))
+        assert back == rec
+        for got, want in ((back.point_array(), rec.point_array()),
+                          (back.weight_array(), rec.weight_array())):
+            assert got.tobytes() == want.tobytes()
 
 
 def test_serialization_rejects_wrong_type():

@@ -15,6 +15,7 @@ from funcjohn import (
     Bump,
     DivergentIntegralError,
     Height,
+    HeightPower,
     InfeasibleProblemError,
     LogConcaveFunction,
     Positioned,
@@ -194,24 +195,55 @@ def test_barrier_step_is_the_newton_step(d, height):
     f = bump_corpus(d)[1].function
     problem = Problem(f.normal_form(), Height(d))
     log_alpha = math.log(0.8) if height else None
+    tau = 3.0
+
+    def merit(x):
+        pt = problem._point(x, log_alpha)
+        return math.inf if pt is None else pt.merit(tau)
+
+    def newton(x):
+        return problem._newton(problem._point(x, log_alpha), tau, log_alpha)
+
     A, a = problem.start(log_alpha)
     x = np.concatenate([A[np.triu_indices(d)], a])
     if log_alpha is None:
         x = np.append(x, float(np.max(problem.values(A, a))) + 1.0)
     # off the start's A = r Id, and strictly inside the barrier's domain
     noise = 0.2 * np.random.default_rng(d).standard_normal(x.size) * abs(x[0])
-    while not math.isfinite(problem._merit(x + noise, 3.0, log_alpha)):
+    while not math.isfinite(merit(x + noise)):
         noise /= 2.0
     x = x + noise
-    tau = 3.0
-    grad, step = problem._newton(x, tau, log_alpha)
+    grad, step = newton(x)
     h = 1e-6
     E = np.eye(x.size)
-    fd = np.array([(problem._merit(x + h * e, tau, log_alpha)
-                    - problem._merit(x - h * e, tau, log_alpha)) / (2 * h)
+    fd = np.array([(merit(x + h * e) - merit(x - h * e)) / (2 * h)
                    for e in E])
     np.testing.assert_allclose(grad, fd, rtol=1e-5, atol=1e-5)
-    H = np.array([(problem._newton(x + h * e, tau, log_alpha)[0]
-                   - problem._newton(x - h * e, tau, log_alpha)[0]) / (2 * h)
+    H = np.array([(newton(x + h * e)[0] - newton(x - h * e)[0]) / (2 * h)
                   for e in E])
     np.testing.assert_allclose(H @ step, -grad, rtol=1e-4, atol=1e-4)
+
+
+@pytest.mark.parametrize("d, idx", [(1, 0), (2, 2), (3, 1)])
+@pytest.mark.parametrize("height", [False, True])
+def test_each_barrier_point_is_evaluated_once(monkeypatch, d, idx, height):
+    # every S_w evaluation of a solve belongs to one point of the barrier:
+    # the Newton step and the line search's start reuse that point
+    f = bump_corpus(d)[idx].function
+    problem = Problem(f.normal_form(), Height(d))
+    log_alpha = math.log(0.5 * f.sup_norm()) if height else None
+    start = problem.start(log_alpha)
+    calls = {"S_w": 0, "points": 0}
+
+    def counted(key, method):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HeightPower, "radial_log_sup_derivatives", counted(
+        "S_w", HeightPower.radial_log_sup_derivatives))
+    monkeypatch.setattr(Problem, "_point", counted("points", Problem._point))
+    sol = problem.solve(start, log_alpha)
+    assert sol.stop_reason == "gap_reached" and sol.newton_steps > 0
+    assert calls["S_w"] == calls["points"] > sol.newton_steps

@@ -16,9 +16,9 @@ lower facets), the positioned d = 2 bump, and a d = 2 bump with a boundary
 anchor (a wall tangent to the unit sphere, sampled polar floor), then
 the free and fixed-height solves of a half-restricted d = 2 Gaussian on the
 cut route, and last the certified free solves of the d = 2 Gaussian (radial
-route) and of its half-restriction (cut route).  The 27 cases take about
-7 s on two cores, most of it the sampled polar floor of the boundary-anchor
-bump.
+route) and of its half-restriction (cut route).  The 27 cases take 6-7 s
+on a shared two-core machine, most of it the sampled polar floor of the
+boundary-anchor bump.
 """
 
 from __future__ import annotations

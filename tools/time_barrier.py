@@ -1,0 +1,84 @@
+"""Time the barrier solver, funcjohn.exact.Problem.solve, on fixed targets.
+
+    PYTHONPATH=src python3 tools/time_barrier.py [--repeat N]
+
+Each target is solved N times through the public solve; only the time spent
+inside Problem.solve is counted.  Per target it prints the median of that
+time in ms, and per solve the Newton steps and the points evaluated.  Points
+are counted as the calls of w's radial_log_sup_derivatives inside
+Problem.solve, one per barrier point, so that a checkout which evaluates a
+point more than once shows its repeats.  The targets are the two exact
+solves of the john_bump benchmark (corpus bump d = 2 #2 free, d = 1 #0 at
+xi = 1), corpus bump #0 free in d = 1-4, and two d = 3 half-restrictions on
+the cut route, where one solve runs the barrier on every relaxation.  It
+writes no files.
+"""
+
+from __future__ import annotations
+
+import argparse
+import statistics
+import time
+
+import funcjohn as fj
+from funcjohn import exact
+
+
+def _corpus_bump(d: int, seed: int):
+    return fj.bump_from_decomposition(fj.generate_decomposition(d, seed)) \
+        .function
+
+
+E1 = (1.0, 0.0, 0.0)
+TARGETS = [
+    ("john_bump d2 #2 free", lambda: fj.solve_john(_corpus_bump(2, 2),
+                                                   fj.Height(2))),
+    ("john_bump d1 #0 xi=1", lambda: fj.solve_fixed_height(
+        _corpus_bump(1, 0), fj.Height(1), 1.0)),
+    *((f"corpus d{d} #0 free", lambda d=d: fj.solve_john(_corpus_bump(d, 0),
+                                                          fj.Height(d)))
+      for d in range(1, 5)),
+    ("HalfRestriction(Gaussian(3), e1)", lambda: fj.solve_john(
+        fj.HalfRestriction(fj.Gaussian(3), E1), fj.Height(3))),
+    ("HalfRestriction(ExpNorm(3, 1.5), e1)", lambda: fj.solve_john(
+        fj.HalfRestriction(fj.ExpNorm(3, 1.5), E1), fj.Height(3))),
+]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=10)
+    args = parser.parse_args()
+    tally = {"s": 0.0, "steps": 0, "points": 0, "inside": False}
+    solve = exact.Problem.solve
+    sigma = fj.HeightPower.radial_log_sup_derivatives
+
+    def timed_solve(self, *a):
+        tally["inside"] = True
+        t0 = time.perf_counter()
+        sol = solve(self, *a)
+        tally["s"] += time.perf_counter() - t0
+        tally["inside"] = False
+        tally["steps"] += sol.newton_steps
+        return sol
+
+    def counted_sigma(self, c):
+        tally["points"] += tally["inside"]
+        return sigma(self, c)
+
+    exact.Problem.solve = timed_solve
+    fj.HeightPower.radial_log_sup_derivatives = counted_sigma
+    print(f"{'target':38s} {'median ms':>10s} {'newton_steps':>13s} "
+          f"{'points':>7s}")
+    for name, run in TARGETS:
+        times = []
+        for _ in range(args.repeat):
+            tally.update(s=0.0, steps=0, points=0)
+            run()
+            times.append(tally["s"])
+        print(f"{name:38s} {1e3 * statistics.median(times):10.2f} "
+              f"{tally['steps']:13d} {tally['points']:7d}")
+
+
+if __name__ == "__main__":
+    main()
