@@ -13,7 +13,13 @@ Each row is convex in (A, a), so the John problem, maximize
 log alpha + log det A, is a small convex program.  Problem.solve runs a
 log-barrier method on it, with exact gradients and Hessians and damped
 Newton steps in (upper triangle of a symmetric A, a, t = -log alpha); each
-point it visits is evaluated once, by Problem._point.  The same closed form,
+point it visits is evaluated once, by Problem._point.  The merit at weight
+tau is tau f0 - sum log(-rows), f0 = -log det A (+ t).  Before tau rises to
+tau', a predictor step starts the next stage near its centre: on the
+central path x(tau) ~ x* + c / tau near the optimum, so from the centre it
+steps -(1 - tau/tau') tau H^-1 grad f0 along the path's tangent (Nesterov
+and Nemirovski, 1994), with the Hessian H of the stage's last Newton step,
+halved until the merit at tau' does not rise.  The same closed form,
 `certificate`, certifies the result; at the identity position it is the
 exact hbar <= f of funcjohn.verify.  Whether f decays (`surrounds_origin`)
 is for the caller to ask.
@@ -46,10 +52,13 @@ _MAX_HALVINGS = 60  # line-search and start-radius halvings
 def surrounds_origin(P) -> bool:
     """Whether the rays through the nonzero rows of P positively span R^d,
     that is, whether no direction theta has <p, theta> <= 0 for every row;
-    f decays along every ray exactly then.  Holds when the unit rows span
-    R^d and one LP writes 0 as their combination with all weights > 0."""
+    f decays along every ray exactly then.  In d = 1 that is rows of both
+    signs; otherwise it holds when the unit rows span R^d and one LP writes
+    0 as their combination with all weights > 0."""
     U = P[np.any(P != 0.0, axis=1)]
     n, d = U.shape
+    if d == 1:
+        return bool((U < 0.0).any() and (U > 0.0).any())
     if n <= d or np.linalg.matrix_rank(U) < d:
         return False
     U = U / np.linalg.norm(U, axis=1)[:, None]
@@ -220,7 +229,8 @@ class Problem:
                       float(np.log(-v).sum()))
 
     def _newton(self, pt: _Point, tau, log_alpha):
-        """(gradient, Newton step) of the merit at pt."""
+        """(gradient, Newton step, Hessian) of the merit at pt, and the
+        gradient of f0."""
         rows, cols, half, J = self._rows, self._cols, self._half, self._J
         K, d, n = rows.size, self.d, pt.x.size
         B = np.linalg.inv(pt.A)
@@ -230,11 +240,13 @@ class Problem:
         D = np.zeros((v.size, n))  # row gradients
         D[:, :K] = S1[:, None] * Gz
         D[:, K:K + d] = self.P
+        g0 = np.zeros(n)  # gradient of f0
+        g0[:K] = -2.0 * half * B[rows, cols]
         if log_alpha is None:
             D[:self.m_int, -1] = -1.0
+            g0[-1] = 1.0
         wt = -1.0 / v
-        grad = D.T @ wt
-        grad[:K] -= tau * 2.0 * half * B[rows, cols]
+        grad = D.T @ wt + tau * g0
         H = (D.T * wt * wt) @ D
         # Hessian of -log det A, tr(B E_k B E_l), in the symmetric basis
         rr, cc, rc, cr = self._ix
@@ -244,23 +256,20 @@ class Problem:
         # sigma' (J^T J - grad grad^T) / |Ap|
         H[:K, :K] += (Gz.T * (wt * (S2 - S1 * inv_c))) @ Gz
         H[:K, :K] += np.einsum("i,idk,idl->kl", wt * S1 * inv_c, J, J)
-        if log_alpha is None:
-            grad[-1] += tau
-        return grad, np.linalg.solve(H, -grad)
+        return grad, np.linalg.solve(H, -grad), H, g0
 
-    def _line_search(self, pt: _Point, step, decrement2, tau, log_alpha
+    def _line_search(self, pt: _Point, step, tau, log_alpha, slope
                      ) -> _Point | None:
-        """The point at the largest step in 1, 1/2, 1/4, ... that keeps
-        every row strictly negative and A positive definite, and (above
-        _FULL_STEP) passes Armijo's test; None when none does."""
+        """The point at the largest step s in 1, 1/2, 1/4, ... that keeps
+        every row strictly negative and A positive definite, and whose merit
+        at tau is at most pt's minus s slope (Armijo's test; -inf passes any
+        such point); None when none does."""
         s = 1.0
-        full = decrement2 <= _FULL_STEP
         merit = pt.merit(tau)
         for _ in range(_MAX_HALVINGS):
             trial = self._point(pt.x + s * step, log_alpha)
             value = math.inf if trial is None else trial.merit(tau)
-            if math.isfinite(value) and (
-                    full or value <= merit - 0.25 * s * decrement2):
+            if math.isfinite(value) and value <= merit - s * slope:
                 return trial
             s *= 0.5
         return None
@@ -327,7 +336,7 @@ class Problem:
             stages += 1
             for _ in range(_STAGE_STEPS):
                 try:
-                    grad, step = self._newton(pt, tau, log_alpha)
+                    grad, step, H, g0 = self._newton(pt, tau, log_alpha)
                     decrement2 = -float(grad @ step)
                 except np.linalg.LinAlgError:
                     decrement2 = math.nan
@@ -339,8 +348,9 @@ class Problem:
                 if decrement2 <= _CENTERED:
                     break
                 steps += 1
-                moved = self._line_search(pt, step, decrement2, tau,
-                                          log_alpha)
+                moved = self._line_search(
+                    pt, step, tau, log_alpha, -math.inf
+                    if decrement2 <= _FULL_STEP else 0.25 * decrement2)
                 if moved is None:
                     break
                 pt = moved
@@ -349,7 +359,13 @@ class Problem:
             gap = (m + decrement2) / tau
             if gap <= _GAP_TOL:
                 stop = "gap_reached"
-            tau = min(tau * _STAGE_FACTOR, tau_last)
+            nxt = min(tau * _STAGE_FACTOR, tau_last)
+            if stop is None and decrement2 <= _CENTERED:
+                # the predictor step of the module docstring (a centred
+                # stage at tau_last has met the gap test)
+                dx = np.linalg.solve(H, g0) * ((tau / nxt - 1.0) * tau)
+                pt = self._line_search(pt, dx, nxt, log_alpha, 0.0) or pt
+            tau = nxt
         _, a, _ = self._unpack(pt.x)
         if log_alpha is None:
             log_alpha = -float(np.max(pt.rows[:self.m_int]))

@@ -19,6 +19,15 @@ cut route, and last the certified free solves of the d = 2 Gaussian (radial
 route) and of its half-restriction (cut route).  The 27 cases take 6-7 s
 on a shared two-core machine, most of it the sampled polar floor of the
 boundary-anchor bump.
+
+The predictor step of the exact barrier (funcjohn.exact) changed the hashes
+of the seven cases that run a barrier solve, through their newton_steps and
+the last bits of their positions: solve-john/two-point-bump,
+solve-john/decomposition-bump-3, fixed-height/two-point-bump-0.5,
+fixed-height/positioned-bump-2-1.0, solve-john/half-restriction-gaussian-2,
+fixed-height/half-restriction-gaussian-2-0.25 and
+solve-john/half-restriction-gaussian-2-certified.  Their exit codes and the
+other 20 lines stayed the same.
 """
 
 from __future__ import annotations

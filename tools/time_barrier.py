@@ -4,10 +4,12 @@
 
 Each target is solved N times through the public solve; only the time spent
 inside Problem.solve is counted.  Per target it prints the median of that
-time in ms, and per solve the Newton steps and the points evaluated.  Points
-are counted as the calls of w's radial_log_sup_derivatives inside
-Problem.solve, one per barrier point, so that a checkout which evaluates a
-point more than once shows its repeats.  The targets are the two exact
+time in ms, and per solve the barrier stages, the Newton steps and the
+points evaluated, so that the re-centring cost of a stage shows as steps per
+stage.  Points are counted as the calls of w's radial_log_sup_derivatives
+inside Problem.solve, one per barrier point (Newton line-search trials and
+predictor trials alike), so that a checkout which evaluates a point more
+than once shows its repeats.  The targets are the two exact
 solves of the john_bump benchmark (corpus bump d = 2 #2 free, d = 1 #0 at
 xi = 1), corpus bump #0 free in d = 1-4, and two d = 3 half-restrictions on
 the cut route, where one solve runs the barrier on every relaxation.  It
@@ -49,7 +51,8 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=10)
     args = parser.parse_args()
-    tally = {"s": 0.0, "steps": 0, "points": 0, "inside": False}
+    tally = {"s": 0.0, "stages": 0, "steps": 0, "points": 0,
+             "inside": False}
     solve = exact.Problem.solve
     sigma = fj.HeightPower.radial_log_sup_derivatives
 
@@ -59,6 +62,7 @@ def main() -> None:
         sol = solve(self, *a)
         tally["s"] += time.perf_counter() - t0
         tally["inside"] = False
+        tally["stages"] += sol.barrier_stages
         tally["steps"] += sol.newton_steps
         return sol
 
@@ -68,16 +72,17 @@ def main() -> None:
 
     exact.Problem.solve = timed_solve
     fj.HeightPower.radial_log_sup_derivatives = counted_sigma
-    print(f"{'target':38s} {'median ms':>10s} {'newton_steps':>13s} "
-          f"{'points':>7s}")
+    print(f"{'target':38s} {'median ms':>10s} {'barrier_stages':>15s} "
+          f"{'newton_steps':>13s} {'points':>7s}")
     for name, run in TARGETS:
         times = []
         for _ in range(args.repeat):
-            tally.update(s=0.0, steps=0, points=0)
+            tally.update(s=0.0, stages=0, steps=0, points=0)
             run()
             times.append(tally["s"])
         print(f"{name:38s} {1e3 * statistics.median(times):10.2f} "
-              f"{tally['steps']:13d} {tally['points']:7d}")
+              f"{tally['stages']:15d} {tally['steps']:13d} "
+              f"{tally['points']:7d}")
 
 
 if __name__ == "__main__":
