@@ -17,7 +17,7 @@ import numpy as np
 from scipy import optimize
 
 from .lcfunc import BOUNDARY_SNAP, MAX_DIM, DimensionMismatchError, hbar
-from .verify import hull_min_offset
+from .polar import hull_min_offset
 
 DEFAULT_VERIFY_TOL = 1e-8
 
@@ -192,7 +192,7 @@ def regularize_decomposition(dec: FunctionalJohnDecomposition, n: int,
 
 def hull_ball_margin(dec: FunctionalJohnDecomposition) -> HullMarginReport:
     """Min over directions of the support function of conv{u_i}, minus
-    1/(d+1), from the exact facets of verify.hull_min_offset."""
+    1/(d+1), from the exact facets of polar.hull_min_offset."""
     res = verify_decomposition(dec)
     if not res.passes(DEFAULT_VERIFY_TOL):
         raise InvalidDecompositionError(f"decomposition fails verification: {res}")

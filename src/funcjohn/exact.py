@@ -34,6 +34,7 @@ import numpy as np
 from scipy import optimize
 
 from .lcfunc import ImproperFunctionError, LogConcaveFunction
+from .polar import hull_min_offset
 
 _STAGE_FACTOR = 50.0  # growth of the barrier weight tau per stage
 # the solve stops once (number of rows + squared decrement) / tau, a bound on
@@ -53,8 +54,10 @@ def surrounds_origin(P) -> bool:
     """Whether the rays through the nonzero rows of P positively span R^d,
     that is, whether no direction theta has <p, theta> <= 0 for every row;
     f decays along every ray exactly then.  In d = 1 that is rows of both
-    signs; otherwise it holds when the unit rows span R^d and one LP writes
-    0 as their combination with all weights > 0."""
+    signs; otherwise it holds when the unit rows span R^d and the origin
+    lies inside their hull.  Then the hull of the unit rows and the origin
+    is full-dimensional, and its smallest facet offset is 0 exactly when
+    the origin is not inside."""
     U = P[np.any(P != 0.0, axis=1)]
     n, d = U.shape
     if d == 1:
@@ -62,17 +65,7 @@ def surrounds_origin(P) -> bool:
     if n <= d or np.linalg.matrix_rank(U) < d:
         return False
     U = U / np.linalg.norm(U, axis=1)[:, None]
-    # maximize rho over weights lam >= rho with sum 1 and sum lam_i u_i = 0
-    A_eq = np.zeros((d + 1, n + 1))
-    A_eq[:d, :n] = U.T
-    A_eq[d, :n] = 1.0
-    A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
-    res = optimize.linprog(np.append(np.zeros(n), -1.0), A_ub=A_ub,
-                           b_ub=np.zeros(n), A_eq=A_eq,
-                           b_eq=np.append(np.zeros(d), 1.0),
-                           bounds=[(0.0, None)] * n + [(None, None)],
-                           method="highs")
-    return res.status == 0 and -res.fun > 1e-9
+    return hull_min_offset(np.vstack([U, np.zeros(d)]))[0] > 1e-9
 
 
 def _row_values(P, off, m_int, w, R, A, a) -> tuple:

@@ -12,10 +12,14 @@ route takes tangent majorants, and the support function
 S(p) = sup_x <p,x> + log f(x) behind the polar (log_sup, with radial_log_sup
 for radial variants, and its derivatives in closed form for the height powers
 and the ball).  Bumps, their half-restrictions and their positioned copies
-also give the log-polyhedral normal form the exact solver reads
-(normal_form).
+also give the log-polyhedral normal form (normal_form) that the exact solver
+reads.  The base log_sup takes S of every normal form, those of variants
+defined outside the library included, exactly from polar.bump_log_sup, and
+the base lower_facets keeps its lower facets; a variant with neither a
+normal form nor a radial profile falls back to a seeded numeric ascent.
 
-All values are immutable after construction and evaluation is pure.
+All values are immutable after construction and evaluation is pure; the
+lower facets are computed once, on first use.
 """
 
 from __future__ import annotations
@@ -146,7 +150,8 @@ class LogConcaveFunction:
         return math.inf
 
     def sup_norm(self) -> float:
-        raise NotImplementedError
+        """sup f = exp S(0)."""
+        return math.exp(float(self.log_sup(np.zeros((1, self.dim)))[0]))
 
     def integral(self) -> float:
         return _numeric_integral(self)
@@ -172,15 +177,28 @@ class LogConcaveFunction:
     def lower_facets(self) -> tuple | None:
         """polar.lower_facets of the normal form: (J, c, e) for the lower
         facets <c, p> + e of the support function S, or None without a
-        normal form or where the facets do not settle S."""
-        form = self.normal_form()
-        if form is None:
-            return None
-        from . import polar  # deferred: polar builds on lcfunc
-        return polar.lower_facets(*form[:3])
+        normal form or where the facets do not settle S.  Found on first
+        use and kept read-only beside the function, outside its dataclass
+        fields: its sup norm, polar and polar floor all read them."""
+        if "_facets" not in self.__dict__:
+            form = self.normal_form()
+            facets = None
+            if form is not None:
+                from . import polar  # deferred: polar builds on lcfunc
+                facets = polar.lower_facets(*form[:3])
+            for arr in facets or ():
+                arr.flags.writeable = False
+            object.__setattr__(self, "_facets", facets)
+        return self._facets
 
     def log_sup(self, P: np.ndarray) -> np.ndarray:
-        """S(p) = sup over supp f of (<p,x> + log f(x)) for each row of P."""
+        """S(p) = sup over supp f of (<p,x> + log f(x)) for each row of P:
+        exact from the normal form where there is one (polar.bump_log_sup),
+        from radial_log_sup for radial f, and by a seeded numeric ascent
+        for every other f."""
+        if self.normal_form() is not None:
+            from . import polar  # deferred: polar builds on lcfunc
+            return polar.bump_log_sup(self, P)
         if self.is_radial():
             return np.asarray([self.radial_log_sup(float(np.linalg.norm(p)))
                                for p in P])
@@ -654,28 +672,6 @@ class Bump(LogConcaveFunction):
         return (self.slopes, self.intercepts, self.walls,
                 np.ones(self.walls.shape[0]))
 
-    def lower_facets(self):
-        """As for every variant, found on first use and kept read-only
-        beside the normal form: the sup norm, the polar and the polar floor
-        of one bump all read them."""
-        if "_facets" not in self.__dict__:
-            facets = super().lower_facets()
-            for arr in facets or ():
-                arr.flags.writeable = False
-            object.__setattr__(self, "_facets", facets)
-        return self._facets
-
-    def log_sup(self, P):
-        from . import polar  # deferred: polar builds on lcfunc
-        return polar.bump_log_sup(self, P)
-
-    def sup_norm(self):
-        if not self.intercepts.shape[0]:
-            raise ImproperFunctionError(
-                "bump with only boundary anchors takes no finite positive value")
-        from . import polar  # deferred: polar builds on lcfunc
-        return math.exp(polar.bump_log_sup(self, np.zeros((1, self.dim)))[0])
-
 
 # ---------------------------------------------------------------------------
 # wrappers
@@ -733,9 +729,6 @@ class HalfRestriction(LogConcaveFunction):
 
     def support_radius(self):
         return self.inner.support_radius()
-
-    def sup_norm(self):
-        return math.exp(float(self.log_sup(np.zeros((1, self.dim)))[0]))
 
     def integral(self):
         if self.inner.is_radial():

@@ -2,42 +2,37 @@
 
 polar(f)(p) = inf over supp f of e^{-<p,x>} / f(x) = exp(-S(p)) with
 S(p) = sup_x (<p,x> + log f(x)).  Each variant computes S with its log_sup
-method; this module holds the exact treatment of bumps that Bump.log_sup
-calls, and the polar values built on S.
+method; this module holds the exact S of every normal form
+(LogConcaveFunction.normal_form), which the base log_sup calls, the convex
+hulls it stands on, and the polar values built on S.
 
-For a bump, log f = min_i (b_i - <s_i,x>), and by LP duality S is the lower
-convex envelope of the lifted anchors (s_i, b_i), evaluated at p.  The lower
-facets of the lifted set are found once per call, by enumerating the
-(d+1)-subsets of the anchors, and every point is evaluated against that
-short list.  HiGHS solves the LP dual per point only where the facets
-cannot answer: points that no facet covers (beyond the slope hull, where S
-is +inf), bumps with a boundary anchor, bumps with fewer than d + 1
-interior anchors, and bumps with more than _FACET_ENUM_MAX_SUBSETS subsets.
+For log f = min_i (b_i - <s_i,x>), with f = 0 on each half-space
+<n_j,x> >= c_j, LP duality gives S(p) = min b.lam + c.mu over lam, mu >= 0
+with sum lam = 1 and sum lam_i s_i + sum mu_j n_j = p.  Without walls S is
+the lower convex envelope of the lifted anchors (s_i, b_i): one Qhull
+(Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) gives its lower facets, once
+per function, and S(p) is the largest facet plane at p on the slope hull
+conv{s_i}, +inf beyond it.  HiGHS solves the LP dual per point only where
+the facets cannot answer: normal forms with walls or whose slopes do not
+span R^d affinely, and points within rounding of the slope hull's boundary.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
 
 import numpy as np
 from scipy import optimize
+from scipy.spatial import ConvexHull
 
 from .lcfunc import (
-    Bump,
     ImproperFunctionError,
     LogConcaveFunction,
     hbar,
 )
 
 POLAR_CLAMP = 1e-300
-# Past this many (d+1)-subsets the facet search outgrows a call's LPs: it
-# took 7 ms on the 3,432 subsets of a d = 6 corpus bump (14 anchors), 29 ms
-# on the 12,870 of d = 7 and 128 ms on the 48,620 of d = 8, against about
-# 1.5 ms per HiGHS LP.
-_FACET_ENUM_MAX_SUBSETS = 20_000
-_FACET_CHUNK = 1024  # subsets solved per batch, so memory stays flat
 
 
 @dataclass(frozen=True)
@@ -63,18 +58,63 @@ def polar_of_ell(u) -> PolarAtom:
 
 
 # ---------------------------------------------------------------------------
-# bump support function
+# hulls and the support function of a normal form
 # ---------------------------------------------------------------------------
 
+_SPREAD_BLOCK = 256  # rows screened at once against the picks so far
 
-def _bump_log_sup_linprog(slopes, intercepts, boundary, P):
+
+def spread(P: np.ndarray, radius: float, limit: int | None = None
+           ) -> np.ndarray:
+    """Indices, in row order, of the rows of P that lie farther than radius
+    from every row kept before them, at most limit of them: the greedy
+    thinning of a ranked point list to spread-out picks.  Rows are screened
+    a block at a time, so a walk that fills its limit early stays short."""
+    limit = P.shape[0] if limit is None else limit
+    kept: list[int] = []
+    for start in range(0, P.shape[0], _SPREAD_BLOCK):
+        if len(kept) >= limit:
+            break
+        block = P[start:start + _SPREAD_BLOCK]
+        live = np.all(np.linalg.norm(block[:, None, :] - P[kept], axis=2)
+                      > radius, axis=1)
+        for i in np.flatnonzero(live):
+            if len(kept) >= limit:
+                break
+            if live[i]:
+                kept.append(start + int(i))
+                live[i + 1:] &= np.linalg.norm(
+                    block[i + 1:] - block[i], axis=1) > radius
+    return np.asarray(kept, dtype=np.intp)
+
+
+def hull_facets(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, h): the outward unit normals and offsets of the facets
+    <n, u> <= h of conv{u_i}, exactly (d = 1 by hand, else by Qhull on the
+    rows left once near-identical ones are dropped)."""
+    if U.shape[1] == 1:
+        return np.array([[1.0], [-1.0]]), np.array([np.max(U), -np.min(U)])
+    eq = ConvexHull(U[spread(U, 1e-12)]).equations  # normal . x + offset <= 0
+    return eq[:, :-1], -eq[:, -1]
+
+
+def hull_min_offset(U: np.ndarray) -> tuple[float, tuple]:
+    """(h, n): the smallest offset h of the facets <n, u> <= h of
+    conv{u_i}, with its normal; B_r lies in the hull iff r <= h."""
+    N, h = hull_facets(U)
+    k = int(np.argmin(h))
+    return float(h[k]), tuple(float(v) for v in N[k])
+
+
+def _bump_log_sup_linprog(slopes, intercepts, walls, P, offsets):
     """Per-point HiGHS solve of the LP dual
-    min b.lam + sum mu  s.t.  sum lam_i s_i + sum mu_j u_j = p, sum lam = 1,
-    lam, mu >= 0; an infeasible dual means S(p) = +inf."""
-    m, nb = slopes.shape[0], boundary.shape[0]
-    A_eq = np.vstack([np.hstack([slopes.T, boundary.T]),
-                      np.append(np.ones(m), np.zeros(nb))])
-    cost = np.concatenate([intercepts, np.ones(nb)])
+    min b.lam + c.mu  s.t.  sum lam_i s_i + sum mu_j n_j = p, sum lam = 1,
+    lam, mu >= 0, for walls n_j with offsets c_j; an infeasible dual means
+    S(p) = +inf."""
+    m, nw = slopes.shape[0], walls.shape[0]
+    A_eq = np.vstack([np.hstack([slopes.T, walls.T]),
+                      np.append(np.ones(m), np.zeros(nw))])
+    cost = np.concatenate([intercepts, offsets])
     out = np.empty(P.shape[0])
     for k, p in enumerate(P):
         res = optimize.linprog(cost, A_eq=A_eq, b_eq=np.append(p, 1.0),
@@ -89,81 +129,56 @@ def _bump_log_sup_linprog(slopes, intercepts, boundary, P):
 
 
 def lower_facets(slopes, intercepts, walls):
-    """(J, c, e), or None where the facets do not settle S (see the module
-    docstring): the (d+1)-subsets J of the anchors, by row, whose lifted
-    points (s_j, b_j) span a lower facet <c,s> + e of the lifted set, below
-    every lifted anchor up to a tolerance scaled by each residual's terms.
-    On the slope hull S(p) = max over the facets of <c,p> + e."""
+    """(J, c, e) for the lower facets of the lifted anchors (s_j, b_j): the
+    d + 1 rows J of each facet's anchors, sorted, and the plane
+    <c, s> + e through them, solved from those rows.  None when there are
+    walls, or when the slopes do not span R^d affinely.
+
+    Qhull triangulates the hull of the lifted anchors and one apex
+    (mean s, max b + 1) above them, which keeps its input full-dimensional
+    when the slopes span; the lower facets are those whose outward normal
+    points down, and none of them holds the apex.  On the slope hull
+    S(p) = max over the facets of <c, p> + e."""
     m, d = slopes.shape
-    if (walls.shape[0] or m < d + 1
-            or math.comb(m, d + 1) > _FACET_ENUM_MAX_SUBSETS):
+    if walls.shape[0] or m <= d \
+            or np.linalg.matrix_rank(slopes[1:] - slopes[0]) < d:
         return None
-    lifted = np.hstack([slopes, np.ones((m, 1))])  # rows [s_k, 1]
-    s_norm = np.linalg.norm(slopes, axis=1)
-    b_abs = np.abs(intercepts)
-    subsets = combinations(range(m), d + 1)
-    facets = [(np.empty((0, d + 1), dtype=np.intp), np.empty((0, d)),
-               np.empty(0))]
-    while True:
-        J = np.array(list(islice(subsets, _FACET_CHUNK)), dtype=np.intp)
-        if not J.size:
-            return tuple(np.concatenate(parts) for parts in zip(*facets))
-        # the point solves factor M = rows^T and the facet solve factors
-        # rows; on huge slopes one LU can meet an exact zero pivot while the
-        # other does not, so both determinants must pass
-        rows = lifted[J]  # (k, d+1, d+1)
-        regular = ((np.abs(np.linalg.det(rows.transpose(0, 2, 1))) >= 1e-12)
-                   & (np.abs(np.linalg.det(rows)) >= 1e-12))
-        J, rows = J[regular], rows[regular]
-        if not J.size:
-            continue
-        ce = np.linalg.solve(rows, intercepts[J][:, :, None])[:, :, 0]
-        c, e = ce[:, :d], ce[:, d]
-        resid = intercepts[None, :] - c @ slopes.T - e[:, None]
-        tol = 1e-12 * (b_abs[None, :]
-                       + np.linalg.norm(c, axis=1)[:, None] * s_norm[None, :]
-                       + np.abs(e)[:, None])
-        lower = np.all(resid >= -tol, axis=1)
-        facets.append((J[lower], c[lower], e[lower]))
+    lifted = np.hstack([slopes, intercepts[:, None]])
+    apex = np.append(slopes.mean(axis=0), intercepts.max() + 1.0)
+    hull = ConvexHull(np.vstack([lifted, apex]))
+    J = np.sort(hull.simplices[hull.equations[:, d] < 0.0], axis=1)
+    rows = np.concatenate([slopes[J], np.ones(J.shape + (1,))], axis=2)
+    ce = np.linalg.solve(rows, intercepts[J][:, :, None])[:, :, 0]
+    return J, ce[:, :d], ce[:, d]
 
 
-def bump_log_sup(bump: Bump, P) -> np.ndarray:
-    """S(p) = sup_x (<p,x> + log bump(x)) for each row p of P (exact).
-
-    S is the lower convex envelope of the lifted anchors (s_i, b_i) at p.
-    Each lower facet J gives the affine lower bound b_J . lam on S, where
-    lam are p's barycentric coordinates in the simplex of the s_j, and it
-    is exact on that simplex; so a point's value is the largest b_J . lam
-    over the facets whose simplex covers it.  HiGHS settles the points no
-    facet covers, and whole calls on bumps the facets do not serve (see the
-    module docstring)."""
+def bump_log_sup(f: LogConcaveFunction, P) -> np.ndarray:
+    """S(p) = sup_x (<p,x> + log f(x)) for each row p of P, exactly, for f
+    with a normal form (see the module docstring).  With lower facets, S is
+    one matrix max over their planes on the slope hull and +inf beyond its
+    facets; HiGHS settles the points within rounding of that boundary, and
+    every point where f has no lower facets."""
     P = np.asarray(P, dtype=float)
     if P.ndim == 1:
         P = P[None, :]
-    slopes, intercepts, boundary = bump.slopes, bump.intercepts, bump.walls
+    slopes, intercepts, walls, offsets = f.normal_form()
     if not intercepts.shape[0]:
-        raise ImproperFunctionError("bump has no interior anchor")
-    facets = bump.lower_facets()
+        raise ImproperFunctionError(
+            "a normal form with walls only takes no finite positive value")
+    facets = f.lower_facets()
     if facets is None:
-        return _bump_log_sup_linprog(slopes, intercepts, boundary, P)
-
-    # LP dual: S(p) = min { b . lam : lam >= 0, sum lam = 1, lam . s = p },
-    # attained on the lower facet whose simplex holds p
-    d = slopes.shape[1]
-    n = P.shape[0]
-    rhs = np.vstack([P.T, np.ones(n)])  # (d+1, n)
-    best = np.full(n, -math.inf)
-    for J in facets[0]:
-        M = np.vstack([slopes[J].T, np.ones(d + 1)])
-        lam = np.linalg.solve(M, rhs)  # (d+1, n)
-        covered = np.all(lam >= -1e-11, axis=0)
-        vals = intercepts[J] @ lam
-        best = np.where(covered & (vals > best), vals, best)
-    missing = np.isneginf(best)
-    if missing.any():
-        best[missing] = _bump_log_sup_linprog(slopes, intercepts, boundary,
-                                              P[missing])
-    return best
+        return _bump_log_sup_linprog(slopes, intercepts, walls, P, offsets)
+    _, c, e = facets
+    out = np.max(P @ c.T + e, axis=1)
+    N, h = hull_facets(slopes)
+    beyond = P @ N.T - h
+    tol = 1e-9 * (np.abs(h) + np.linalg.norm(P, axis=1)[:, None])
+    out[np.any(beyond > tol, axis=1)] = math.inf
+    near = np.isfinite(out) & np.any(beyond >= -tol, axis=1)
+    if near.any():
+        out[near] = _bump_log_sup_linprog(slopes, intercepts, walls, P[near],
+                                          offsets)
+    return out
 
 
 # ---------------------------------------------------------------------------

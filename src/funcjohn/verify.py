@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.spatial import ConvexHull
 
 from . import exact, polar
 from .lcfunc import (
@@ -54,33 +53,6 @@ def sphere_points(d: int, n: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng(seed)
     V = rng.standard_normal((n, d))
     return V / np.linalg.norm(V, axis=1)[:, None]
-
-
-_SPREAD_BLOCK = 256  # rows screened at once against the picks so far
-
-
-def spread(P: np.ndarray, radius: float, limit: int | None = None
-           ) -> np.ndarray:
-    """Indices, in row order, of the rows of P that lie farther than radius
-    from every row kept before them, at most limit of them: the greedy
-    thinning of a ranked point list to spread-out picks.  Rows are screened
-    a block at a time, so a walk that fills its limit early stays short."""
-    limit = P.shape[0] if limit is None else limit
-    kept: list[int] = []
-    for start in range(0, P.shape[0], _SPREAD_BLOCK):
-        if len(kept) >= limit:
-            break
-        block = P[start:start + _SPREAD_BLOCK]
-        live = np.all(np.linalg.norm(block[:, None, :] - P[kept], axis=2)
-                      > radius, axis=1)
-        for i in np.flatnonzero(live):
-            if len(kept) >= limit:
-                break
-            if live[i]:
-                kept.append(start + int(i))
-                live[i + 1:] &= np.linalg.norm(
-                    block[i + 1:] - block[i], axis=1) > radius
-    return np.asarray(kept, dtype=np.intp)
 
 
 # ---------------------------------------------------------------------------
@@ -178,28 +150,15 @@ def height_below(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
                             seed=seed).max_log_violation, "sampled"
 
 
-def hull_min_offset(U: np.ndarray) -> tuple[float, tuple]:
-    """(h, n): the smallest support value h = max_i <n, u_i> over the
-    outward unit facet normals n of conv{u_i}, exactly (d = 1 by hand, else
-    by Qhull); B_r lies in the hull iff r <= h."""
-    if U.shape[1] == 1:
-        hi, lo = float(np.max(U)), float(-np.min(U))
-        return (hi, (1.0,)) if hi <= lo else (lo, (-1.0,))
-    # deduplicate near-identical points before handing them to Qhull
-    hull = ConvexHull(U[spread(U, 1e-12)])
-    # facet equations are normal . x + offset <= 0 with unit normal
-    offsets = -hull.equations[:, -1]
-    k = int(np.argmin(offsets))
-    return float(offsets[k]), tuple(float(v) for v in hull.equations[k, :-1])
-
-
 def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     """(exp(-M), "exact" or "sampled"): the minimum of polar(f) on the ball
     of radius rho = 1/(d+1), with M = max_{|p| = rho} S(p), as S is convex.
-    Exact for radial f, and for bumps and positioned bumps without walls
-    whose lower facets <c_J, p> + e_J polar enumerates: M = max_J (e_J +
-    rho |c_J|), or +inf when the slope hull misses part of the ball.
-    Sampled on 1000 seeded points of the sphere for every other f."""
+    Exact for radial f, and for every f whose normal form has lower facets
+    <c_J, p> + e_J (no walls, and slopes that span R^d affinely):
+    M = max_J (e_J + rho |c_J|), or +inf when the slope hull misses part of
+    the ball.  Sampled on 1000 seeded points of the sphere for every other
+    f: normal forms with walls, and functions that are neither radial nor
+    log-polyhedral."""
     d = f.dim
     rho = 1.0 / (d + 1)
     if f.is_radial():
@@ -207,7 +166,7 @@ def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     facets = f.lower_facets()
     if facets is not None:
         _, c, e = facets
-        if not e.size or hull_min_offset(f.normal_form()[0])[0] < rho:
+        if polar.hull_min_offset(f.normal_form()[0])[0] < rho:
             return 0.0, "exact"
         return math.exp(-np.max(e + rho * np.linalg.norm(c, axis=1))), "exact"
     # in d = 1 the 1000 points are copies of -rho and rho
@@ -237,14 +196,24 @@ def john_inclusion_check(f: LogConcaveFunction, seed: int = 0
                          ) -> JohnInclusionRecord:
     """For f in John position: hbar <= f by height_below, and
     polar(f) >= e^{-(d+1)} on the ball of radius 1/(d+1) by polar_floor,
-    which implies the corollary polar(f)(p) >= e^{-(d+1)} hbar((d+1) p)."""
+    which implies the corollary polar(f)(p) >= e^{-(d+1)} hbar((d+1) p).
+    hbar <= f passes within DOMINATION_PASS_TOL, widened for an exact
+    certificate by the rounding of its own terms."""
     d = f.dim
     violation, height_how = height_below(f, seed)
+    tol = DOMINATION_PASS_TOL
+    if height_how == "exact":
+        # each row of the certificate, -b_i + S_hbar(|s_i|), is a difference
+        # of terms about |b_i| + |s_i| in size, so a touching anchor far out
+        # reads a few of their ulps, not 0
+        slopes, intercepts = f.normal_form()[:2]
+        tol += 16.0 * math.ulp(1.0) * float(np.max(
+            np.abs(intercepts) + np.linalg.norm(slopes, axis=1), initial=0.0))
     floor, how = polar_floor(f, seed)
     return JohnInclusionRecord(
         height_below_max_log_violation=violation,
         height_below_certificate=height_how,
-        height_below_pass=violation <= DOMINATION_PASS_TOL,
+        height_below_pass=violation <= tol,
         polar_floor_min=floor,
         polar_floor_certificate=how,
         polar_floor_pass=_floor_holds(floor, d),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from funcjohn import (
     CONSTRAINT_TOL,
@@ -266,6 +267,27 @@ def test_predictor_keeps_corpus_solves_in_few_newton_steps():
     assert steps < 1500
 
 
+def _lp_surrounds_origin(P):
+    """The decay test by LP: the unit rows u_i span R^d, and weights
+    lam_i >= rho with sum 1 write 0 as sum lam_i u_i for some rho > 1e-9."""
+    U = P[np.any(P != 0.0, axis=1)]
+    n, d = U.shape
+    if n <= d or np.linalg.matrix_rank(U) < d:
+        return False
+    U = U / np.linalg.norm(U, axis=1)[:, None]
+    # maximize rho over weights lam >= rho with sum 1 and sum lam_i u_i = 0
+    A_eq = np.zeros((d + 1, n + 1))
+    A_eq[:d, :n] = U.T
+    A_eq[d, :n] = 1.0
+    A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
+    res = optimize.linprog(np.append(np.zeros(n), -1.0), A_ub=A_ub,
+                           b_ub=np.zeros(n), A_eq=A_eq,
+                           b_eq=np.append(np.zeros(d), 1.0),
+                           bounds=[(0.0, None)] * n + [(None, None)],
+                           method="highs")
+    return res.status == 0 and -res.fun > 1e-9
+
+
 def test_d1_sign_rule_agrees_with_the_lp():
     # rows p_i in R surround the origin exactly when the rows (p_i, 0) with
     # (0, 1) and (0, -1) surround it in R^2, which the LP decides
@@ -277,4 +299,45 @@ def test_d1_sign_rule_agrees_with_the_lp():
         P = (signs * 10.0 ** rng.uniform(-8.0, 8.0, n))[:, None]
         lifted = np.vstack([np.hstack([P, np.zeros((n, 1))]),
                             [[0.0, 1.0], [0.0, -1.0]]])
-        assert surrounds_origin(P) == surrounds_origin(lifted), P.ravel()
+        assert surrounds_origin(P) == _lp_surrounds_origin(lifted), P.ravel()
+
+
+def _row_sets(rng, count):
+    """Rows in d = 2-6: Gaussian sets, sets in a closed half-space, and
+    balanced sets, with the origin exactly on a face of the hull or inside
+    the hull of +-e_i."""
+    for k in range(count):
+        d = int(rng.integers(2, 7))
+        n = int(rng.integers(d, 2 * d + 5))
+        P = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        kind = k % 4
+        if kind == 1:
+            P[:, 0] = np.abs(P[:, 0])
+            P[rng.random(n) < 0.3, 0] = 0.0
+        elif kind == 2:
+            # +-u with the rest on the hyperplane <x, u> = 0, mirrored or not
+            u = P[0]
+            P = np.vstack([u, -u, P[1:] - np.outer(P[1:] @ u, u) / (u @ u)])
+            if rng.random() < 0.5:
+                P = np.vstack([P, -P[2:]])
+        elif kind == 3:
+            P = np.vstack([np.eye(d), -np.eye(d), P[:int(rng.integers(0, 3))]])
+        yield P
+
+
+def test_the_hull_decay_rule_agrees_with_the_lp():
+    rng = np.random.default_rng(3)
+    seen = set()
+    for P in _row_sets(rng, 600):
+        want = _lp_surrounds_origin(P)
+        assert surrounds_origin(P) == want, P
+        seen.add(want)
+    assert seen == {False, True}
+    for d in range(2, 7):
+        for bump in bump_corpus(d, 30):
+            S = bump.function.slopes
+            assert surrounds_origin(S) and _lp_surrounds_origin(S)
+            # the rows in the closed half-space <x, s_0> >= 0 do not
+            half = S[S @ S[0] >= 0.0]
+            assert not surrounds_origin(half)
+            assert not _lp_surrounds_origin(half)

@@ -3,6 +3,7 @@ an LP dual, atoms, and the order-reversal and log-concavity properties."""
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from funcjohn import (
     HalfRestriction,
     Height,
     HeightPower,
+    LogConcaveFunction,
     PolarHeightPower,
     Positioned,
     generate_decomposition,
@@ -26,12 +28,14 @@ from funcjohn import (
     make_position,
     polar_eval,
     polar_eval_many,
+    polar_floor,
     polar_of_ell,
     sandwich_construct,
 )
-from funcjohn import polar
+from funcjohn import lcfunc, polar
 from funcjohn.cli import EXIT_PASS, main
 from funcjohn.polar import bump_log_sup
+from funcjohn.verify import sphere_points
 
 TWO_POINT = Bump(anchors=((1.0 / math.sqrt(2.0),), (-1.0 / math.sqrt(2.0),)))
 
@@ -177,18 +181,22 @@ def test_polar_height_power_closed_form_agrees_with_polar_eval():
                    - g.evaluate(np.array([p]))) < 1e-9
 
 
-def _dual_log_sup(anchors, P):
-    """Reference S(p) for a bump with interior anchors: HiGHS on the LP dual
-    min b.lam s.t. lam >= 0, sum lam = 1, sum lam_i s_i = p, where
+def _dual_log_sup(anchors, P, walls=(), offsets=()):
+    """Reference S(p) for a bump with interior anchors, and f = 0 on each
+    half-space <n_j, x> >= c_j: HiGHS on the LP dual min b.lam + c.mu
+    s.t. lam, mu >= 0, sum lam = 1, sum lam_i s_i + sum mu_j n_j = p, where
     log f = min_i (b_i - <s_i, x>); +inf where the dual is infeasible."""
     U = np.asarray(anchors, dtype=float)
+    N = np.asarray(walls, dtype=float).reshape(-1, U.shape[1])
     sq = np.einsum("ij,ij->i", U, U)
     h2 = 1.0 - sq
     b = 0.5 * np.log(h2) + sq / h2
-    A_eq = np.vstack([(U / h2[:, None]).T, np.ones(len(U))])
+    A_eq = np.vstack([np.hstack([(U / h2[:, None]).T, N.T]),
+                      np.append(np.ones(len(U)), np.zeros(len(N)))])
+    cost = np.concatenate([b, np.asarray(offsets, dtype=float)])
     out = []
     for p in np.atleast_2d(P):
-        res = optimize.linprog(b, A_eq=A_eq, b_eq=np.append(p, 1.0),
+        res = optimize.linprog(cost, A_eq=A_eq, b_eq=np.append(p, 1.0),
                                bounds=(0.0, None), method="highs")
         assert res.status in (0, 2), res.message
         out.append(res.fun if res.status == 0 else math.inf)
@@ -243,6 +251,9 @@ def test_bump_log_sup_is_inf_outside_the_slope_hull(tmp_path):
 @given(d=st.integers(1, 4), corpus=st.booleans(), near_sphere=st.booleans(),
        seed=st.integers(0, 2 ** 32 - 1))
 @example(d=6, corpus=True, near_sphere=False, seed=0)
+@example(d=7, corpus=True, near_sphere=False, seed=0)
+@example(d=8, corpus=True, near_sphere=False, seed=0)
+@example(d=8, corpus=False, near_sphere=True, seed=0)
 def test_bump_log_sup_matches_the_lp_dual(d, corpus, near_sphere, seed):
     rng = np.random.default_rng(seed)
     if corpus:
@@ -278,14 +289,92 @@ def test_a_bump_finds_its_lower_facets_once(monkeypatch):
         return enumerate_facets(*form)
 
     monkeypatch.setattr(polar, "lower_facets", counted)
-    f = Bump(anchors=generate_decomposition(3, 0).points)
-    f.sup_norm()
-    polar_eval_many(f, np.zeros((4, 3)))
-    sandwich_construct(f)
-    john_inclusion_check(f)
-    assert len(calls) == 1
-    J, c, e = f.lower_facets()
-    assert not (J.flags.writeable or c.flags.writeable or e.flags.writeable)
-    # equality and hashing still see the anchors only
-    copy = Bump(anchors=f.anchors)
+    bump = Bump(anchors=generate_decomposition(3, 0).points)
+    # a positioned bump keeps facets of its own, for its polar floor; its
+    # support function comes from the inner bump's, through the position,
+    # and those the bump has kept already
+    pos = make_position(1.5, np.diag([1.0, 1.2, 0.9]), [0.1, 0.0, -0.1])
+    for f in (bump, Positioned(inner=bump, position=pos)):
+        calls.clear()
+        f.sup_norm()
+        polar_eval_many(f, np.zeros((4, 3)))
+        sandwich_construct(f)
+        john_inclusion_check(f)
+        assert len(calls) == 1
+        J, c, e = f.lower_facets()
+        assert not (J.flags.writeable or c.flags.writeable
+                    or e.flags.writeable)
+    # equality and hashing still see the dataclass fields only
+    copy = Bump(anchors=bump.anchors)
+    assert copy == bump and hash(copy) == hash(bump)
+    copy = Positioned(inner=copy, position=pos)
     assert copy == f and hash(copy) == hash(f)
+
+
+def test_the_polar_floor_of_a_d8_corpus_bump_is_exact():
+    # 18 anchors: 48,620 subsets of 9, past what enumerating them allowed
+    f = _corpus_bump(8, 0)
+    floor, how = polar_floor(f)
+    assert how == "exact" and floor >= math.exp(-9.0)
+    M = -math.log(floor)
+    P = sphere_points(8, 1000, seed=0) / 9.0
+    assert np.max(f.log_sup(P)) <= M + 1e-12
+    _, c, e = f.lower_facets()
+    k = int(np.argmax(e + np.linalg.norm(c, axis=1) / 9.0))
+    p = c[k] / (9.0 * np.linalg.norm(c[k]))
+    assert abs(f.log_sup(p[None, :])[0] - M) <= 1e-12 * max(1.0, abs(M))
+
+
+@pytest.mark.parametrize("d, seed", [(1, 0), (2, 0), (3, 4)])
+def test_a_half_restricted_bump_takes_s_from_its_normal_form(
+        monkeypatch, d, seed):
+    # the wall f = 0 on <-n, x> >= 0 enters the LP dual with cost 0; S is
+    # finite beyond the slope hull wherever the wall's normal makes up p
+    bump = _corpus_bump(d, seed)
+    n = np.ones(d) / math.sqrt(d)
+    f = HalfRestriction(inner=bump, normal=tuple(n))
+    monkeypatch.setattr(lcfunc, "_generic_log_sup", None)  # never reached
+    rng = np.random.default_rng(seed)
+    reach = float(np.max(np.linalg.norm(bump.slopes, axis=1)))
+    P = np.vstack([rng.uniform(-1.5 * reach, 1.5 * reach, size=(12, d)),
+                   np.zeros((1, d))])
+    got = f.log_sup(P)
+    ref = _dual_log_sup(bump.anchors, P, walls=[-n], offsets=[0.0])
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    fin = np.isfinite(ref)
+    assert fin.any() and not fin.all()
+    assert np.all(np.abs(got[fin] - ref[fin])
+                  <= 1e-9 * (1.0 + np.abs(ref[fin])))
+    assert f.lower_facets() is None
+
+
+@dataclass(frozen=True)
+class _OrthantSimplex(LogConcaveFunction):
+    """e^{-sum x_i} on the orthant x >= 0, defined outside the library by
+    its log values and its normal form only."""
+
+    dimension: int
+
+    @property
+    def dim(self):
+        return self.dimension
+
+    def log_evaluate_many(self, X):
+        return np.where(np.all(X >= 0.0, axis=1), -X.sum(axis=1), -np.inf)
+
+    def normal_form(self):
+        d = self.dimension
+        return np.ones((1, d)), np.zeros(1), -np.eye(d), np.zeros(d)
+
+
+def test_a_normal_form_defined_outside_the_library_gets_an_exact_s():
+    # S(p) = sup_{x >= 0} <p - 1, x> is 0 where every p_i <= 1, else +inf
+    for d in (1, 2, 3):
+        f = _OrthantSimplex(d)
+        P = np.stack(np.meshgrid(*[[-2.0, 0.0, 0.5, 1.0, 1.5]] * d,
+                                 indexing="ij"), -1).reshape(-1, d)
+        got = f.log_sup(P)
+        inside = np.all(P <= 1.0, axis=1)
+        assert np.all(got[inside] == 0.0)
+        assert np.all(np.isposinf(got[~inside]))
+        assert f.sup_norm() == 1.0

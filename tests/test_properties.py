@@ -37,7 +37,8 @@ from funcjohn import (
 )
 from funcjohn import polar
 from funcjohn.acceptance import bump_corpus
-from funcjohn.verify import _SPREAD_BLOCK, sphere_points, spread
+from funcjohn.polar import _SPREAD_BLOCK, spread
+from funcjohn.verify import sphere_points
 
 REFUSED = (HalfRestriction, LogAffineMajorant)  # no log_value_grad
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -232,8 +233,8 @@ def test_log_sup_is_equivariant_under_positions(d, idx, seed):
             / np.linalg.norm(far, axis=1))[:, None]
     Q = np.vstack([lam @ f.slopes, far])
     P = Q @ np.linalg.inv(T)
-    slopes, intercepts, N, _ = g.normal_form()
-    want = polar._bump_log_sup_linprog(slopes, intercepts, N, P)
+    slopes, intercepts, N, c = g.normal_form()
+    want = polar._bump_log_sup_linprog(slopes, intercepts, N, P, c)
     got = g.log_sup(P)
     assert np.array_equal(np.isinf(got), np.isinf(want))
     assert np.isinf(want[6:]).all() and np.isfinite(want[:6]).all()

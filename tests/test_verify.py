@@ -17,6 +17,7 @@ from funcjohn import (
     PolarHeightPower,
     Positioned,
     check_domination,
+    generate_decomposition,
     height_below,
     john_inclusion_check,
     lowner_counterexample,
@@ -189,6 +190,18 @@ def test_height_below_of_a_lowered_two_point_bump_is_log_2():
     assert not rec.passed and not rec.height_below_pass
 
 
+def test_a_touching_anchor_near_the_sphere_passes_the_exact_check():
+    # 1 - |u|^2 = 7.4e-9 gives an intercept near 1.35e8, so the certificate
+    # row of that touching anchor reads one of its ulps, 2.98e-8, above the
+    # pass tolerance of 1e-8; the value is reported as computed
+    f = Bump(anchors=generate_decomposition(5, 115).points)
+    rec = john_inclusion_check(f)
+    assert rec.height_below_certificate == "exact"
+    assert rec.height_below_max_log_violation == height_below(f)[0]
+    assert DOMINATION_PASS_TOL < rec.height_below_max_log_violation < 1e-7
+    assert rec.height_below_pass and rec.passed
+
+
 @pytest.mark.parametrize("name", HEIGHT_BELOW_INPUTS)
 def test_exact_left_min_is_never_above_the_grid(name):
     f = HEIGHT_BELOW_INPUTS[name]
@@ -246,18 +259,15 @@ def test_a_slope_hull_missing_the_small_ball_gives_floor_zero(anchors):
     assert not sandwich_construct(f).right_pass
 
 
-def test_sampled_polar_floor_is_labelled_and_never_below_the_exact(
-        monkeypatch):
+def test_sampled_polar_floor_is_labelled_and_never_below_the_exact():
     for d in (2, 3):
         f = bump_corpus(d)[3].function
         exact, how = polar_floor(f)
         assert how == "exact"
-        # past the subset cap the lower facets are not enumerated; a fresh
-        # copy, since a bump keeps the facets it has found
-        monkeypatch.setattr(polar, "_FACET_ENUM_MAX_SUBSETS", 0)
-        sampled, how = polar_floor(Bump(anchors=f.anchors))
-        monkeypatch.undo()
-        assert how == "sampled"
+        # the sampled rule: the least polar value on 1000 seeded points of
+        # the sphere of radius 1/(d+1)
+        P = sphere_points(d, 1000, seed=0) / (d + 1)
+        sampled = float(polar.polar_eval_many(f, P).min())
         assert exact - 1e-12 <= sampled <= exact + 0.02
     # neither radial nor log-polyhedral; S = |p|^2 / 4 where p points into
     # the half-plane and |p_2|^2 / 4 elsewhere, so it peaks at rho^2 / 4
