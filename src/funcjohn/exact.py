@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
+from scipy.spatial import QhullError
 
 from .lcfunc import ImproperFunctionError, LogConcaveFunction
 from .polar import hull_min_offset
@@ -65,7 +66,12 @@ def surrounds_origin(P) -> bool:
     if n <= d or np.linalg.matrix_rank(U) < d:
         return False
     U = U / np.linalg.norm(U, axis=1)[:, None]
-    return hull_min_offset(np.vstack([U, np.zeros(d)]))[0] > 1e-9
+    try:
+        return hull_min_offset(np.vstack([U, np.zeros(d)]))[0] > 1e-9
+    except QhullError:
+        # rows that span for numpy's rank but are flat to Qhull leave the
+        # origin within rounding of a facet
+        return False
 
 
 def _row_values(P, off, m_int, w, R, A, a) -> tuple:

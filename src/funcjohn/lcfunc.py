@@ -15,7 +15,7 @@ and the ball).  Bumps, their half-restrictions and their positioned copies
 also give the log-polyhedral normal form (normal_form) that the exact solver
 reads.  The base log_sup takes S of every normal form, those of variants
 defined outside the library included, exactly from polar.bump_log_sup, and
-the base lower_facets keeps its lower facets; a variant with neither a
+the base support_facets keeps its facets; a variant with neither a
 normal form nor a radial profile falls back to a seeded numeric ascent.
 
 All values are immutable after construction and evaluation is pure; the
@@ -174,10 +174,11 @@ class LogConcaveFunction:
         None for every other variant."""
         return None
 
-    def lower_facets(self) -> tuple | None:
-        """polar.lower_facets of the normal form: (J, c, e) for the lower
-        facets <c, p> + e of the support function S, or None without a
-        normal form or where the facets do not settle S.  Found on first
+    def support_facets(self) -> tuple | None:
+        """polar.support_facets of the normal form: ((J, c, e), (N, h)), the
+        lower facets <c, p> + e of the support function S and the facets
+        <n, p> <= h of the slope hull beyond which S = +inf, or None without
+        a normal form or where the facets do not settle S.  Found on first
         use and kept read-only beside the function, outside its dataclass
         fields: its sup norm, polar and polar floor all read them."""
         if "_facets" not in self.__dict__:
@@ -185,8 +186,8 @@ class LogConcaveFunction:
             facets = None
             if form is not None:
                 from . import polar  # deferred: polar builds on lcfunc
-                facets = polar.lower_facets(*form[:3])
-            for arr in facets or ():
+                facets = polar.support_facets(*form[:3])
+            for arr in () if facets is None else facets[0] + facets[1]:
                 arr.flags.writeable = False
             object.__setattr__(self, "_facets", facets)
         return self._facets

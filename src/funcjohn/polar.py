@@ -13,8 +13,8 @@ the lower convex envelope of the lifted anchors (s_i, b_i): one Qhull
 (Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) gives its lower facets, once
 per function, and S(p) is the largest facet plane at p on the slope hull
 conv{s_i}, +inf beyond it.  HiGHS solves the LP dual per point only where
-the facets cannot answer: normal forms with walls or whose slopes do not
-span R^d affinely, and points within rounding of the slope hull's boundary.
+there are no facets: normal forms with walls, or whose slopes do not span
+R^d affinely (for numpy's rank or for Qhull).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 
 from .lcfunc import (
     ImproperFunctionError,
@@ -137,8 +137,11 @@ def lower_facets(slopes, intercepts, walls):
     Qhull triangulates the hull of the lifted anchors and one apex
     (mean s, max b + 1) above them, which keeps its input full-dimensional
     when the slopes span; the lower facets are those whose outward normal
-    points down, and none of them holds the apex.  On the slope hull
-    S(p) = max over the facets of <c, p> + e."""
+    points down, and none of them holds the apex.  Simplices of no volume
+    in Qhull's triangulation, and vertical facets whose normal rounds
+    below 0, are dropped: the determinant of their rows [s_j, 1] is
+    within 1e-12 of the product of the rows' lengths, its rounding.  On
+    the slope hull S(p) = max over the facets of <c, p> + e."""
     m, d = slopes.shape
     if walls.shape[0] or m <= d \
             or np.linalg.matrix_rank(slopes[1:] - slopes[0]) < d:
@@ -148,16 +151,32 @@ def lower_facets(slopes, intercepts, walls):
     hull = ConvexHull(np.vstack([lifted, apex]))
     J = np.sort(hull.simplices[hull.equations[:, d] < 0.0], axis=1)
     rows = np.concatenate([slopes[J], np.ones(J.shape + (1,))], axis=2)
+    full = np.abs(np.linalg.det(rows)) \
+        > 1e-12 * np.prod(np.linalg.norm(rows, axis=2), axis=1)
+    if not full.any():
+        return None
+    J, rows = J[full], rows[full]
     ce = np.linalg.solve(rows, intercepts[J][:, :, None])[:, :, 0]
     return J, ce[:, :d], ce[:, d]
 
 
+def support_facets(slopes, intercepts, walls):
+    """(lower_facets, hull_facets of the slopes): all that S reads beside
+    the normal form, or None without lower facets or for slopes flat to
+    Qhull."""
+    try:
+        facets = lower_facets(slopes, intercepts, walls)
+        return None if facets is None else (facets, hull_facets(slopes))
+    except QhullError:
+        return None
+
+
 def bump_log_sup(f: LogConcaveFunction, P) -> np.ndarray:
     """S(p) = sup_x (<p,x> + log f(x)) for each row p of P, exactly, for f
-    with a normal form (see the module docstring).  With lower facets, S is
-    one matrix max over their planes on the slope hull and +inf beyond its
-    facets; HiGHS settles the points within rounding of that boundary, and
-    every point where f has no lower facets."""
+    with a normal form (see the module docstring).  With support facets, S
+    is one matrix max over the lower facets' planes on the slope hull and
+    +inf beyond its facets, by more than 1e-9 of |h| + |p|; HiGHS solves
+    the LP dual at every point where f has none."""
     P = np.asarray(P, dtype=float)
     if P.ndim == 1:
         P = P[None, :]
@@ -165,19 +184,13 @@ def bump_log_sup(f: LogConcaveFunction, P) -> np.ndarray:
     if not intercepts.shape[0]:
         raise ImproperFunctionError(
             "a normal form with walls only takes no finite positive value")
-    facets = f.lower_facets()
+    facets = f.support_facets()
     if facets is None:
         return _bump_log_sup_linprog(slopes, intercepts, walls, P, offsets)
-    _, c, e = facets
+    (_, c, e), (N, h) = facets
     out = np.max(P @ c.T + e, axis=1)
-    N, h = hull_facets(slopes)
-    beyond = P @ N.T - h
     tol = 1e-9 * (np.abs(h) + np.linalg.norm(P, axis=1)[:, None])
-    out[np.any(beyond > tol, axis=1)] = math.inf
-    near = np.isfinite(out) & np.any(beyond >= -tol, axis=1)
-    if near.any():
-        out[near] = _bump_log_sup_linprog(slopes, intercepts, walls, P[near],
-                                          offsets)
+    out[np.any(P @ N.T - h > tol, axis=1)] = math.inf
     return out
 
 

@@ -144,10 +144,14 @@ def height_below(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     d = f.dim
     form = f.normal_form()
     if form is not None:
-        return exact.certificate(form, Height(d), 0.0, np.eye(d), np.zeros(d),
-                                 snap=BOUNDARY_SNAP), "exact"
+        return _exact_height_below(form, d), "exact"
     return check_domination(Height(d), f, radius=1.0,
                             seed=seed).max_log_violation, "sampled"
+
+
+def _exact_height_below(form: tuple, d: int) -> float:
+    return exact.certificate(form, Height(d), 0.0, np.eye(d), np.zeros(d),
+                             snap=BOUNDARY_SNAP)
 
 
 def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
@@ -163,10 +167,10 @@ def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     rho = 1.0 / (d + 1)
     if f.is_radial():
         return math.exp(-f.radial_log_sup(rho)), "exact"
-    facets = f.lower_facets()
+    facets = f.support_facets()
     if facets is not None:
-        _, c, e = facets
-        if polar.hull_min_offset(f.normal_form()[0])[0] < rho:
+        (_, c, e), (_, h) = facets
+        if np.min(h) < rho:
             return 0.0, "exact"
         return math.exp(-np.max(e + rho * np.linalg.norm(c, axis=1))), "exact"
     # in d = 1 the 1000 points are copies of -rho and rho
@@ -197,23 +201,24 @@ def john_inclusion_check(f: LogConcaveFunction, seed: int = 0
     """For f in John position: hbar <= f by height_below, and
     polar(f) >= e^{-(d+1)} on the ball of radius 1/(d+1) by polar_floor,
     which implies the corollary polar(f)(p) >= e^{-(d+1)} hbar((d+1) p).
-    hbar <= f passes within DOMINATION_PASS_TOL, widened for an exact
-    certificate by the rounding of its own terms."""
+    hbar <= f passes within DOMINATION_PASS_TOL, widened for each row of
+    an exact certificate by the rounding of that row's own terms."""
     d = f.dim
     violation, height_how = height_below(f, seed)
-    tol = DOMINATION_PASS_TOL
-    if height_how == "exact":
-        # each row of the certificate, -b_i + S_hbar(|s_i|), is a difference
-        # of terms about |b_i| + |s_i| in size, so a touching anchor far out
-        # reads a few of their ulps, not 0
-        slopes, intercepts = f.normal_form()[:2]
-        tol += 16.0 * math.ulp(1.0) * float(np.max(
-            np.abs(intercepts) + np.linalg.norm(slopes, axis=1), initial=0.0))
+    height_pass = violation <= DOMINATION_PASS_TOL
+    if height_how == "exact" and not height_pass:
+        # row i, -b_i + S_hbar(|s_i|), reads a few ulps of |b_i| + |s_i| on a
+        # touching anchor far out; raising b_i by 16 of them allows row i its
+        # own rounding alone
+        s, b, N, c = f.normal_form()
+        b = b + 16.0 * math.ulp(1.0) * (np.abs(b) + np.linalg.norm(s, axis=1))
+        height_pass = _exact_height_below((s, b, N, c), d) \
+            <= DOMINATION_PASS_TOL
     floor, how = polar_floor(f, seed)
     return JohnInclusionRecord(
         height_below_max_log_violation=violation,
         height_below_certificate=height_how,
-        height_below_pass=violation <= tol,
+        height_below_pass=height_pass,
         polar_floor_min=floor,
         polar_floor_certificate=how,
         polar_floor_pass=_floor_holds(floor, d),

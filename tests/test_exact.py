@@ -341,3 +341,16 @@ def test_the_hull_decay_rule_agrees_with_the_lp():
             half = S[S @ S[0] >= 0.0]
             assert not surrounds_origin(half)
             assert not _lp_surrounds_origin(half)
+
+
+def test_rows_flat_to_qhull_do_not_surround_the_origin():
+    # the last rows lie 1e-14 off the line or plane of the others: they span
+    # R^d for numpy's rank, Qhull finds the hull of the unit rows and the
+    # origin flat, and the origin is inside by no more than rounding
+    for P in ([[1.0, 0.0], [-1.0, 0.0], [0.3, 1e-14]],
+              [[1.0, 0.0], [-1.0, 0.0], [0.3, 1e-14], [0.2, -1e-14]],
+              [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+               [0.0, -1.0, 0.0], [0.3, 0.2, 1e-14]]):
+        P = np.asarray(P)
+        assert np.linalg.matrix_rank(P) == P.shape[1]
+        assert not surrounds_origin(P)

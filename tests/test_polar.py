@@ -280,15 +280,67 @@ def test_bump_log_sup_matches_the_lp_dual(d, corpus, near_sphere, seed):
                   <= 1e-9 * (1.0 + np.abs(ref[fin])))
 
 
+def test_slopes_flat_to_the_hull_leave_s_to_the_lp():
+    # the third anchor lies 1e-14 off the line of the others: the slopes
+    # span R^2 for numpy's rank, but every simplex Qhull finds is flat, and
+    # a plane solved from one misread S(0) as 0.061 where the LP reads 0.19
+    for anchors in (((0.5, 0.0), (-0.5, 0.0), (0.2, 1e-14)),
+                    ((0.5, 0.0), (-0.5, 0.0), (0.2, 1e-14), (0.0, 0.0))):
+        f = Bump(anchors=anchors)
+        assert np.linalg.matrix_rank(f.slopes[1:] - f.slopes[0]) == 2
+        assert f.support_facets() is None
+        P = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 1e-3], [3.0, 0.0]])
+        got = f.log_sup(P)
+        ref = _dual_log_sup(anchors, P)
+        assert np.array_equal(got, ref)
+        assert polar_floor(f) == (0.0, "sampled")
+
+
+@pytest.mark.parametrize("d", [4, 5])
+def test_coplanar_boundary_slopes_give_only_simplices_of_full_volume(d):
+    # the vertices of a cube and its centre in d = 4, and the points +-e_i
+    # and +-(e_i + e_j) / 2 in d = 5: many slopes share each face of the
+    # slope hull, so Qhull's triangulation holds flat simplices, and solving
+    # a plane through one raised a singular-matrix error
+    if d == 4:
+        U = 0.4 * np.vstack([np.array(np.meshgrid(*[[-1.0, 1.0]] * 4))
+                             .reshape(4, -1).T, np.zeros((1, 4))])
+    else:
+        E = 0.5 * np.eye(5)
+        U = np.vstack([E, -E] + [s * (E[i] + E[j]) / 2.0 for s in (1, -1)
+                                 for i in range(5) for j in range(i + 1, 5)])
+    f = Bump(anchors=tuple(map(tuple, U)))
+    (J, c, e), _ = f.support_facets()
+    rows = np.concatenate([f.slopes[J], np.ones(J.shape + (1,))], axis=2)
+    assert np.all(np.abs(np.linalg.det(rows)) > 1e-6)
+    rng = np.random.default_rng(d)
+    reach = float(np.max(np.linalg.norm(f.slopes, axis=1)))
+    P = np.vstack([rng.uniform(-reach, reach, size=(30, d)),
+                   np.zeros((1, d)), f.slopes[:3]])
+    got = f.log_sup(P)
+    ref = _dual_log_sup(U, P)
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    fin = np.isfinite(ref)
+    assert fin.any() and not fin.all()
+    assert np.all(np.abs(got[fin] - ref[fin])
+                  <= 1e-9 * (1.0 + np.abs(ref[fin])))
+    floor, how = polar_floor(f)
+    assert how == "exact"
+    S = f.log_sup(sphere_points(d, 1000, seed=0) / (d + 1))
+    assert np.max(S) <= -math.log(floor) + 1e-12
+
+
 def test_a_bump_finds_its_lower_facets_once(monkeypatch):
     calls = []
-    enumerate_facets = polar.lower_facets
 
-    def counted(*form):
-        calls.append(form)
-        return enumerate_facets(*form)
+    def counted(find):
+        def call(*args):
+            calls.append(find.__name__)
+            return find(*args)
+        return call
 
-    monkeypatch.setattr(polar, "lower_facets", counted)
+    for name in ("lower_facets", "hull_facets"):
+        monkeypatch.setattr(polar, name, counted(getattr(polar, name)))
     bump = Bump(anchors=generate_decomposition(3, 0).points)
     # a positioned bump keeps facets of its own, for its polar floor; its
     # support function comes from the inner bump's, through the position,
@@ -300,10 +352,9 @@ def test_a_bump_finds_its_lower_facets_once(monkeypatch):
         polar_eval_many(f, np.zeros((4, 3)))
         sandwich_construct(f)
         john_inclusion_check(f)
-        assert len(calls) == 1
-        J, c, e = f.lower_facets()
-        assert not (J.flags.writeable or c.flags.writeable
-                    or e.flags.writeable)
+        assert sorted(calls) == ["hull_facets", "lower_facets"]
+        (J, c, e), (N, h) = f.support_facets()
+        assert not any(arr.flags.writeable for arr in (J, c, e, N, h))
     # equality and hashing still see the dataclass fields only
     copy = Bump(anchors=bump.anchors)
     assert copy == bump and hash(copy) == hash(bump)
@@ -319,7 +370,7 @@ def test_the_polar_floor_of_a_d8_corpus_bump_is_exact():
     M = -math.log(floor)
     P = sphere_points(8, 1000, seed=0) / 9.0
     assert np.max(f.log_sup(P)) <= M + 1e-12
-    _, c, e = f.lower_facets()
+    (_, c, e), _ = f.support_facets()
     k = int(np.argmax(e + np.linalg.norm(c, axis=1) / 9.0))
     p = c[k] / (9.0 * np.linalg.norm(c[k]))
     assert abs(f.log_sup(p[None, :])[0] - M) <= 1e-12 * max(1.0, abs(M))
@@ -345,7 +396,7 @@ def test_a_half_restricted_bump_takes_s_from_its_normal_form(
     assert fin.any() and not fin.all()
     assert np.all(np.abs(got[fin] - ref[fin])
                   <= 1e-9 * (1.0 + np.abs(ref[fin])))
-    assert f.lower_facets() is None
+    assert f.support_facets() is None
 
 
 @dataclass(frozen=True)

@@ -200,6 +200,14 @@ def test_a_touching_anchor_near_the_sphere_passes_the_exact_check():
     assert rec.height_below_max_log_violation == height_below(f)[0]
     assert DOMINATION_PASS_TOL < rec.height_below_max_log_violation < 1e-7
     assert rec.height_below_pass and rec.passed
+    # lowered by 1e-7, the small anchors' rows read 1e-7, a violation; the
+    # rounding allowed the near-sphere row, 4.8e-7, is not theirs
+    lowered = Positioned(inner=f, position=make_position(
+        math.exp(-1e-7), np.eye(5), np.zeros(5)))
+    rec = john_inclusion_check(lowered)
+    assert rec.height_below_certificate == "exact"
+    assert 1e-7 < rec.height_below_max_log_violation < 2e-7
+    assert not rec.height_below_pass
 
 
 @pytest.mark.parametrize("name", HEIGHT_BELOW_INPUTS)
