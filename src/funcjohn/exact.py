@@ -19,10 +19,18 @@ tau', a predictor step starts the next stage near its centre: on the
 central path x(tau) ~ x* + c / tau near the optimum, so from the centre it
 steps -(1 - tau/tau') tau H^-1 grad f0 along the path's tangent (Nesterov
 and Nemirovski, 1994), with the Hessian H of the stage's last Newton step,
-halved until the merit at tau' does not rise.  The same closed form,
-`certificate`, certifies the result; at the identity position it is the
-exact hbar <= f of funcjohn.verify.  Whether f decays (`surrounds_origin`)
-is for the caller to ask.
+halved until the merit at tau' does not rise.  Where rounding leaves a
+Newton system singular or indefinite, the step is taken on its Jacobi
+scaling shifted by a multiple of the identity (_descent_step).  The same
+closed form, `certificate`, certifies the result; at the identity position
+it is the exact hbar <= f of funcjohn.verify.  Whether f decays
+(`surrounds_origin`) is for the caller to ask.
+
+Problem.start needs no LP for a target without walls: the peak of log f
+and the largest start ball below it are both peaks of wall-free normal
+forms, read off their lower facets (polar.lower_facets).  HiGHS runs only
+for the peak of a target with walls on a free solve, through the LP dual
+of funcjohn.polar at p = 0.
 """
 
 from __future__ import annotations
@@ -31,11 +39,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 from scipy.spatial import QhullError
 
 from .lcfunc import ImproperFunctionError, LogConcaveFunction
-from .polar import hull_min_offset
+from .polar import _bump_log_sup_linprog, hull_min_offset, lower_facets
 
 _STAGE_FACTOR = 50.0  # growth of the barrier weight tau per stage
 # the solve stops once (number of rows + squared decrement) / tau, a bound on
@@ -48,7 +55,7 @@ _CENTERED = 1e-10  # squared Newton decrement that ends a stage
 _FULL_STEP = 1e-3
 _STAGE_STEPS = 50
 _MAX_NEWTON_STEPS = 400
-_MAX_HALVINGS = 60  # line-search and start-radius halvings
+_MAX_HALVINGS = 60  # line-search and start-radius halvings, shift doublings
 
 
 def surrounds_origin(P) -> bool:
@@ -72,6 +79,44 @@ def surrounds_origin(P) -> bool:
         # rows that span for numpy's rank but are flat to Qhull leave the
         # origin within rounding of a facet
         return False
+
+
+def _peak(slopes, intercepts) -> tuple | None:
+    """(max_x min_i (b_i - <s_i, x>), the centre of the face of x that
+    attains it), from the lower facets of the lifted (s_i, b_i): the peak
+    is S(0) = max_J e_J, the face is the subdifferential of S at 0, the
+    hull of the c_J of the facets within 1e-9 (1 + |peak|) of it.  None
+    when the slopes give no lower facets."""
+    try:
+        facets = lower_facets(slopes, intercepts, slopes[:0])
+    except QhullError:
+        return None
+    if facets is None:
+        return None
+    _, c, e = facets
+    peak = float(np.max(e))
+    return peak, c[e >= peak - 1e-9 * (1.0 + abs(peak))].mean(axis=0)
+
+
+def _descent_step(H, grad) -> tuple:
+    """(step, H') for a Newton system H that rounding has left singular or
+    indefinite: the step -H'^{-1} grad, H' = H + mu D^-2, on the Jacobi
+    scaling D = diag(H)^-1/2, with the smallest mu in 0, 1e-3, 2e-3, 4e-3,
+    ... for which D H' D has a Cholesky factor (Nocedal and Wright,
+    Numerical Optimization, Alg. 3.3); H' is positive definite, so the
+    step descends.  LinAlgError when no mu up to 2^58 1e-3 does."""
+    s = 1.0 / np.sqrt(np.abs(np.diag(H)))
+    scaled = H * np.outer(s, s)
+    mu = 0.0
+    for _ in range(_MAX_HALVINGS):
+        M = scaled + mu * np.eye(s.size)
+        try:
+            np.linalg.cholesky(M)
+        except np.linalg.LinAlgError:
+            mu = max(2.0 * mu, 1e-3)
+            continue
+        return s * np.linalg.solve(M, -s * grad), M / np.outer(s, s)
+    raise np.linalg.LinAlgError("no shift makes the Newton system definite")
 
 
 def _row_values(P, off, m_int, w, R, A, a) -> tuple:
@@ -255,7 +300,13 @@ class Problem:
         # sigma' (J^T J - grad grad^T) / |Ap|
         H[:K, :K] += (Gz.T * (wt * (S2 - S1 * inv_c))) @ Gz
         H[:K, :K] += np.einsum("i,idk,idl->kl", wt * S1 * inv_c, J, J)
-        return grad, np.linalg.solve(H, -grad), H, g0
+        try:
+            step = np.linalg.solve(H, -grad)
+            if -float(grad @ step) >= 0.0:
+                return grad, step, H, g0
+        except np.linalg.LinAlgError:
+            pass
+        return (grad, *_descent_step(H, grad), g0)
 
     def _line_search(self, pt: _Point, step, tau, log_alpha, slope
                      ) -> _Point | None:
@@ -273,51 +324,52 @@ class Problem:
             s *= 0.5
         return None
 
-    def _lp(self, cost, A_ub, b_ub, bounds):
-        # rows of unit norm: anchors near the sphere give slopes of 1e8
-        # beside ones of 1e-5, which leave HiGHS at a poor vertex otherwise
-        norms = np.linalg.norm(A_ub, axis=1)
-        return optimize.linprog(cost, A_ub=A_ub / norms[:, None],
-                                b_ub=b_ub / norms, bounds=bounds,
-                                method="highs")
-
     def start(self, log_alpha: float | None):
-        """A strictly feasible (A, a) = (r Id, x), or None when there is
-        none.  One LP finds the largest ball B(x, r), r <= 1, whose
-        positioned copy of supp w keeps a margin r from every wall and lies
-        where log f >= level + r; level is log alpha for a fixed height, and
-        one below the peak of log f (a second LP) for the free solve.  Then
-        S_w(r|p|) <= R r |p| leaves every row below -r."""
+        """A strictly feasible (A, a) = (r Id, a), or None when there is
+        none.  (a, r) is the centre of the largest ball B(a, r), r <= 1,
+        whose positioned copy of supp w keeps a margin r from every wall
+        and lies where log f >= level + r; level is log alpha for a fixed
+        height, and one below the peak of log f for the free solve.  Then
+        S_w(r|p|) <= R r |p| leaves every row below -r.
+
+        The peak of log f and the ball are each the peak
+        max_x min_i (b_i - <s_i, x>) of a wall-free normal form, read off
+        its lower facets (polar.lower_facets) as max_J e_J.  For the peak
+        of log f that form is f's own, when f has no walls; with walls
+        HiGHS solves the LP dual of polar at p = 0 instead.
+        For the ball (a Chebyshev centre; Boyd and Vandenberghe, Convex
+        Optimization, 8.5.1) each row <p, a> + r k <= b - level (interior
+        rows) or <= c (walls), k = 1 + R|p|, is divided by k, and the row
+        of slope 0 and intercept 1 adds r <= 1.  The ball's optimum is a
+        face, the subdifferential of that form's S at 0, and a is its
+        centre: the mean of c_J over the facets within 1e-9 (1 + |r|) of
+        the peak."""
         d, m_int, R = self.d, self.m_int, self.R
         b = -self.off
-        if log_alpha is None:
-            # the peak: maximize z over z + <s_i, x> <= b_i and the walls
-            A_ub = np.hstack([self.P, np.zeros((self.P.shape[0], 1))])
-            A_ub[:m_int, d] = 1.0
-            res = self._lp(np.append(np.zeros(d), -1.0), A_ub, b,
-                           [(None, None)] * (d + 1))
-            if res.status != 0:
-                return None
-            level = res.x[d] - 1.0
-        else:
+        if log_alpha is not None:
             level = log_alpha
-        # maximize r over <p, x> + r (1 + R |p|) <= b - level (interior
-        # rows) or <= c (walls)
-        A_ub = np.hstack([self.P, 1.0 + R * np.linalg.norm(self.P, axis=1,
-                                                           keepdims=True)])
-        b = b.copy()
-        b[:m_int] -= level
-        res = self._lp(np.append(np.zeros(d), -1.0), A_ub, b,
-                       [(None, None)] * d + [(None, 1.0)])
-        if res.status != 0 or not res.x[d] > 0.0:
+        elif self.P.shape[0] > m_int:
+            level = float(_bump_log_sup_linprog(
+                self.P[:m_int], b[:m_int], self.P[m_int:], np.zeros((1, d)),
+                b[m_int:])[0]) - 1.0
+        else:
+            peak = _peak(self.P, b)
+            level = math.nan if peak is None else peak[0] - 1.0
+        if not math.isfinite(level):
             return None
-        a, r = res.x[:d], res.x[d]
+        k = 1.0 + R * np.linalg.norm(self.P, axis=1)
+        b[:m_int] -= level
+        ball = _peak(np.vstack([self.P / k[:, None], np.zeros(d)]),
+                     np.append(b / k, 1.0))
+        if ball is None or not ball[0] > 0.0:
+            return None
+        r, a = ball
         for _ in range(_MAX_HALVINGS):
             v = self.values(r * np.eye(d), a)
             v[:m_int] += level
             if np.all(v < 0.0):
                 return r * np.eye(d), a
-            r *= 0.5  # rounding only: the LP's ball leaves every row below -r
+            r *= 0.5  # rounding only: the ball leaves every row below -r
         return None
 
     def solve(self, start, log_alpha: float | None) -> ExactSolution:
@@ -356,7 +408,7 @@ class Problem:
                 if steps >= _MAX_NEWTON_STEPS:
                     break
             gap = (m + decrement2) / tau
-            if gap <= _GAP_TOL:
+            if stop is None and gap <= _GAP_TOL:
                 stop = "gap_reached"
             nxt = min(tau * _STAGE_FACTOR, tau_last)
             if stop is None and decrement2 <= _CENTERED:

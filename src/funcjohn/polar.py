@@ -14,7 +14,10 @@ the lower convex envelope of the lifted anchors (s_i, b_i): one Qhull
 per function, and S(p) is the largest facet plane at p on the slope hull
 conv{s_i}, +inf beyond it.  HiGHS solves the LP dual per point only where
 there are no facets: normal forms with walls, or whose slopes do not span
-R^d affinely (for numpy's rank or for Qhull).
+R^d affinely (for numpy's rank or for Qhull).  That LP is the library's
+only one: funcjohn.exact asks it for S(0), the peak of log f, on a free
+solve of a normal form with walls, and finds every other start of its
+barrier from lower facets.
 """
 
 from __future__ import annotations

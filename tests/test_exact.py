@@ -15,6 +15,7 @@ from funcjohn import (
     CONSTRAINT_TOL,
     Bump,
     DivergentIntegralError,
+    HalfRestriction,
     Height,
     HeightPower,
     InfeasibleProblemError,
@@ -107,6 +108,107 @@ def test_anchors_within_1e_6_of_the_sphere_solve(seed, T):
         assert abs(rep.objective - expect) <= 1e-8 * max(1.0, abs(expect))
         rep = solve_fixed_height(g, Height(2), 0.9 * g.sup_norm())
         assert rep.feasible and rep.diagnostics["converged"]
+
+
+def test_a_breakdown_is_not_reported_as_a_reached_gap():
+    # from this start the first Newton systems round indefinite; a gap test
+    # that reads the negative decrement of such a step as a gap (-2.8e10)
+    # stops after 2 steps at objective -0.79, against the optimum 1.8918,
+    # and reports it converged
+    f = bump_from_decomposition(generate_decomposition(2, 300885)).function
+    T = make_position(1.39, [[2.532, 3.146], [3.146, 5.793]], [0.005, 0.053],
+                      positive_definite=True)
+    g = Positioned(inner=f, position=T)
+    sol = Problem(g.normal_form(), Height(2)).solve(
+        (0.6484805329483206 * np.eye(2), np.array([-0.02542889, 0.0])), None)
+    if sol.stop_reason == "gap_reached":
+        assert 0.0 <= sol.gap_bound <= 1e-9
+        expect = math.log(T.alpha) + math.log(T.det())
+        objective = sol.log_alpha + math.log(np.linalg.det(sol.A))
+        assert abs(objective - expect) <= 1e-8
+    else:
+        assert sol.stop_reason == "numerical_breakdown"
+
+
+def _lp_start_ball(form, R, log_alpha):
+    """(r, level) of the start ball by HiGHS on the primal LPs, rows scaled
+    to unit norm: the peak, max z over z + <s_i, x> <= b_i and the walls
+    <n_j, x> <= c_j, gives level = peak - 1 on a free solve; then r is the
+    largest r <= 1 with <p, x> + r (1 + R|p|) <= b - level on the interior
+    rows and <= c on the walls."""
+    slopes, intercepts, normals, offsets = form
+    m, d = slopes.shape
+    P = np.vstack([slopes, normals])
+    b = np.concatenate([intercepts, offsets])
+
+    def lp(A_ub, b_ub, bounds):
+        norms = np.linalg.norm(A_ub, axis=1)
+        res = optimize.linprog(np.append(np.zeros(d), -1.0),
+                               A_ub=A_ub / norms[:, None], b_ub=b_ub / norms,
+                               bounds=bounds, method="highs")
+        assert res.status == 0, res.message
+        return res.x[d]
+
+    level = log_alpha
+    if level is None:
+        A_ub = np.hstack([P, np.zeros((P.shape[0], 1))])
+        A_ub[:m, d] = 1.0
+        level = lp(A_ub, b, [(None, None)] * (d + 1)) - 1.0
+    b[:m] -= level
+    k = 1.0 + R * np.linalg.norm(P, axis=1, keepdims=True)
+    return lp(np.hstack([P, k]), b, [(None, None)] * d + [(None, 1.0)]), level
+
+
+def _start_inputs():
+    rng = np.random.default_rng(17)
+    for d in range(1, 7):
+        for bump in bump_corpus(d, 3):
+            f = bump.function
+            B = 0.4 * rng.standard_normal((d, d))
+            A = np.eye(d) + (B + B.T) / 2.0
+            A += max(0.0, 0.3 - np.linalg.eigvalsh(A).min()) * np.eye(d)
+            T = make_position(math.exp(rng.uniform(-1.0, 1.0)), A,
+                              0.3 * rng.standard_normal(d),
+                              positive_definite=True)
+            yield f
+            yield Positioned(inner=f, position=T)
+    yield Bump(anchors=((1.0, 0.0), (-0.5, 0.6), (-0.5, -0.6)))
+    yield HalfRestriction(bump_corpus(2, 1)[0].function, (0.6, 0.8))
+
+
+def test_the_start_ball_is_the_lp_ball_without_highs(monkeypatch):
+    # free and at half the peak: r is the LP's to 1e-9, every row keeps its
+    # margin r (1 + R|p|) at a, and only the peak of a form with walls
+    # reaches HiGHS
+    calls = []
+    linprog = optimize.linprog
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(optimize, "linprog", counted)
+    walled = 0
+    for f in _start_inputs():
+        d = f.dim
+        form = f.normal_form()
+        problem = Problem(form, Height(d))
+        has_walls = form[2].shape[0] > 0
+        walled += has_walls
+        for log_alpha in (None, math.log(0.5 * f.sup_norm())):
+            before = len(calls)
+            A, a = problem.start(log_alpha)
+            assert len(calls) - before == (has_walls and log_alpha is None)
+            r = A[0, 0]
+            want, level = _lp_start_ball(form, problem.R, log_alpha)
+            assert abs(r - want) <= 1e-9 * want, (f, log_alpha, r, want)
+            np.testing.assert_array_equal(A, r * np.eye(d))
+            k = 1.0 + problem.R * np.linalg.norm(problem.P, axis=1)
+            b = -problem.off
+            b[:problem.m_int] -= level
+            margin = (b - problem.P @ a) / k
+            assert np.all(margin >= r - 1e-12 * (1.0 + np.abs(b / k))), f
+    assert walled == 2
 
 
 @pytest.mark.parametrize("d, count", [(1, 10), (2, 10), (3, 10), (4, 10),

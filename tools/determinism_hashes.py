@@ -20,14 +20,17 @@ route) and of its half-restriction (cut route).  The 27 cases take 6-7 s
 on a shared two-core machine, most of it the sampled polar floor of the
 boundary-anchor bump.
 
-The predictor step of the exact barrier (funcjohn.exact) changed the hashes
-of the seven cases that run a barrier solve, through their newton_steps and
-the last bits of their positions: solve-john/two-point-bump,
-solve-john/decomposition-bump-3, fixed-height/two-point-bump-0.5,
-fixed-height/positioned-bump-2-1.0, solve-john/half-restriction-gaussian-2,
+Two changes to the exact barrier (funcjohn.exact) changed the hashes of the
+seven cases that run a barrier solve, through their newton_steps and the
+last bits of their positions: first its predictor step, then its start
+from lower facets in place of HiGHS, which moves the start to another
+point of the start ball's optimal face, or by its last bits.  The seven are
+solve-john/two-point-bump, solve-john/decomposition-bump-3,
+fixed-height/two-point-bump-0.5, fixed-height/positioned-bump-2-1.0,
+solve-john/half-restriction-gaussian-2,
 fixed-height/half-restriction-gaussian-2-0.25 and
-solve-john/half-restriction-gaussian-2-certified.  Their exit codes and the
-other 20 lines stayed the same.
+solve-john/half-restriction-gaussian-2-certified.  Both times their exit
+codes and the other 20 lines stayed the same.
 """
 
 from __future__ import annotations
