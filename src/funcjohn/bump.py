@@ -15,7 +15,7 @@ from .decomp import (
     verify_decomposition,
 )
 from .lcfunc import Bump, hbar
-from .verify import ball_grid
+from .verify import exact_height_passes, height_below
 
 
 class NormBoundError(ValueError):
@@ -43,17 +43,13 @@ class NormGapRecord:
 
 def bump_from_decomposition(dec: FunctionalJohnDecomposition) -> JohnBumpFunction:
     """min of the majorants over the decomposition's points; checks the
-    hbar <= f guarantee on a construction grid."""
+    hbar <= f guarantee exactly (verify.height_below), within the pass
+    tolerance of verify.exact_height_passes."""
     res = verify_decomposition(dec)
     if not res.passes(DEFAULT_VERIFY_TOL):
         raise InvalidDecompositionError(f"decomposition fails verification: {res}")
     f = Bump(anchors=dec.points)
-    # a cheap certificate grid in the unit ball for the hbar <= f check
-    grid = ball_grid(dec.dim, {1: 1000, 2: 855}.get(dec.dim, 10_000))
-    heights = hbar(grid)
-    mask = heights > 0
-    gap = f.log_evaluate_many(grid[mask]) - np.log(heights[mask])
-    if np.min(gap) < -1e-9:
+    if not exact_height_passes(f.normal_form(), height_below(f)[0]):
         raise InvalidDecompositionError(
             "constructed bump dips below the height function")
     return JohnBumpFunction(decomposition=dec, function=f,

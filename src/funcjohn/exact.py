@@ -26,11 +26,10 @@ closed form, `certificate`, certifies the result; at the identity position
 it is the exact hbar <= f of funcjohn.verify.  Whether f decays
 (`surrounds_origin`) is for the caller to ask.
 
-Problem.start needs no LP for a target without walls: the peak of log f
-and the largest start ball below it are both peaks of wall-free normal
-forms, read off their lower facets (polar.lower_facets).  HiGHS runs only
-for the peak of a target with walls on a free solve, through the LP dual
-of funcjohn.polar at p = 0.
+Problem.start needs no LP: the peak of log f is S(0) of f's own normal
+form, walls included, and the largest start ball below it is the peak of
+a wall-free normal form; both are read off lower facets
+(polar.lower_facets).
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ import numpy as np
 from scipy.spatial import QhullError
 
 from .lcfunc import ImproperFunctionError, LogConcaveFunction
-from .polar import _bump_log_sup_linprog, hull_min_offset, lower_facets
+from .polar import hull_min_offset, lower_facets
 
 _STAGE_FACTOR = 50.0  # growth of the barrier weight tau per stage
 # the solve stops once (number of rows + squared decrement) / tau, a bound on
@@ -81,19 +80,15 @@ def surrounds_origin(P) -> bool:
         return False
 
 
-def _peak(slopes, intercepts) -> tuple | None:
-    """(max_x min_i (b_i - <s_i, x>), the centre of the face of x that
-    attains it), from the lower facets of the lifted (s_i, b_i): the peak
-    is S(0) = max_J e_J, the face is the subdifferential of S at 0, the
-    hull of the c_J of the facets within 1e-9 (1 + |peak|) of it.  None
-    when the slopes give no lower facets."""
-    try:
-        facets = lower_facets(slopes, intercepts, slopes[:0])
-    except QhullError:
+def _peak(form) -> tuple | None:
+    """(max_x log f(x), the centre of the face of x that attains it) for f
+    of normal form `form`, from its lower facets (polar.lower_facets): the
+    peak is S(0) = max_J e_J, the face is the subdifferential of S at 0,
+    the hull of the c_J of the facets within 1e-9 (1 + |peak|) of it.
+    None when S(0) = +inf, where 0 is outside dom S: f is unbounded."""
+    (_, c, e), (_, h) = lower_facets(*form)
+    if np.any(h < 0.0):
         return None
-    if facets is None:
-        return None
-    _, c, e = facets
     peak = float(np.max(e))
     return peak, c[e >= peak - 1e-9 * (1.0 + abs(peak))].mean(axis=0)
 
@@ -332,11 +327,9 @@ class Problem:
         height, and one below the peak of log f for the free solve.  Then
         S_w(r|p|) <= R r |p| leaves every row below -r.
 
-        The peak of log f and the ball are each the peak
-        max_x min_i (b_i - <s_i, x>) of a wall-free normal form, read off
-        its lower facets (polar.lower_facets) as max_J e_J.  For the peak
-        of log f that form is f's own, when f has no walls; with walls
-        HiGHS solves the LP dual of polar at p = 0 instead.
+        The peak of log f and the ball are each the peak S(0) = max_J e_J
+        of a normal form, read off its lower facets (polar.lower_facets):
+        for the peak of log f that form is f's own, walls included.
         For the ball (a Chebyshev centre; Boyd and Vandenberghe, Convex
         Optimization, 8.5.1) each row <p, a> + r k <= b - level (interior
         rows) or <= c (walls), k = 1 + R|p|, is divided by k, and the row
@@ -348,19 +341,16 @@ class Problem:
         b = -self.off
         if log_alpha is not None:
             level = log_alpha
-        elif self.P.shape[0] > m_int:
-            level = float(_bump_log_sup_linprog(
-                self.P[:m_int], b[:m_int], self.P[m_int:], np.zeros((1, d)),
-                b[m_int:])[0]) - 1.0
         else:
-            peak = _peak(self.P, b)
+            peak = _peak((self.P[:m_int], b[:m_int], self.P[m_int:],
+                          b[m_int:]))
             level = math.nan if peak is None else peak[0] - 1.0
         if not math.isfinite(level):
             return None
         k = 1.0 + R * np.linalg.norm(self.P, axis=1)
         b[:m_int] -= level
-        ball = _peak(np.vstack([self.P / k[:, None], np.zeros(d)]),
-                     np.append(b / k, 1.0))
+        ball = _peak((np.vstack([self.P / k[:, None], np.zeros(d)]),
+                      np.append(b / k, 1.0), np.zeros((0, d)), np.zeros(0)))
         if ball is None or not ball[0] > 0.0:
             return None
         r, a = ball

@@ -175,20 +175,20 @@ class LogConcaveFunction:
         return None
 
     def support_facets(self) -> tuple | None:
-        """polar.support_facets of the normal form: ((J, c, e), (N, h)), the
+        """polar.lower_facets of the normal form: ((J, c, e), (N, h)), the
         lower facets <c, p> + e of the support function S and the facets
-        <n, p> <= h of the slope hull beyond which S = +inf, or None without
-        a normal form or where the facets do not settle S.  Found on first
-        use and kept read-only beside the function, outside its dataclass
-        fields: its sup norm, polar and polar floor all read them."""
+        <N, p> <= h of its domain, beyond which S = +inf; None without a
+        normal form.  Found on first use and kept read-only beside the
+        function, outside its dataclass fields: its sup norm, polar and
+        polar floor all read them."""
         if "_facets" not in self.__dict__:
             form = self.normal_form()
             facets = None
             if form is not None:
                 from . import polar  # deferred: polar builds on lcfunc
-                facets = polar.support_facets(*form[:3])
-            for arr in () if facets is None else facets[0] + facets[1]:
-                arr.flags.writeable = False
+                facets = polar.lower_facets(*form)
+                for arr in facets[0] + facets[1]:
+                    arr.flags.writeable = False
             object.__setattr__(self, "_facets", facets)
         return self._facets
 

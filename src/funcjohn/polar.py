@@ -8,16 +8,15 @@ hulls it stands on, and the polar values built on S.
 
 For log f = min_i (b_i - <s_i,x>), with f = 0 on each half-space
 <n_j,x> >= c_j, LP duality gives S(p) = min b.lam + c.mu over lam, mu >= 0
-with sum lam = 1 and sum lam_i s_i + sum mu_j n_j = p.  Without walls S is
-the lower convex envelope of the lifted anchors (s_i, b_i): one Qhull
-(Barber, Dobkin and Huhdanpaa, ACM TOMS 1996) gives its lower facets, once
-per function, and S(p) is the largest facet plane at p on the slope hull
-conv{s_i}, +inf beyond it.  HiGHS solves the LP dual per point only where
-there are no facets: normal forms with walls, or whose slopes do not span
-R^d affinely (for numpy's rank or for Qhull).  That LP is the library's
-only one: funcjohn.exact asks it for S(0), the peak of log f, on a free
-solve of a normal form with walls, and finds every other start of its
-barrier from lower facets.
+with sum lam = 1 and sum lam_i s_i + sum mu_j n_j = p: the epigraph of S is
+conv{(s_i, b_i)} + cone{(n_j, c_j)} + cone{(0, 1)}.  One Qhull (Barber,
+Dobkin and Huhdanpaa, ACM TOMS 1996) of the cone over it gives, once per
+function, both its lower facets and the facets of dom S
+(lower_facets); S(p) is the largest lower facet plane at p on dom S,
++inf beyond it.  Walls, half-restrictions and slopes that do not span R^d
+affinely all take that one path, and the module solves no LP:
+funcjohn.exact reads the peak of log f and its start ball off the same
+facets.
 """
 
 from __future__ import annotations
@@ -26,8 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull
 
 from .lcfunc import (
     ImproperFunctionError,
@@ -65,6 +63,9 @@ def polar_of_ell(u) -> PolarAtom:
 # ---------------------------------------------------------------------------
 
 _SPREAD_BLOCK = 256  # rows screened at once against the picks so far
+# below this a singular value of unit rows, relative to the largest, or the
+# up part of a unit normal counts as zero
+_FLAT = 1e-12
 
 
 def spread(P: np.ndarray, radius: float, limit: int | None = None
@@ -91,106 +92,87 @@ def spread(P: np.ndarray, radius: float, limit: int | None = None
     return np.asarray(kept, dtype=np.intp)
 
 
-def hull_facets(U: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(N, h): the outward unit normals and offsets of the facets
-    <n, u> <= h of conv{u_i}, exactly (d = 1 by hand, else by Qhull on the
-    rows left once near-identical ones are dropped)."""
-    if U.shape[1] == 1:
-        return np.array([[1.0], [-1.0]]), np.array([np.max(U), -np.min(U)])
-    eq = ConvexHull(U[spread(U, 1e-12)]).equations  # normal . x + offset <= 0
-    return eq[:, :-1], -eq[:, -1]
-
-
 def hull_min_offset(U: np.ndarray) -> tuple[float, tuple]:
     """(h, n): the smallest offset h of the facets <n, u> <= h of
-    conv{u_i}, with its normal; B_r lies in the hull iff r <= h."""
-    N, h = hull_facets(U)
-    k = int(np.argmin(h))
-    return float(h[k]), tuple(float(v) for v in N[k])
+    conv{u_i}, with its outward unit normal, exactly (d = 1 by hand, else
+    by Qhull on the rows left once near-identical ones are dropped); B_r
+    lies in the hull iff r <= h."""
+    if U.shape[1] == 1:
+        lo, hi = float(np.min(U)), float(np.max(U))
+        return (hi, (1.0,)) if hi <= -lo else (-lo, (-1.0,))
+    eq = ConvexHull(U[spread(U, 1e-12)]).equations  # normal . x + offset <= 0
+    k = int(np.argmax(eq[:, -1]))
+    return float(-eq[k, -1]), tuple(float(v) for v in eq[k, :-1])
 
 
-def _bump_log_sup_linprog(slopes, intercepts, walls, P, offsets):
-    """Per-point HiGHS solve of the LP dual
-    min b.lam + c.mu  s.t.  sum lam_i s_i + sum mu_j n_j = p, sum lam = 1,
-    lam, mu >= 0, for walls n_j with offsets c_j; an infeasible dual means
-    S(p) = +inf."""
-    m, nw = slopes.shape[0], walls.shape[0]
-    A_eq = np.vstack([np.hstack([slopes.T, walls.T]),
-                      np.append(np.ones(m), np.zeros(nw))])
-    cost = np.concatenate([intercepts, offsets])
-    out = np.empty(P.shape[0])
-    for k, p in enumerate(P):
-        res = optimize.linprog(cost, A_eq=A_eq, b_eq=np.append(p, 1.0),
-                               bounds=(0.0, None), method="highs")
-        if res.status == 2:
-            out[k] = math.inf
-        elif res.status == 0:
-            out[k] = res.fun
-        else:
-            raise RuntimeError(f"bump LP failed with status {res.status}")
-    return out
+def lower_facets(slopes, intercepts, walls, offsets):
+    """((J, c, e), (N, h)) of a normal form with an interior row: the
+    lower facets <c, p> + e of S, each with the rows J of the stacked
+    slopes and walls it was solved from, and the facets <N, p> <= h,
+    |N| = 1, of dom S = conv{s_i} + cone{n_j}.  S(p) is the largest
+    <c, p> + e on dom S, +inf beyond it.
 
-
-def lower_facets(slopes, intercepts, walls):
-    """(J, c, e) for the lower facets of the lifted anchors (s_j, b_j): the
-    d + 1 rows J of each facet's anchors, sorted, and the plane
-    <c, s> + e through them, solved from those rows.  None when there are
-    walls, or when the slopes do not span R^d affinely.
-
-    Qhull triangulates the hull of the lifted anchors and one apex
-    (mean s, max b + 1) above them, which keeps its input full-dimensional
-    when the slopes span; the lower facets are those whose outward normal
-    points down, and none of them holds the apex.  Simplices of no volume
-    in Qhull's triangulation, and vertical facets whose normal rounds
-    below 0, are dropped: the determinant of their rows [s_j, 1] is
-    within 1e-12 of the product of the rows' lengths, its rounding.  On
-    the slope hull S(p) = max over the facets of <c, p> + e."""
+    By LP duality the epigraph of S is the slice t = 1 of the cone K in
+    R^{d+2} spanned by (s_i, 1, b_i), (n_j, 0, c_j) and the up ray
+    (0, 0, 1).  One Qhull of K's unit generators and the origin gives K's
+    facets: the simplices of its triangulation that have the origin as a
+    vertex.  A simplex whose rows [s_j, 1], [n_j, 0] have volume (their
+    determinant above 1e-12 of the product of their lengths) lies on a
+    lower facet, whose plane is solved from those rows = b_j, c_j.  A
+    vertical one, with no up part in its normal, lies on a facet of dom S
+    when it holds a slope row: N from Qhull's normal, h the largest
+    <N, s_i>; without one it lies on t = 0, at infinity.  Rows that do
+    not span R^{d+1} (a single anchor, collinear slopes, a sliver thinner
+    than 1e-12 of the unit rows) are projected onto their span, by one
+    SVD, before the hull, and each direction orthogonal to the span adds
+    two facets that pin dom S to it.  When K holds a line the walls leave
+    no open set where f > 0, and the origin is no vertex:
+    ImproperFunctionError."""
     m, d = slopes.shape
-    if walls.shape[0] or m <= d \
-            or np.linalg.matrix_rank(slopes[1:] - slopes[0]) < d:
-        return None
-    lifted = np.hstack([slopes, intercepts[:, None]])
-    apex = np.append(slopes.mean(axis=0), intercepts.max() + 1.0)
-    hull = ConvexHull(np.vstack([lifted, apex]))
-    J = np.sort(hull.simplices[hull.equations[:, d] < 0.0], axis=1)
-    rows = np.concatenate([slopes[J], np.ones(J.shape + (1,))], axis=2)
+    if not m:
+        raise ImproperFunctionError(
+            "a normal form with walls only takes no finite positive value")
+    n = m + walls.shape[0]
+    # the generators (s_i, 1, b_i), (n_j, 0, c_j), the up ray and the origin
+    G = np.zeros((n + 2, d + 2))
+    G[:m, :d], G[m:n, :d], G[:m, d] = slopes, walls, 1.0
+    G[:m, d + 1], G[m:n, d + 1], G[n, d + 1] = intercepts, offsets, 1.0
+    unit = G[:n, :d + 1] / np.linalg.norm(G[:n, :d + 1], axis=1)[:, None]
+    sv = np.linalg.svd(unit, compute_uv=False)
+    r = int(np.sum(sv > _FLAT * sv[0]))
+    if r <= d:  # the rows [s, 1], [n, 0] in coordinates of their span
+        Vt = np.linalg.svd(unit)[2]
+        G = np.hstack([G[:, :d + 1] @ Vt[:r].T, G[:, d + 1:]])
+    norms = np.linalg.norm(G, axis=1)
+    norms[-1] = 1.0
+    hull = ConvexHull(G / norms[:, None])
+    S = np.sort(hull.simplices, axis=1)
+    at0 = S[:, -1] == n + 1
+    if not at0.any():
+        raise ImproperFunctionError(
+            "the walls leave no open set where f > 0: f vanishes everywhere")
+    J, eq = S[at0, :-1], hull.equations[at0]
+    rows = G[J, :r]  # the up ray's row is 0
     full = np.abs(np.linalg.det(rows)) \
         > 1e-12 * np.prod(np.linalg.norm(rows, axis=2), axis=1)
-    if not full.any():
-        return None
-    J, rows = J[full], rows[full]
-    ce = np.linalg.solve(rows, intercepts[J][:, :, None])[:, :, 0]
-    return J, ce[:, :d], ce[:, d]
-
-
-def support_facets(slopes, intercepts, walls):
-    """(lower_facets, hull_facets of the slopes): all that S reads beside
-    the normal form, or None without lower facets or for slopes flat to
-    Qhull."""
-    try:
-        facets = lower_facets(slopes, intercepts, walls)
-        return None if facets is None else (facets, hull_facets(slopes))
-    except QhullError:
-        return None
+    ce = np.linalg.solve(rows[full], G[J[full], r][:, :, None])[:, :, 0]
+    vertical = ~full & (np.abs(eq[:, r]) <= _FLAT) & (J[:, 0] < m)
+    N = eq[vertical, :r]  # the (p, t) part of each outward normal
+    if r <= d:
+        ce, N = ce @ Vt[:r], np.vstack([N @ Vt[:r], Vt[r:], -Vt[r:]])
+    N = N[:, :d] / np.linalg.norm(N[:, :d], axis=1)[:, None]
+    return (J[full], ce[:, :d], ce[:, d]), (N, np.max(N @ slopes.T, axis=1))
 
 
 def bump_log_sup(f: LogConcaveFunction, P) -> np.ndarray:
     """S(p) = sup_x (<p,x> + log f(x)) for each row p of P, exactly, for f
-    with a normal form (see the module docstring).  With support facets, S
-    is one matrix max over the lower facets' planes on the slope hull and
-    +inf beyond its facets, by more than 1e-9 of |h| + |p|; HiGHS solves
-    the LP dual at every point where f has none."""
+    with a normal form: one matrix max over the planes of its lower facets
+    (f.support_facets(), see lower_facets), +inf beyond the facets of
+    dom S by more than 1e-9 of |h| + |p|."""
     P = np.asarray(P, dtype=float)
     if P.ndim == 1:
         P = P[None, :]
-    slopes, intercepts, walls, offsets = f.normal_form()
-    if not intercepts.shape[0]:
-        raise ImproperFunctionError(
-            "a normal form with walls only takes no finite positive value")
-    facets = f.support_facets()
-    if facets is None:
-        return _bump_log_sup_linprog(slopes, intercepts, walls, P, offsets)
-    (_, c, e), (N, h) = facets
+    (_, c, e), (N, h) = f.support_facets()
     out = np.max(P @ c.T + e, axis=1)
     tol = 1e-9 * (np.abs(h) + np.linalg.norm(P, axis=1)[:, None])
     out[np.any(P @ N.T - h > tol, axis=1)] = math.inf

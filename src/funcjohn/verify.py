@@ -154,15 +154,29 @@ def _exact_height_below(form: tuple, d: int) -> float:
                              snap=BOUNDARY_SNAP)
 
 
+def exact_height_passes(form: tuple, violation: float) -> bool:
+    """Whether hbar <= f passes for f of normal form `form`, whose exact
+    height_below value is violation: within DOMINATION_PASS_TOL, widened
+    for each row by the rounding of that row's own terms."""
+    if violation <= DOMINATION_PASS_TOL:
+        return True
+    # row i, -b_i + S_hbar(|s_i|), reads a few ulps of |b_i| + |s_i| on a
+    # touching anchor far out; raising b_i by 16 of them allows row i its
+    # own rounding alone
+    s, b, N, c = form
+    b = b + 16.0 * math.ulp(1.0) * (np.abs(b) + np.linalg.norm(s, axis=1))
+    return _exact_height_below((s, b, N, c), s.shape[1]) \
+        <= DOMINATION_PASS_TOL
+
+
 def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     """(exp(-M), "exact" or "sampled"): the minimum of polar(f) on the ball
     of radius rho = 1/(d+1), with M = max_{|p| = rho} S(p), as S is convex.
-    Exact for radial f, and for every f whose normal form has lower facets
-    <c_J, p> + e_J (no walls, and slopes that span R^d affinely):
-    M = max_J (e_J + rho |c_J|), or +inf when the slope hull misses part of
-    the ball.  Sampled on 1000 seeded points of the sphere for every other
-    f: normal forms with walls, and functions that are neither radial nor
-    log-polyhedral."""
+    Exact for radial f, and for every f with a normal form, walls and flat
+    slopes included, from its lower facets <c_J, p> + e_J:
+    M = max_J (e_J + rho |c_J|), or +inf when dom S misses part of the
+    ball.  Sampled on 1000 seeded points of the sphere for every other f,
+    neither radial nor log-polyhedral."""
     d = f.dim
     rho = 1.0 / (d + 1)
     if f.is_radial():
@@ -170,7 +184,7 @@ def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     facets = f.support_facets()
     if facets is not None:
         (_, c, e), (_, h) = facets
-        if np.min(h) < rho:
+        if np.min(h, initial=math.inf) < rho:
             return 0.0, "exact"
         return math.exp(-np.max(e + rho * np.linalg.norm(c, axis=1))), "exact"
     # in d = 1 the 1000 points are copies of -rho and rho
@@ -205,15 +219,9 @@ def john_inclusion_check(f: LogConcaveFunction, seed: int = 0
     an exact certificate by the rounding of that row's own terms."""
     d = f.dim
     violation, height_how = height_below(f, seed)
-    height_pass = violation <= DOMINATION_PASS_TOL
-    if height_how == "exact" and not height_pass:
-        # row i, -b_i + S_hbar(|s_i|), reads a few ulps of |b_i| + |s_i| on a
-        # touching anchor far out; raising b_i by 16 of them allows row i its
-        # own rounding alone
-        s, b, N, c = f.normal_form()
-        b = b + 16.0 * math.ulp(1.0) * (np.abs(b) + np.linalg.norm(s, axis=1))
-        height_pass = _exact_height_below((s, b, N, c), d) \
-            <= DOMINATION_PASS_TOL
+    height_pass = (exact_height_passes(f.normal_form(), violation)
+                   if height_how == "exact"
+                   else violation <= DOMINATION_PASS_TOL)
     floor, how = polar_floor(f, seed)
     return JohnInclusionRecord(
         height_below_max_log_violation=violation,

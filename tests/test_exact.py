@@ -178,8 +178,8 @@ def _start_inputs():
 
 def test_the_start_ball_is_the_lp_ball_without_highs(monkeypatch):
     # free and at half the peak: r is the LP's to 1e-9, every row keeps its
-    # margin r (1 + R|p|) at a, and only the peak of a form with walls
-    # reaches HiGHS
+    # margin r (1 + R|p|) at a, and no start reaches HiGHS, not even the
+    # peak of a form with walls
     calls = []
     linprog = optimize.linprog
 
@@ -198,7 +198,7 @@ def test_the_start_ball_is_the_lp_ball_without_highs(monkeypatch):
         for log_alpha in (None, math.log(0.5 * f.sup_norm())):
             before = len(calls)
             A, a = problem.start(log_alpha)
-            assert len(calls) - before == (has_walls and log_alpha is None)
+            assert len(calls) == before
             r = A[0, 0]
             want, level = _lp_start_ball(form, problem.R, log_alpha)
             assert abs(r - want) <= 1e-9 * want, (f, log_alpha, r, want)

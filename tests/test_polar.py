@@ -19,6 +19,7 @@ from funcjohn import (
     HalfRestriction,
     Height,
     HeightPower,
+    ImproperFunctionError,
     LogConcaveFunction,
     PolarHeightPower,
     Positioned,
@@ -181,19 +182,27 @@ def test_polar_height_power_closed_form_agrees_with_polar_eval():
                    - g.evaluate(np.array([p]))) < 1e-9
 
 
-def _dual_log_sup(anchors, P, walls=(), offsets=()):
-    """Reference S(p) for a bump with interior anchors, and f = 0 on each
-    half-space <n_j, x> >= c_j: HiGHS on the LP dual min b.lam + c.mu
-    s.t. lam, mu >= 0, sum lam = 1, sum lam_i s_i + sum mu_j n_j = p, where
-    log f = min_i (b_i - <s_i, x>); +inf where the dual is infeasible."""
+def _anchor_form(anchors, walls=(), offsets=()):
+    """The normal form of a bump with interior anchors, and f = 0 on each
+    half-space <n_j, x> >= c_j, from the majorants' closed form:
+    log f = min_i (b_i - <s_i, x>)."""
     U = np.asarray(anchors, dtype=float)
-    N = np.asarray(walls, dtype=float).reshape(-1, U.shape[1])
     sq = np.einsum("ij,ij->i", U, U)
     h2 = 1.0 - sq
-    b = 0.5 * np.log(h2) + sq / h2
-    A_eq = np.vstack([np.hstack([(U / h2[:, None]).T, N.T]),
-                      np.append(np.ones(len(U)), np.zeros(len(N)))])
-    cost = np.concatenate([b, np.asarray(offsets, dtype=float)])
+    return (U / h2[:, None], 0.5 * np.log(h2) + sq / h2,
+            np.asarray(walls, dtype=float).reshape(-1, U.shape[1]),
+            np.asarray(offsets, dtype=float))
+
+
+def _dual_log_sup(form, P):
+    """Reference S(p) of a normal form (slopes s, intercepts b, walls n,
+    offsets c): HiGHS on the LP dual min b.lam + c.mu s.t. lam, mu >= 0,
+    sum lam = 1, sum lam_i s_i + sum mu_j n_j = p; +inf where the dual is
+    infeasible."""
+    slopes, intercepts, N, c = form
+    A_eq = np.vstack([np.hstack([slopes.T, N.T]),
+                      np.append(np.ones(len(slopes)), np.zeros(len(N)))])
+    cost = np.concatenate([intercepts, c])
     out = []
     for p in np.atleast_2d(P):
         res = optimize.linprog(cost, A_eq=A_eq, b_eq=np.append(p, 1.0),
@@ -215,7 +224,7 @@ def test_bump_log_sup_with_an_anchor_near_the_sphere():
     for d, seed in ((5, 115), (5, 94128), (4, 34)):
         f = _corpus_bump(d, seed)
         got = bump_log_sup(f, np.zeros((1, d)))[0]
-        ref = _dual_log_sup(f.anchors, np.zeros(d))[0]
+        ref = _dual_log_sup(_anchor_form(f.anchors), np.zeros(d))[0]
         assert abs(got - ref) <= 1e-12, (d, seed, got, ref)
 
 
@@ -273,27 +282,30 @@ def test_bump_log_sup_matches_the_lp_dual(d, corpus, near_sphere, seed):
     P = np.vstack([rng.uniform(-1.2 * reach, 1.2 * reach, size=(30, d)),
                    np.zeros((1, d))])
     got = bump_log_sup(f, P)
-    ref = _dual_log_sup(U, P)
+    ref = _dual_log_sup(_anchor_form(U), P)
     assert np.array_equal(np.isfinite(got), np.isfinite(ref))
     fin = np.isfinite(ref)
     assert np.all(np.abs(got[fin] - ref[fin])
                   <= 1e-9 * (1.0 + np.abs(ref[fin])))
 
 
-def test_slopes_flat_to_the_hull_leave_s_to_the_lp():
+def test_slopes_flat_to_the_hull_are_projected_onto_their_span():
     # the third anchor lies 1e-14 off the line of the others: the slopes
     # span R^2 for numpy's rank, but every simplex Qhull finds is flat, and
-    # a plane solved from one misread S(0) as 0.061 where the LP reads 0.19
+    # a plane solved from one misread S(0) as 0.061 where the LP reads 0.19;
+    # on the line of the slopes, where S is finite, the hull is taken
     for anchors in (((0.5, 0.0), (-0.5, 0.0), (0.2, 1e-14)),
                     ((0.5, 0.0), (-0.5, 0.0), (0.2, 1e-14), (0.0, 0.0))):
         f = Bump(anchors=anchors)
         assert np.linalg.matrix_rank(f.slopes[1:] - f.slopes[0]) == 2
-        assert f.support_facets() is None
         P = np.array([[0.0, 0.0], [0.1, 0.0], [0.0, 1e-3], [3.0, 0.0]])
         got = f.log_sup(P)
-        ref = _dual_log_sup(anchors, P)
-        assert np.array_equal(got, ref)
-        assert polar_floor(f) == (0.0, "sampled")
+        ref = _dual_log_sup(_anchor_form(anchors), P)
+        assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+        fin = np.isfinite(ref)
+        assert np.all(np.abs(got[fin] - ref[fin])
+                      <= 1e-9 * (1.0 + np.abs(ref[fin])))
+        assert polar_floor(f) == (0.0, "exact")
 
 
 @pytest.mark.parametrize("d", [4, 5])
@@ -318,7 +330,7 @@ def test_coplanar_boundary_slopes_give_only_simplices_of_full_volume(d):
     P = np.vstack([rng.uniform(-reach, reach, size=(30, d)),
                    np.zeros((1, d)), f.slopes[:3]])
     got = f.log_sup(P)
-    ref = _dual_log_sup(U, P)
+    ref = _dual_log_sup(_anchor_form(U), P)
     assert np.array_equal(np.isfinite(got), np.isfinite(ref))
     fin = np.isfinite(ref)
     assert fin.any() and not fin.all()
@@ -339,8 +351,7 @@ def test_a_bump_finds_its_lower_facets_once(monkeypatch):
             return find(*args)
         return call
 
-    for name in ("lower_facets", "hull_facets"):
-        monkeypatch.setattr(polar, name, counted(getattr(polar, name)))
+    monkeypatch.setattr(polar, "lower_facets", counted(polar.lower_facets))
     bump = Bump(anchors=generate_decomposition(3, 0).points)
     # a positioned bump keeps facets of its own, for its polar floor; its
     # support function comes from the inner bump's, through the position,
@@ -352,7 +363,7 @@ def test_a_bump_finds_its_lower_facets_once(monkeypatch):
         polar_eval_many(f, np.zeros((4, 3)))
         sandwich_construct(f)
         john_inclusion_check(f)
-        assert sorted(calls) == ["hull_facets", "lower_facets"]
+        assert calls == ["lower_facets"]
         (J, c, e), (N, h) = f.support_facets()
         assert not any(arr.flags.writeable for arr in (J, c, e, N, h))
     # equality and hashing still see the dataclass fields only
@@ -380,7 +391,8 @@ def test_the_polar_floor_of_a_d8_corpus_bump_is_exact():
 def test_a_half_restricted_bump_takes_s_from_its_normal_form(
         monkeypatch, d, seed):
     # the wall f = 0 on <-n, x> >= 0 enters the LP dual with cost 0; S is
-    # finite beyond the slope hull wherever the wall's normal makes up p
+    # finite beyond the slope hull wherever the wall's normal makes up p,
+    # and the cone of the normal form, wall included, has its facets
     bump = _corpus_bump(d, seed)
     n = np.ones(d) / math.sqrt(d)
     f = HalfRestriction(inner=bump, normal=tuple(n))
@@ -390,13 +402,72 @@ def test_a_half_restricted_bump_takes_s_from_its_normal_form(
     P = np.vstack([rng.uniform(-1.5 * reach, 1.5 * reach, size=(12, d)),
                    np.zeros((1, d))])
     got = f.log_sup(P)
-    ref = _dual_log_sup(bump.anchors, P, walls=[-n], offsets=[0.0])
+    ref = _dual_log_sup(_anchor_form(bump.anchors, [-n], [0.0]), P)
     assert np.array_equal(np.isfinite(got), np.isfinite(ref))
     fin = np.isfinite(ref)
     assert fin.any() and not fin.all()
     assert np.all(np.abs(got[fin] - ref[fin])
                   <= 1e-9 * (1.0 + np.abs(ref[fin])))
-    assert f.support_facets() is None
+    assert f.support_facets() is not None
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(d=st.integers(1, 6), walls=st.integers(0, 2), half=st.booleans(),
+       positioned=st.booleans(), near_sphere=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(d=2, walls=1, half=True, positioned=True, near_sphere=True, seed=0)
+@example(d=6, walls=2, half=True, positioned=True, near_sphere=False, seed=1)
+def test_the_cone_s_matches_the_lp_dual_on_walled_and_positioned_forms(
+        d, walls, half, positioned, near_sphere, seed):
+    # boundary anchors and a half-space add walls; a position composes the
+    # normal form; S of that form, from the facets of its cone, against the
+    # LP dual at points of dom S, of a box that straddles it, and of the
+    # sphere of radius 1/(d+1)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(d + 1, 2 * d + 4))
+    V = rng.standard_normal((walls + m, d))
+    V /= np.linalg.norm(V, axis=1)[:, None]
+    radii = (1.0 - 10.0 ** rng.uniform(-6.0, -2.0, walls + m) if near_sphere
+             else rng.uniform(0.05, 0.95, walls + m))
+    radii[:walls] = 1.0
+    f = Bump(anchors=tuple(map(tuple, V * radii[:, None])))
+    if half:
+        n = rng.standard_normal(d)
+        f = HalfRestriction(inner=f, normal=tuple(n / np.linalg.norm(n)))
+    if positioned:
+        T = np.eye(d) + rng.uniform(-0.3, 0.3, size=(d, d))
+        f = Positioned(inner=f, position=make_position(
+            rng.uniform(0.5, 2.0), T, rng.uniform(-0.5, 0.5, size=d)))
+    assert f.support_facets() is not None
+    form = f.normal_form()
+    slopes, _, N, _ = form
+    reach = float(np.max(np.linalg.norm(slopes, axis=1)))
+    inside = rng.dirichlet(np.ones(len(slopes)), size=8) @ slopes \
+        + rng.uniform(0.0, reach, size=(8, len(N))) @ N
+    P = np.vstack([inside, rng.uniform(-1.2 * reach, 1.2 * reach, (12, d)),
+                   np.zeros((1, d)), sphere_points(d, 8, seed) / (d + 1)])
+    got = bump_log_sup(f, P)
+    ref = _dual_log_sup(form, P)
+    assert np.array_equal(np.isfinite(got), np.isfinite(ref))
+    assert np.isfinite(ref[:8]).all()
+    fin = np.isfinite(ref)
+    assert np.all(np.abs(got[fin] - ref[fin])
+                  <= 1e-9 * (1.0 + np.abs(ref[fin])))
+
+
+def test_a_cone_that_holds_a_line_is_refused():
+    # the walls n and -n at offset 0 leave no open set where f > 0: the cone
+    # of the normal form holds the line through (n, 0, 0), and the origin
+    # is no vertex of its hull
+    for d in (1, 2, 3):
+        n = tuple(np.eye(d)[0])
+        f = HalfRestriction(inner=HalfRestriction(inner=_corpus_bump(d, 0),
+                                                  normal=n),
+                            normal=tuple(-np.eye(d)[0]))
+        with pytest.raises(ImproperFunctionError):
+            f.log_sup(np.zeros((1, d)))
+        with pytest.raises(ImproperFunctionError):
+            polar_floor(f)
 
 
 @dataclass(frozen=True)

@@ -35,10 +35,10 @@ from funcjohn import (
     polar_floor,
     solve_john,
 )
-from funcjohn import polar
 from funcjohn.acceptance import bump_corpus
 from funcjohn.polar import _SPREAD_BLOCK, spread
 from funcjohn.verify import sphere_points
+from test_polar import _dual_log_sup
 
 REFUSED = (HalfRestriction, LogAffineMajorant)  # no log_value_grad
 PROPERTY = settings(max_examples=15, deadline=None, derandomize=True,
@@ -233,8 +233,7 @@ def test_log_sup_is_equivariant_under_positions(d, idx, seed):
             / np.linalg.norm(far, axis=1))[:, None]
     Q = np.vstack([lam @ f.slopes, far])
     P = Q @ np.linalg.inv(T)
-    slopes, intercepts, N, c = g.normal_form()
-    want = polar._bump_log_sup_linprog(slopes, intercepts, N, P, c)
+    want = _dual_log_sup(g.normal_form(), P)
     got = g.log_sup(P)
     assert np.array_equal(np.isinf(got), np.isinf(want))
     assert np.isinf(want[6:]).all() and np.isfinite(want[:6]).all()
@@ -262,7 +261,7 @@ def test_exact_polar_floor_is_the_max_of_S_on_the_small_sphere(
     M = -math.log(floor)
     S = f.log_sup(sphere_points(d, 1000, seed=seed) * rho)
     assert np.max(S) <= M + 1e-12
-    _, c, e = polar.lower_facets(*f.normal_form()[:3])
+    (_, c, e), _ = f.support_facets()
     k = int(np.argmax(e + rho * np.linalg.norm(c, axis=1)))
     norm = np.linalg.norm(c[k])
     p = rho * (c[k] / norm if norm else _e1(d))

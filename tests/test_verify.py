@@ -190,6 +190,21 @@ def test_height_below_of_a_lowered_two_point_bump_is_log_2():
     assert not rec.passed and not rec.height_below_pass
 
 
+def test_walled_floors_are_exact():
+    # the wall of a boundary anchor, and that of a half-restriction, used to
+    # leave the floor to 1,000 sampled points of the sphere; the facets of
+    # the normal form's cone give it exactly, at or below the sampled rule
+    half = HalfRestriction(inner=bump_corpus(2)[0].function,
+                           normal=(1.0, 0.0))
+    for f, want in ((BOUNDARY_BUMPS[1], 0.06662449944413602),
+                    (half, 0.6539396091308745)):
+        floor, how = polar_floor(f)
+        assert how == "exact"
+        assert abs(floor - want) <= 1e-12
+        P = np.unique(sphere_points(2, 1000, seed=0) / 3.0, axis=0)
+        assert floor <= float(polar.polar_eval_many(f, P).min())
+
+
 def test_a_touching_anchor_near_the_sphere_passes_the_exact_check():
     # 1 - |u|^2 = 7.4e-9 gives an intercept near 1.35e8, so the certificate
     # row of that touching anchor reads one of its ulps, 2.98e-8, above the

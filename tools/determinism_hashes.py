@@ -13,12 +13,12 @@ the exact route, the polar of six variants on a 7x7 lattice, and the
 john-check and sandwich certificates of the two-point bump, the Gaussian
 (radial polar floor), a d = 3 decomposition bump (polar floor from its
 lower facets), the positioned d = 2 bump, and a d = 2 bump with a boundary
-anchor (a wall tangent to the unit sphere, sampled polar floor), then
-the free and fixed-height solves of a half-restricted d = 2 Gaussian on the
-cut route, and last the certified free solves of the d = 2 Gaussian (radial
-route) and of its half-restriction (cut route).  The 27 cases take 6-7 s
-on a shared two-core machine, most of it the sampled polar floor of the
-boundary-anchor bump.
+anchor (a wall tangent to the unit sphere, polar floor from the lower
+facets of its normal form's cone, wall included), then the free and
+fixed-height solves of a half-restricted d = 2 Gaussian on the cut route,
+and last the certified free solves of the d = 2 Gaussian (radial route)
+and of its half-restriction (cut route).  The 27 cases take 1-2 s on a
+shared two-core machine.
 
 Two changes to the exact barrier (funcjohn.exact) changed the hashes of the
 seven cases that run a barrier solve, through their newton_steps and the
@@ -30,7 +30,13 @@ fixed-height/two-point-bump-0.5, fixed-height/positioned-bump-2-1.0,
 solve-john/half-restriction-gaussian-2,
 fixed-height/half-restriction-gaussian-2-0.25 and
 solve-john/half-restriction-gaussian-2-certified.  Both times their exit
-codes and the other 20 lines stayed the same.
+codes and the other 20 lines stayed the same.  The polar floor of the
+boundary-anchor bump then turned from sampled (1,000 HiGHS LPs, about 4 s)
+to exact, which changed john-check/boundary-anchor-bump-2 and
+sandwich/boundary-anchor-bump-2 through the floor and its label; the same
+change reads the start of solve-john/decomposition-bump-3 off another
+triangulation, which sums the centre of its optimal face in another order
+and moves its position by last bits.  Every exit code stayed the same.
 """
 
 from __future__ import annotations

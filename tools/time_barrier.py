@@ -4,14 +4,12 @@
 
 Each target is solved N times through the public solve; only the time spent
 inside Problem.start and Problem.solve is counted.  Per target it prints the
-median of each in ms, and per solve the barrier stages, the Newton steps,
-the points evaluated and the HiGHS calls (scipy.optimize.linprog, anywhere
-in the solve), so that the re-centring cost of a stage shows as steps per
-stage and the LPs left around the barrier show by count.  Points are counted
-as the calls of w's radial_log_sup_derivatives inside Problem.solve, one
-per barrier point (Newton line-search trials and predictor trials alike),
-so that a checkout which evaluates a point more than once shows its
-repeats.  The targets are the two exact solves of the john_bump benchmark
+median of each in ms, and per solve the barrier stages, the Newton steps
+and the points evaluated, so that the re-centring cost of a stage shows as
+steps per stage.  Points are counted as the calls of w's
+radial_log_sup_derivatives inside Problem.solve, one per barrier point
+(Newton line-search trials and predictor trials alike), so that a
+checkout which evaluates a point more than once shows its repeats.  The targets are the two exact solves of the john_bump benchmark
 (corpus bump d = 2 #2 free, d = 1 #0 at xi = 1), corpus bump #0 free in
 d = 1-4, and two d = 3 half-restrictions on the cut route, where one solve
 runs the barrier on every relaxation.  It writes no files.
@@ -22,8 +20,6 @@ from __future__ import annotations
 import argparse
 import statistics
 import time
-
-from scipy import optimize
 
 import funcjohn as fj
 from funcjohn import exact
@@ -55,10 +51,9 @@ def main() -> None:
     parser.add_argument("--repeat", type=int, default=10)
     args = parser.parse_args()
     tally = {"start_s": 0.0, "solve_s": 0.0, "stages": 0, "steps": 0,
-             "points": 0, "highs": 0, "inside": False}
+             "points": 0, "inside": False}
     start, solve = exact.Problem.start, exact.Problem.solve
     sigma = fj.HeightPower.radial_log_sup_derivatives
-    linprog = optimize.linprog
 
     def timed_start(self, *a):
         t0 = time.perf_counter()
@@ -80,28 +75,22 @@ def main() -> None:
         tally["points"] += tally["inside"]
         return sigma(self, c)
 
-    def counted_linprog(*a, **kw):
-        tally["highs"] += 1
-        return linprog(*a, **kw)
-
     exact.Problem.start, exact.Problem.solve = timed_start, timed_solve
     fj.HeightPower.radial_log_sup_derivatives = counted_sigma
-    optimize.linprog = counted_linprog
     print(f"{'target':38s} {'start ms':>9s} {'solve ms':>9s} "
-          f"{'barrier_stages':>15s} {'newton_steps':>13s} {'points':>7s} "
-          f"{'highs':>6s}")
+          f"{'barrier_stages':>15s} {'newton_steps':>13s} {'points':>7s}")
     for name, run in TARGETS:
         starts, solves = [], []
         for _ in range(args.repeat):
             tally.update(start_s=0.0, solve_s=0.0, stages=0, steps=0,
-                         points=0, highs=0)
+                         points=0)
             run()
             starts.append(tally["start_s"])
             solves.append(tally["solve_s"])
         print(f"{name:38s} {1e3 * statistics.median(starts):9.2f} "
               f"{1e3 * statistics.median(solves):9.2f} "
               f"{tally['stages']:15d} {tally['steps']:13d} "
-              f"{tally['points']:7d} {tally['highs']:6d}")
+              f"{tally['points']:7d}")
 
 if __name__ == "__main__":
     main()
