@@ -8,7 +8,9 @@ takes the first route that fits its target:
    positioned copies): solved and certified exactly by the barrier method of
    funcjohn.exact;
 2. a radial target: the optimum is A = r Id, a = 0, found by the
-   one-dimensional solve of funcjohn.radial, with a sampled certificate;
+   one-dimensional solve of funcjohn.radial, with an exact certificate
+   where m(r) has a rule (every library f under a height power w, and every
+   radial f under a ball indicator) and a sampled one elsewhere;
 3. a positioned copy Positioned(g, T) of any other target: g is solved and
    its position composed with T, which covers nested positions and a
    translated ball indicator;
@@ -156,8 +158,10 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
 
 def _solve_radial(f: LogConcaveFunction, w: LogConcaveFunction,
                   log_alpha: float | None) -> SolveReport:
-    """One-dimensional solve of a radial target at A = r Id, a = 0, with
-    the violation and the contacts measured on a grid four times denser."""
+    """One-dimensional solve of a radial target at A = r Id, a = 0.  Where
+    the pair has a rule, m(r) is exact, and so are the violation and the
+    contact spheres; otherwise they are measured on a grid four times
+    denser than the solve's."""
     problem = radial.Problem(f, w)
     sol = problem.solve(log_alpha)
     if sol is None:
@@ -165,16 +169,10 @@ def _solve_radial(f: LogConcaveFunction, w: LogConcaveFunction,
             "no position of w fits inside the support of f"
             if log_alpha is None else
             "no position of w attains the prescribed height below f")
-    check = radial.Problem(f, w, density=4)
-    m, gaps, t_min = check.minimum(sol.r)
+    check = problem if problem.exact else radial.Problem(f, w, density=4)
+    m, radii = check.contacts(sol.r, sol.log_alpha, _CONTACT_TOL)
     violation = float(sol.log_alpha - m)
-    # the contact spheres |y| = t: at the smallest and largest grid radius
-    # within _CONTACT_TOL, at the radius where m is attained, and at the
-    # edge of supp w when the edge of f's support binds
-    near = check.t[gaps - sol.log_alpha <= _CONTACT_TOL]
-    radii = {float(near[0]), float(near[-1])} if near.size else set()
-    if m - sol.log_alpha <= _CONTACT_TOL:
-        radii.add(t_min)
+    # the edge of supp w touches f's edge when that binds
     if sol.stop_reason == "support_edge":
         radii.add(check.R)
     pos = make_position(math.exp(sol.log_alpha), sol.r * np.eye(f.dim),
@@ -185,10 +183,12 @@ def _solve_radial(f: LogConcaveFunction, w: LogConcaveFunction,
         feasible=violation <= CONSTRAINT_TOL,
         contacts=_points(_sphere_points(f.dim, sorted(radii))),
         diagnostics={
-            "engine": "radial", "certificate": "sampled",
+            "engine": "radial",
+            "certificate": "exact" if problem.exact else "sampled",
             "converged": sol.stop_reason != "iteration_cap",
             "stop_reason": sol.stop_reason,
-            "m_evaluations": problem.evaluations + check.evaluations,
+            "m_evaluations": problem.evaluations + (
+                0 if check is problem else check.evaluations),
             "max_constraint_violation": violation})
 
 

@@ -35,6 +35,8 @@ BOUNDARY_SNAP = 1e-12
 
 _GENERIC_STARTS = 32  # ascents per point of the numeric support function
 _NEGLIGIBLE_LOG = -46.0  # log f - log peak at which f counts as negligible
+_MAX_NEWTON = 100  # cap on the Newton steps of one radial gap root
+_NEWTON_TOL = 1e-15  # relative step in y = log(u / (1 - u)) that ends them
 
 
 class DimensionMismatchError(ValueError):
@@ -144,6 +146,15 @@ class LogConcaveFunction:
 
     def radial_log_profile(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def radial_gap_rule(self, s_w: float):
+        """For w = hbar^{s_w}, the map r -> (m(r), t) of funcjohn.radial:
+        m(r) is the minimum over 0 <= u < 1 of
+        g(u) = log phi(r sqrt(u)) - (s_w / 2) log(1 - u), for the profile
+        phi of this class's radial_log_profile, and t = sqrt(u) a point
+        where it is attained.  None where the variant has no such rule, and
+        the radial route samples g instead."""
+        return None
 
     def support_radius(self) -> float:
         """Radius R with f = 0 outside the R-ball (inf when unbounded)."""
@@ -301,6 +312,29 @@ class HeightPower(LogConcaveFunction):
             return np.where(sq > 0.0,
                             0.5 * self.s * np.log(np.maximum(sq, 1e-320)), -np.inf)
 
+    def radial_gap_rule(self, s_w):
+        # g'(u) is s_w (1 - r^2 u) - s r^2 (1 - u) times a positive factor,
+        # linear in u and positive at u = 1 for r < 1: where it is also
+        # nonnegative at u = 0 the minimum is g(0) = 0, and otherwise it sits
+        # at the root u*, with 1 - r^2 u* = s (1 - r^2) / (s - s_w) and
+        # 1 - u* = s_w (1 - r^2) / (r^2 (s - s_w)); 1 - r^2 is taken as
+        # (1 - r)(1 + r) so that it stays exact near the edge r = 1
+        s = self.s
+
+        def rule(r):
+            if r > 1.0:
+                return -math.inf, 1.0
+            if s <= s_w or s * r * r <= s_w:
+                return 0.0, 0.0
+            if r == 1.0:
+                return -math.inf, 1.0
+            h2, k = (1.0 - r) * (1.0 + r), s - s_w
+            m = 0.5 * (s * math.log(s * h2 / k)
+                       - s_w * math.log(s_w * h2 / (r * r * k)))
+            return m, math.sqrt((s * r * r - s_w) / (r * r * k))
+
+        return rule
+
     def log_value_grad(self, X):
         sq = 1.0 - np.einsum("ij,ij->i", X, X)
         scale = np.divide(-self.s, sq, out=np.zeros_like(sq), where=sq > 0.0)
@@ -391,6 +425,47 @@ class BallIndicator(LogConcaveFunction):
         return unit_ball_volume(self.dimension) * self.radius ** self.dimension
 
 
+def _gaussian_gap(r: float, s_w: float) -> tuple[float, float]:
+    """Gaussian.radial_gap_rule: g'(u) = s_w / (2 (1 - u)) - r^2 rises
+    through 0 at 1 - u* = s_w / (2 r^2) when that is below 1; otherwise the
+    minimum is g(0) = 0."""
+    r2 = r * r
+    if 2.0 * r2 <= s_w:
+        return 0.0, 0.0
+    e = s_w / (2.0 * r2)
+    return (0.5 * s_w - r2 - 0.5 * s_w * math.log(e),
+            math.sqrt((2.0 * r2 - s_w) / (2.0 * r2)))
+
+
+def _softplus(y: float) -> float:
+    """log(1 + e^y) without overflow."""
+    return max(y, 0.0) + math.log1p(math.exp(-abs(y)))
+
+
+def _exp_norm_gap(r: float, p: float, s_w: float) -> tuple[float, float]:
+    """ExpNorm.radial_gap_rule for p < 2.  g'(u) = 0 where
+    p r^p u^{p/2 - 1} (1 - u) = s_w, that is where
+    G(y) = log(p r^p / s_w) + (p/2 - 1) log u + log(1 - u) vanishes, in
+    y = log(u / (1 - u)), which keeps both u and the distance 1 - u to the
+    edge exact.  G is decreasing and concave in y, so Newton from a y where
+    G <= 0 falls monotonically onto the root."""
+    c = math.log(p / s_w) + p * math.log(r)
+    a = 1.0 - 0.5 * p
+    # G(y) <= c + a log 2 - y for y >= 0
+    y = max(0.0, c + math.log(2.0))
+    for _ in range(_MAX_NEWTON):
+        log_u, log_e = -_softplus(-y), -_softplus(y)
+        step = (c - a * log_u + log_e) / (a * math.exp(log_e)
+                                          + math.exp(log_u))
+        # G(y) is step times a positive slope; rounding ends the fall when
+        # the step turns up or stalls
+        if not step < -_NEWTON_TOL * max(1.0, abs(y)):
+            break
+        y += step
+    return (-math.exp(p * (math.log(r) + 0.5 * log_u)) - 0.5 * s_w * log_e,
+            math.exp(0.5 * log_u))
+
+
 @dataclass(frozen=True)
 class Gaussian(LogConcaveFunction):
     """exp(-|x|^2)."""
@@ -410,6 +485,9 @@ class Gaussian(LogConcaveFunction):
     def radial_log_profile(self, r):
         r = np.asarray(r, dtype=float)
         return -r * r
+
+    def radial_gap_rule(self, s_w):
+        return lambda r: _gaussian_gap(r, s_w)
 
     def log_value_grad(self, X):
         return -np.einsum("ij,ij->i", X, X), -2.0 * X
@@ -449,6 +527,16 @@ class ExpNorm(LogConcaveFunction):
     def radial_log_profile(self, r):
         r = np.asarray(r, dtype=float)
         return -r ** self.p
+
+    def radial_gap_rule(self, s_w):
+        # u^{p/2} is concave for p <= 2, so g(u) = -r^p u^{p/2} -
+        # (s_w / 2) log(1 - u) is convex; for p > 2 it need not be
+        p = self.p
+        if p == 2.0:
+            return lambda r: _gaussian_gap(r, s_w)
+        if p < 2.0:
+            return lambda r: _exp_norm_gap(r, p, s_w)
+        return None
 
     def log_value_grad(self, X):
         r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
@@ -509,6 +597,30 @@ class PolarHeightPower(LogConcaveFunction):
 
     def radial_log_profile(self, r):
         return _polar_height_power_log(np.asarray(r, dtype=float), self.s)
+
+    def radial_gap_rule(self, s_w):
+        # with v = r^2 u, d/dv of the log polar -log phi(sqrt v) is
+        # 1 / (s + sqrt(s^2 + 4 v)), so g'(u) = s_w / (2 e) -
+        # r^2 / (s + sqrt(s^2 + 4 r^2 u)), e = 1 - u, rises in u.  Above
+        # g'(0) < 0, that is r^2 > s s_w, it vanishes at the root of
+        # r^2 e^2 - s_w k e - s_w^2 with k = s - s_w:
+        # e = s_w (k + q) / (2 r^2) = 2 s_w / (q - k), q = sqrt(k^2 + 4 r^2),
+        # each form taken where it does not cancel, and
+        # u = 2 e (r^2 - s s_w) / (s_w (q + s + s_w)) without 1 - e
+        s = self.s
+        k = s - s_w
+
+        def rule(r):
+            r2 = r * r
+            if r2 <= s * s_w:
+                return 0.0, 0.0
+            q = math.sqrt(k * k + 4.0 * r2)
+            e = s_w * (k + q) / (2.0 * r2) if k >= 0.0 else 2.0 * s_w / (q - k)
+            t = math.sqrt(2.0 * e * (r2 - s * s_w) / (s_w * (q + s + s_w)))
+            return (float(_polar_height_power_log(r * t, s))
+                    - 0.5 * s_w * math.log(e), t)
+
+        return rule
 
     def log_value_grad(self, X):
         r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)

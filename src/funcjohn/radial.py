@@ -10,20 +10,34 @@ form A = r Id, a = 0.  The best height at that position is exp(m(r)), with
 for the radial log profiles phi (t = R included when w is positive there,
 as for a ball indicator).  m is concave and nonincreasing in r, so the free
 problem maximizes the concave d log r + m(r) over log r, and the
-fixed-height problem bisects for the largest r with m(r) >= log alpha.
+fixed-height problem bisects for the largest float r with m(r) >= log alpha.
 
-m is computed on a grid of t that crowds toward R, refined by a bounded
-Brent search in the bracket of the best grid point.  That is an upper bound
-on the infimum, exact at the points it samples, so its certificate is
-sampled.  Where w vanishes at R the grid stops 1e-13 R short of it, and a
-minimum at the grid's last point counts as m = -inf: a position is returned
-only when the grid sees where its constraint binds.
+m is exact for two kinds of w:
+
+- a height power w = hbar^{s_w} (Height has s_w = 1, R = 1), where the gap
+  in u = t^2, g(u) = log phi_f(r sqrt(u)) - (s_w / 2) log(1 - u), has one
+  stationary point for every library f: f.radial_gap_rule gives m(r) and
+  the t where it is attained, in closed form or as one monotone root.  The
+  rule belongs to the class that defines f's radial_log_profile, so a
+  subclass with a profile of its own does not inherit it;
+- a ball indicator of radius R, where m(r) = log phi_f(r R) for every
+  radial f, since a radial log-concave profile is nonincreasing.
+
+Every other pair (ExpNorm with p > 2 or a ball indicator f under a height
+power, and radial subclasses defined outside the library) samples m on a
+grid of t that crowds toward R, refined by a bounded Brent search in the
+bracket of the best grid point.  That is an upper bound on the infimum,
+exact at the points it samples, so its certificate is sampled.  Where w
+vanishes at R the grid stops 1e-13 R short of it, and a minimum at the
+grid's last point counts as m = -inf: a position is returned only when the
+grid sees where its constraint binds.
 
 The same pass locates the contacts: at the position r Id of height alpha,
 alpha w(y) = f(r y) on the spheres |y| = t whose gap log phi_f(r t) -
-log phi_w(t) - log alpha vanishes, which Problem.minimum returns on the grid
-with the t where m(r) is attained; when r reaches the edge of f's support,
-the sphere |y| = R of supp w touches it too.
+log phi_w(t) - log alpha vanishes, which Problem.contacts returns: the t
+where m(r) is attained and, on the grid, the first and last grid points
+within the tolerance; when r reaches the edge of f's support, the sphere
+|y| = R of supp w touches it too.
 """
 
 from __future__ import annotations
@@ -34,10 +48,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from .lcfunc import DivergentIntegralError, ImproperFunctionError
+from .lcfunc import (
+    BallIndicator,
+    DivergentIntegralError,
+    HeightPower,
+    ImproperFunctionError,
+)
 
 _REACH = 100.0  # log r distance a bracket walk covers before giving up
-_LOG_R_TOL = 1e-13  # width in log r that ends the height bisection
 # m(r) >= log alpha - this counts as the height attained, which absorbs the
 # rounding of log alpha at the peak of f
 _HEIGHT_SLACK = 1e-14
@@ -54,29 +72,54 @@ class RadialSolution:
     stop_reason: str  # "xtol_reached", "support_edge" or "iteration_cap"
 
 
+def _profile_owner(g) -> type:
+    """The class whose radial_log_profile g uses."""
+    return next(c for c in type(g).__mro__ if "radial_log_profile" in vars(c))
+
+
 class Problem:
-    """m(r) of one radial target f and one radial w; `density` scales the
+    """m(r) of one radial target f and one radial w: exact where the pair
+    has a rule (`exact`), otherwise sampled on a grid; `density` scales the
     number of grid points in t (1,100 at density 1)."""
 
     def __init__(self, f, w, density: int = 1):
         self.f, self.w, self.d = f, w, f.dim
         self.R = R = w.support_radius()
-        t = R * np.concatenate([
-            np.linspace(0.0, 0.999, 1000 * density, endpoint=False),
-            1.0 - np.geomspace(1e-3, 1e-13, 100 * density)])
-        # a ball indicator keeps its edge; where w vanishes, the grid stops
-        # 1e-13 R short of it
-        self.open_edge = not math.isfinite(
-            float(w.radial_log_profile(np.array([R]))[0]))
-        if not self.open_edge:
-            t = np.append(t, R)
-        self.t = t
-        self.log_w = w.radial_log_profile(t)
+        self.rule = self._rule()
+        self.exact = self.rule is not None
+        if not self.exact:
+            t = R * np.concatenate([
+                np.linspace(0.0, 0.999, 1000 * density, endpoint=False),
+                1.0 - np.geomspace(1e-3, 1e-13, 100 * density)])
+            # a ball indicator keeps its edge; where w vanishes, the grid
+            # stops 1e-13 R short of it
+            self.open_edge = not math.isfinite(
+                float(w.radial_log_profile(np.array([R]))[0]))
+            if not self.open_edge:
+                t = np.append(t, R)
+            self.t = t
+            self.log_w = w.radial_log_profile(t)
         # walks start where w's support is scaled to radius 0.5; beyond the
         # cap r = R_f / R it reaches out of f's support, where m = -inf
         self.start = math.log(0.5 / R)
         self.log_cap = math.log(f.support_radius() / R)
         self.evaluations = 0
+
+    def _rule(self):
+        """r -> (m(r), the t where it is attained) for a pair with a rule,
+        else None."""
+        owner = _profile_owner(self.w)
+        if owner is BallIndicator:
+            # f's profile does not increase, so the gap is least at t = R
+            def at_edge(r):
+                edge = np.array([r * self.R])
+                return float(self._checked(
+                    self.f.radial_log_profile(edge))[0]), self.R
+            return at_edge
+        if owner is HeightPower and \
+                "radial_gap_rule" in vars(_profile_owner(self.f)):
+            return self.f.radial_gap_rule(self.w.s)
+        return None
 
     def _checked(self, v):
         if np.any(np.isnan(v)):
@@ -85,23 +128,44 @@ class Problem:
         return v
 
     def m(self, r: float) -> float:
-        """m(r) from the grid and its refinement: an upper bound on the
-        infimum, exact at its samples, or -inf where it cannot be bounded."""
-        return self.minimum(r)[0]
-
-    def minimum(self, r: float) -> tuple[float, np.ndarray, float]:
-        """(m(r), the gap log phi_f(r t) - log phi_w(t) at each grid point
-        t, the t where that value of m(r) was found)."""
+        """m(r): exact from the pair's rule; from the grid and its
+        refinement an upper bound on the infimum, exact at its samples, or
+        -inf where it cannot be bounded."""
         self.evaluations += 1
+        if self.exact:
+            return self.rule(r)[0]
+        return self._sampled(r)[0]
+
+    def contacts(self, r: float, log_alpha: float, tol: float
+                 ) -> tuple[float, set]:
+        """(m(r), the radii t of the contact spheres |y| = t at height
+        log_alpha): the t where m(r) is attained, when m(r) is within tol of
+        log_alpha, and on the grid also its first and last points whose gap
+        log phi_f(r t) - log phi_w(t) is."""
+        self.evaluations += 1
+        if self.exact:
+            m, t_min = self.rule(r)
+            radii = set()
+        else:
+            m, t_min, gaps = self._sampled(r)
+            near = self.t[gaps - log_alpha <= tol]
+            radii = {float(near[0]), float(near[-1])} if near.size else set()
+        if m - log_alpha <= tol:
+            radii.add(t_min)
+        return m, radii
+
+    def _sampled(self, r: float) -> tuple[float, float, np.ndarray]:
+        """(m(r) on the grid, the t where that value was found, the gap
+        log phi_f(r t) - log phi_w(t) at each grid point t)."""
         t = self.t
         v = self._checked(self.f.radial_log_profile(r * t) - self.log_w)
         k = int(np.argmin(v))
         if not math.isfinite(v[k]):
-            return float(v[k]), v, float(t[k])
+            return float(v[k]), float(t[k]), v
         if self.open_edge and k == t.size - 1:
             # still falling at the last point short of the edge: the
             # infimum may lie beyond the grid's reach, so count it as -inf
-            return -math.inf, v, float(t[k])
+            return -math.inf, float(t[k]), v
 
         def gap(u):
             y = np.array([self.R - u])
@@ -116,8 +180,8 @@ class Problem:
                          self.R - t[max(k - 1, 0)]),
             method="bounded", options={"xatol": 1e-14})
         if float(res.fun) < v[k]:
-            return float(res.fun), v, float(self.R - res.x)
-        return float(v[k]), v, float(t[k])
+            return float(res.fun), float(self.R - res.x), v
+        return float(v[k]), float(t[k]), v
 
     def solve(self, log_alpha: float | None) -> RadialSolution | None:
         """The optimal r of the free problem (log_alpha None) or of the
@@ -217,15 +281,20 @@ class Problem:
             hi, lo = self._walk(lambda y: not attained(y), x, -1.0)
             if lo is None:
                 return None
+        # bisect r itself until lo and hi are adjacent floats: by geometric
+        # means while they are a factor 2 apart, then by arithmetic ones,
+        # so that 1 - r resolves to rounding however near the edge of f's
+        # support the height is attained
+        lo, hi = math.exp(lo), math.exp(hi)
         stop = "iteration_cap"
         for _ in range(_MAX_BISECTIONS):
-            if hi - lo <= _LOG_R_TOL:
+            mid = math.sqrt(lo) * math.sqrt(hi) if hi > 2.0 * lo \
+                else lo + 0.5 * (hi - lo)
+            if not lo < mid < hi:
                 stop = "xtol_reached"
                 break
-            mid = 0.5 * (lo + hi)
-            if attained(mid):
+            if self.m(mid) >= target:
                 lo = mid
             else:
                 hi = mid
-        return RadialSolution(r=math.exp(lo), log_alpha=log_alpha,
-                              stop_reason=stop)
+        return RadialSolution(r=lo, log_alpha=log_alpha, stop_reason=stop)

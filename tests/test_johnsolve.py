@@ -4,7 +4,7 @@ forms and the cut route, and the cut route on half-restrictions against the
 exact route."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -325,13 +325,13 @@ def test_gaussian_optimum_matches_the_closed_form(d):
     h = (d + 1) / 2.0
     rep = solve_john(Gaussian(d), Height(d))
     diag = rep.diagnostics
-    assert diag["engine"] == "radial" and diag["certificate"] == "sampled"
+    assert diag["engine"] == "radial" and diag["certificate"] == "exact"
     assert diag["converged"] and diag["stop_reason"] == "xtol_reached"
     assert diag["m_evaluations"] > 0
     assert rep.feasible
     assert abs(diag["max_constraint_violation"]) <= 1e-12
     assert abs(rep.objective - (h * math.log(h) - d / 2.0
-                                + 0.5 * math.log(2.0))) <= 1e-9
+                                + 0.5 * math.log(2.0))) <= 1e-12
     assert np.allclose(rep.position.matrix(), math.sqrt(h) * np.eye(d),
                        rtol=1e-6)
     assert not np.any(rep.position.a_vector())
@@ -339,10 +339,11 @@ def test_gaussian_optimum_matches_the_closed_form(d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_gaussian_under_a_ball_indicator_matches_the_closed_form(d):
-    # w keeps its edge in the grid of t; at A = r Id the best height is
-    # exp(-r^2), so d log r - r^2 peaks at r^2 = d / 2
+    # at A = r Id the best height is exp(-r^2), f at the edge of w's
+    # support, so d log r - r^2 peaks at r^2 = d / 2
     rep = solve_john(Gaussian(d), BallIndicator(d))
     assert rep.diagnostics["engine"] == "radial" and rep.feasible
+    assert rep.diagnostics["certificate"] == "exact"
     assert abs(rep.objective - ((d / 2.0) * math.log(d / 2.0) - d / 2.0)) \
         <= 1e-12
     assert np.allclose(rep.position.matrix(), math.sqrt(d / 2.0) * np.eye(d),
@@ -409,14 +410,26 @@ def test_radial_fixed_height_attains_the_height():
     assert abs(sampled.objective - rep.objective) <= 1e-8
 
 
-@pytest.mark.parametrize("xi", [1e-3, 1e-7, 1e-30])
+@pytest.mark.parametrize("xi", [1e-3, 1e-6, 1e-7, 1e-30])
 def test_radial_fixed_height_below_a_vanishing_edge_is_feasible(xi):
     # f = 1 - |x|^2 vanishes at the unit sphere faster than hbar, so at
-    # r = 1 the constraint fails arbitrarily close to the sphere, nearer
-    # than any grid of t can reach; the solve must stop short of that
+    # r = 1 the constraint fails arbitrarily close to the sphere; the solve
+    # must stop short of that, at the largest float r where
+    # m(r) = log 2 + log(1 - r^2) / 2 + log r still reaches log xi
     rep = solve_fixed_height(HeightPower(2, 2.0), Height(2), xi)
     assert rep.feasible
+    assert rep.diagnostics["certificate"] == "exact"
     r = rep.position.matrix()[0, 0]
+
+    def gap(r):
+        if r >= 1.0:
+            return -math.inf
+        return (math.log(2.0) + 0.5 * math.log((1.0 - r) * (1.0 + r))
+                + math.log(r) - math.log(xi))
+
+    assert gap(r) >= 0.0 > gap(np.nextafter(r, 2.0))
+    if xi == 1e-30:
+        assert r == np.nextafter(1.0, 0.0)
     eps = 1.0 - r
     # along a radius at distance u from the sphere, with 1 - t^2 and
     # 1 - r t written out so that they stay exact down to u = 1e-300
@@ -425,6 +438,85 @@ def test_radial_fixed_height_below_a_vanishing_edge_is_feasible(xi):
                  + 0.5 * (np.log(u) + np.log(2.0 - u))
                  - np.log(eps + u - eps * u) - np.log(1.0 + r * (1.0 - u)))
     assert np.max(violation) <= CONSTRAINT_TOL
+
+
+def _sampled_copy(f):
+    """f under a subclass that defines radial_log_profile anew, with the
+    same values: the class of its profile has no rule, so the radial route
+    samples m(r) on its grid."""
+    cls = type(f)
+    sub = type(f"_Sampled{cls.__name__}", (cls,), {
+        "radial_log_profile": lambda self, r: cls.radial_log_profile(self, r)})
+    return sub(**{fld.name: getattr(f, fld.name) for fld in fields(f)
+                  if fld.init})
+
+
+# every library radial f with a rule under a height power, and under a ball
+# indicator every radial f
+_RULE_TARGETS = [
+    lambda d: Gaussian(d), lambda d: ExpNorm(d, 1.0),
+    lambda d: ExpNorm(d, 1.5), lambda d: ExpNorm(d, 2.0),
+    lambda d: HeightPower(d, 0.5), lambda d: Height(d),
+    lambda d: HeightPower(d, 2.0), lambda d: PolarHeightPower(d, 1.0),
+    lambda d: PolarHeightPower(d, 3.0)]
+_RULE_PAIRS = [(make(d), HeightPower(d, s_w))
+               for make in _RULE_TARGETS for d in (1, 2, 3)
+               for s_w in (1.0, 2.0)] + [
+    (make(d), BallIndicator(d, radius))
+    for make in (*_RULE_TARGETS[:3], lambda d: BallIndicator(d, 0.7))
+    for d in (1, 2) for radius in (0.5, 1.0)]
+
+
+@pytest.mark.parametrize("f, w", _RULE_PAIRS, ids=repr)
+def test_exact_m_matches_the_grid_and_never_exceeds_it(f, w):
+    exact = radial.Problem(f, w)
+    grid = radial.Problem(_sampled_copy(f), _sampled_copy(w))
+    assert exact.exact and not grid.exact
+    cap = f.support_radius() / w.support_radius()
+    for r in np.linspace(0.01, 1.0, 50) * (0.99 * cap if math.isfinite(cap)
+                                           else 10.0):
+        m, m_grid = exact.m(r), grid.m(r)
+        # the grid samples points of the infimum, so it only reads high
+        assert m <= m_grid + 1e-12 * (1.0 + abs(m_grid))
+        assert abs(m - m_grid) <= 1e-9
+
+
+@pytest.mark.parametrize("f, w", _RULE_PAIRS, ids=repr)
+def test_exact_free_radial_solve_agrees_with_the_grid_and_certifies(f, w):
+    rep = solve_john(f, w)
+    grid = solve_john(_sampled_copy(f), _sampled_copy(w))
+    assert rep.diagnostics["certificate"] == "exact"
+    assert grid.diagnostics["certificate"] == "sampled"
+    assert rep.feasible and rep.diagnostics["converged"]
+    assert rep.diagnostics["m_evaluations"] > 0
+    assert abs(rep.diagnostics["max_constraint_violation"]) <= 1e-12
+    assert abs(rep.objective - grid.objective) \
+        <= 1e-12 * max(1.0, abs(rep.objective))
+    if isinstance(w, HeightPower) and w.s == 1.0:
+        # the John condition extract_and_certify reads is that of hbar
+        assert extract_and_certify(f, rep).diagnostics["certified"] is True
+
+
+def test_radial_pairs_with_a_rule_sample_no_grid(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid was sampled")
+
+    monkeypatch.setattr(radial.Problem, "_sampled", refuse)
+    for f, w in _RULE_PAIRS[::7]:
+        for rep in (solve_john(f, w),
+                    solve_fixed_height(f, w, 0.5 * f.sup_norm())):
+            assert rep.diagnostics["certificate"] == "exact"
+            assert rep.feasible
+
+
+@pytest.mark.parametrize("f", [
+    ExpNorm(2, 3.0), BallIndicator(2, 1.5), _sampled_copy(Gaussian(2)),
+    _sampled_copy(PolarHeightPower(2, 1.0))], ids=repr)
+def test_radial_pairs_without_a_rule_keep_the_sampled_grid(f):
+    assert not radial.Problem(f, Height(f.dim)).exact
+    rep = solve_john(f, Height(f.dim))
+    assert rep.diagnostics["engine"] == "radial" and rep.feasible
+    assert rep.diagnostics["certificate"] == "sampled"
 
 
 @pytest.mark.parametrize("d", [1, 2])

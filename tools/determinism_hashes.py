@@ -16,9 +16,10 @@ lower facets), the positioned d = 2 bump, and a d = 2 bump with a boundary
 anchor (a wall tangent to the unit sphere, polar floor from the lower
 facets of its normal form's cone, wall included), then the free and
 fixed-height solves of a half-restricted d = 2 Gaussian on the cut route,
-and last the certified free solves of the d = 2 Gaussian (radial route)
-and of its half-restriction (cut route).  The 27 cases take 1-2 s on a
-shared two-core machine.
+the certified free solves of the d = 2 Gaussian (radial route) and of its
+half-restriction (cut route), and last a fixed height of 1e-7 on
+(1 - |x|^2)_+ in d = 2 (radial route), attained 1.3e-15 from the edge of
+its support.  The 28 cases take 1-2 s on a shared two-core machine.
 
 Two changes to the exact barrier (funcjohn.exact) changed the hashes of the
 seven cases that run a barrier solve, through their newton_steps and the
@@ -37,6 +38,21 @@ sandwich/boundary-anchor-bump-2 through the floor and its label; the same
 change reads the start of solve-john/decomposition-bump-3 off another
 triangulation, which sums the centre of its optimal face in another order
 and moves its position by last bits.  Every exit code stayed the same.
+
+The radial route then computed m(r) exactly, from the stationary point of
+the gap, for every library f under a height power w and for every radial f
+under a ball indicator, in place of a grid and Brent search.  That changed
+the four lines whose solves take such a pair, solve-john/gaussian-2,
+solve-john/gaussian-2-certified, solve-john/polar-height-power-2 and
+solve-john/positioned-expnorm-ball, through their certificate label (now
+exact), their contacts (the sphere where m(r) is attained in place of grid
+radii near it), the Gaussian's m_evaluations, and the positions of the
+Gaussian (r = 1.2247448616 became 1.2247448715, nearer sqrt(1.5), with the
+objective within 5e-16) and of the polar height power (in the 11th digit).
+Every exit code and the other 23 lines stayed the same, and the
+case fixed-height/height-power-2-1e-7 was added to pin where the bisection
+for a fixed height now stops: at the last float r below the edge where the
+height is still attained.
 """
 
 from __future__ import annotations
@@ -119,6 +135,8 @@ CASES = [
      {"f": GAUSSIAN_2, "certify": True}),
     ("solve-john/half-restriction-gaussian-2-certified", ["solve-john"],
      {"f": HALF_GAUSSIAN_2, "certify": True}),
+    ("fixed-height/height-power-2-1e-7", ["fixed-height", "--xi", "1e-7"],
+     {"f": {"variant": "height_power", "dimension": 2, "s": 2.0}}),
 ]
 
 
