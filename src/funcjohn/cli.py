@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -480,7 +481,10 @@ _NEEDS_CONFIG = {"verify-decomp", "bump", "solve-john", "fixed-height",
                  "height-curve", "polar", "john-check", "sandwich"}
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every in-process call of main shares it."""
     parser = argparse.ArgumentParser(
         prog="funcjohn",
         description="John positions, polars, and decompositions of the "

@@ -30,6 +30,17 @@ Problem.start needs no LP: the peak of log f is S(0) of f's own normal
 form, walls included, and the largest start ball below it is the peak of
 a wall-free normal form; both are read off lower facets
 (polar.lower_facets).
+
+With at most 28 unknowns, the barrier's kernel (_row_values, Problem._point
+and Problem._newton) is bound by the overhead of each NumPy call, not by
+arithmetic, so it makes few calls; it gives the same bits as the
+straightforward formulas that tests/test_exact.py keeps as its reference.
+The Cholesky factor only tests that A is positive definite and gives
+log det A, so it comes straight from LAPACK's dpotrf, whose info flag
+replaces np.linalg.cholesky's exception and whose factor is the one
+np.linalg.cholesky computes (potrf on the lower triangle).  np.linalg.inv
+and np.linalg.solve stay: LAPACK's dgesv in place of solve moved the last
+bits of the steps in d >= 2, and with them newton_steps on some solves.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf
 from scipy.spatial import QhullError
 
 from .lcfunc import ImproperFunctionError, LogConcaveFunction
@@ -105,9 +117,7 @@ def _descent_step(H, grad) -> tuple:
     mu = 0.0
     for _ in range(_MAX_HALVINGS):
         M = scaled + mu * np.eye(s.size)
-        try:
-            np.linalg.cholesky(M)
-        except np.linalg.LinAlgError:
+        if dpotrf(M, lower=1, clean=0)[1]:
             mu = max(2.0 * mu, 1e-3)
             continue
         return s * np.linalg.solve(M, -s * grad), M / np.outer(s, s)
@@ -119,12 +129,15 @@ def _row_values(P, off, m_int, w, R, A, a) -> tuple:
     <p, a> + offset + sigma(c)) for every row: sigma = S_w on the first
     m_int (interior) rows, R c on the walls after them."""
     V = P @ A
-    c = np.linalg.norm(V, axis=1)
-    S, S1, S2 = w.radial_log_sup_derivatives(c[:m_int])
-    cw = c[m_int:]
-    sigma = (np.concatenate([S, R * cw]),
-             np.concatenate([S1, np.full(cw.shape, R)]),
-             np.concatenate([S2, np.zeros(cw.shape)]))
+    c = np.sqrt(np.add.reduce(V * V, axis=1))  # what np.linalg.norm computes
+    if m_int == c.size:
+        sigma = w.radial_log_sup_derivatives(c)
+    else:
+        S, S1, S2 = w.radial_log_sup_derivatives(c[:m_int])
+        cw = c[m_int:]
+        sigma = (np.concatenate([S, R * cw]),
+                 np.concatenate([S1, np.full(cw.shape, R)]),
+                 np.concatenate([S2, np.zeros(cw.shape)]))
     return V, c, sigma, P @ a + off + sigma[0]
 
 
@@ -208,16 +221,32 @@ class Problem:
         # x[_sym] is the symmetric A whose upper triangle is x[:K]
         self._sym = np.empty((self.d, self.d), dtype=int)
         self._sym[rows, cols] = self._sym[cols, rows] = np.arange(rows.size)
-        self._half = np.where(rows == cols, 0.5, 1.0)
-        self._half2 = np.outer(self._half, self._half)
-        self._ix = (np.ix_(rows, rows), np.ix_(cols, cols),
-                    np.ix_(rows, cols), np.ix_(cols, rows))
+        half = np.where(rows == cols, 0.5, 1.0)
         # J[i, :, k] = E_k p_i for the basis E_k = e_r e_c^T + e_c e_r^T of
         # symmetric matrices, halved on the diagonal
-        K = rows.size
-        self._J = np.zeros((self.P.shape[0], self.d, K))
-        self._J[:, rows, np.arange(K)] += self.P[:, cols] * self._half
-        self._J[:, cols, np.arange(K)] += self.P[:, rows] * self._half
+        K, d, m = rows.size, self.d, self.P.shape[0]
+        self._J = np.zeros((m, d, K))
+        self._J[:, rows, np.arange(K)] += self.P[:, cols] * half
+        self._J[:, cols, np.arange(K)] += self.P[:, rows] * half
+        self._g0_scale = -2.0 * half  # grad -log det A = -2 half B[r, c]
+        # the Hessian of -log det A, tr(B E_k B E_l) = 2 half_k half_l
+        # (B[r_k, r_l] B[c_k, c_l] + B[r_k, c_l] B[c_k, r_l]), takes both
+        # products from the outer product of B with itself at these flat
+        # indices
+        rk, ck = rows[:, None], cols[:, None]
+        self._logdet_ix = np.array([
+            np.ravel_multi_index(ix, (d,) * 4)
+            for ix in ((rk, rows, ck, cols), (rk, cols, ck, rows))])
+        self._half2x2 = 2.0 * np.outer(half, half)
+        # the parts of the row gradients D and of the gradient of f0 that do
+        # not move: <p, a> is linear in a, and on the free solve (keyed
+        # True) the interior rows fall by t while f0 rises by it
+        D, Dt = np.zeros((m, K + d)), np.zeros((m, K + d + 1))
+        D[:, K:] = Dt[:, K:K + d] = self.P
+        Dt[:self.m_int, -1] = -1.0
+        g0t = np.zeros(K + d + 1)
+        g0t[-1] = 1.0
+        self._blocks = {False: (D, np.zeros(K + d)), True: (Dt, g0t)}
 
     # --- the closed form ------------------------------------------------
 
@@ -249,9 +278,8 @@ class Problem:
         row is not negative.  A free x without its t (the solve's start)
         takes t one above the highest interior row."""
         A, a, t = self._unpack(x)
-        try:
-            L = np.linalg.cholesky(A)
-        except np.linalg.LinAlgError:
+        L, info = dpotrf(A, lower=1, clean=0)
+        if info:
             return None
         V, c, sigma, rows = self._rows_at(A, a)
         if log_alpha is None and not t.size:
@@ -270,27 +298,24 @@ class Problem:
     def _newton(self, pt: _Point, tau, log_alpha):
         """(gradient, Newton step, Hessian) of the merit at pt, and the
         gradient of f0."""
-        rows, cols, half, J = self._rows, self._cols, self._half, self._J
-        K, d, n = rows.size, self.d, pt.x.size
+        K, J = self._rows.size, self._J
         B = np.linalg.inv(pt.A)
         c, v, (_, S1, S2) = pt.c, pt.v, pt.sigma
-        inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
+        if c.all():
+            inv_c = 1.0 / c
+        else:
+            inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
         Gz = np.einsum("id,idk->ik", pt.V * inv_c[:, None], J)  # d|A p| / dz
-        D = np.zeros((v.size, n))  # row gradients
+        D, g0 = self._blocks[log_alpha is None]
+        D, g0 = D.copy(), g0.copy()  # row gradients, gradient of f0
         D[:, :K] = S1[:, None] * Gz
-        D[:, K:K + d] = self.P
-        g0 = np.zeros(n)  # gradient of f0
-        g0[:K] = -2.0 * half * B[rows, cols]
-        if log_alpha is None:
-            D[:self.m_int, -1] = -1.0
-            g0[-1] = 1.0
+        g0[:K] = self._g0_scale * B[self._rows, self._cols]
         wt = -1.0 / v
         grad = D.T @ wt + tau * g0
         H = (D.T * wt * wt) @ D
         # Hessian of -log det A, tr(B E_k B E_l), in the symmetric basis
-        rr, cc, rc, cr = self._ix
-        H[:K, :K] += tau * self._half2 * 2.0 * (B[rr] * B[cc]
-                                                 + B[rc] * B[cr])
+        BB = np.multiply.outer(B, B).take(self._logdet_ix)
+        H[:K, :K] += tau * self._half2x2 * (BB[0] + BB[1])
         # curvature of each row: sigma'' grad|Ap| grad|Ap|^T plus
         # sigma' (J^T J - grad grad^T) / |Ap|
         H[:K, :K] += (Gz.T * (wt * (S2 - S1 * inv_c))) @ Gz

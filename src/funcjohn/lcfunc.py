@@ -306,8 +306,10 @@ class HeightPower(LogConcaveFunction):
         return True
 
     def radial_log_profile(self, r):
+        # 1 - r^2 as (1 - r)(1 + r), which keeps its relative accuracy near
+        # the edge r = 1
         r = np.asarray(r, dtype=float)
-        sq = 1.0 - r * r
+        sq = (1.0 - r) * (1.0 + r)
         with np.errstate(divide="ignore"):
             return np.where(sq > 0.0,
                             0.5 * self.s * np.log(np.maximum(sq, 1e-320)), -np.inf)
@@ -346,13 +348,16 @@ class HeightPower(LogConcaveFunction):
     def radial_log_sup_derivatives(self, c):
         # c r + (s/2) log(1 - r^2) peaks at r = 2c / (s + q), q^2 = s^2 + 4c^2;
         # 1 - r = s (1 + s / (q + 2c)) / (s + q) keeps 1 - r^2 accurate for
-        # large c, and differentiating c (1 - r^2) = s r gives S''
+        # large c, and differentiating c (1 - r^2) = s r gives S''.  2c is
+        # exact, so (2c)^2 rounds as 4c^2 does
         s = self.s
         c = np.asarray(c, dtype=float)
-        q = np.sqrt(s * s + 4.0 * c * c)
-        r = 2.0 * c / (s + q)
-        h2 = s * (1.0 + s / (q + 2.0 * c)) / (s + q) * (1.0 + r)
-        return c * r + 0.5 * s * np.log(h2), r, h2 / (s + 2.0 * c * r)
+        c2 = 2.0 * c
+        q = np.sqrt(s * s + c2 * c2)
+        sq = s + q
+        r = c2 / sq
+        h2 = s * (1.0 + s / (q + c2)) / sq * (1.0 + r)
+        return c * r + 0.5 * s * np.log(h2), r, h2 / (s + c2 * r)
 
     def support_radius(self):
         return 1.0

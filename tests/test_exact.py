@@ -29,7 +29,12 @@ from funcjohn import (
     solve_john,
 )
 from funcjohn.acceptance import bump_corpus
-from funcjohn.exact import Problem, certificate, surrounds_origin
+from funcjohn.exact import (
+    Problem,
+    _descent_step,
+    certificate,
+    surrounds_origin,
+)
 from funcjohn.johnsolve import _cut_sample, _sampled_violation
 
 R2 = 1.0 / math.sqrt(2.0)
@@ -367,6 +372,124 @@ def test_predictor_keeps_corpus_solves_in_few_newton_steps():
                 steps += rep.diagnostics["newton_steps"]
             assert abs(free.objective) <= 1e-9
     assert steps < 1500
+
+
+# The barrier's reference: the straightforward formulas for the rows, the
+# point and the Newton system, one NumPy call per term.  The kernel in
+# funcjohn.exact makes fewer calls and must give the same bits.
+
+def _reference_sigma(s, c):
+    q = np.sqrt(s * s + 4.0 * c * c)
+    r = 2.0 * c / (s + q)
+    h2 = s * (1.0 + s / (q + 2.0 * c)) / (s + q) * (1.0 + r)
+    return c * r + 0.5 * s * np.log(h2), r, h2 / (s + 2.0 * c * r)
+
+
+def _reference_rows(problem, A, a):
+    P, m_int, R = problem.P, problem.m_int, problem.R
+    V = P @ A
+    c = np.linalg.norm(V, axis=1)
+    S, S1, S2 = _reference_sigma(problem.w.s, c[:m_int])
+    cw = c[m_int:]
+    sigma = (np.concatenate([S, R * cw]),
+             np.concatenate([S1, np.full(cw.shape, R)]),
+             np.concatenate([S2, np.zeros(cw.shape)]))
+    return V, c, sigma, P @ a + problem.off + sigma[0]
+
+
+def _reference_point(problem, x, log_alpha):
+    """(A, V, c, sigma, rows, f0, log_sum) at x, or None off the domain."""
+    A, a, t = problem._unpack(x)
+    try:
+        L = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return None
+    V, c, sigma, rows = _reference_rows(problem, A, a)
+    v = rows.copy()
+    v[:problem.m_int] += -t[0] if log_alpha is None else log_alpha
+    if not (v < 0.0).all():
+        return None
+    f0 = -2.0 * float(np.log(L.diagonal()).sum())
+    if log_alpha is None:
+        f0 += float(x[-1])
+    return A, V, c, sigma, rows, f0, float(np.log(-v).sum())
+
+
+def _reference_newton(problem, pt, tau, log_alpha):
+    rows, cols, J = problem._rows, problem._cols, problem._J
+    K, d, n = rows.size, problem.d, pt.x.size
+    half = np.where(rows == cols, 0.5, 1.0)
+    B = np.linalg.inv(pt.A)
+    c, v, (_, S1, S2) = pt.c, pt.v, pt.sigma
+    inv_c = np.divide(1.0, c, out=np.zeros_like(c), where=c > 0.0)
+    Gz = np.einsum("id,idk->ik", pt.V * inv_c[:, None], J)
+    D = np.zeros((v.size, n))
+    D[:, :K] = S1[:, None] * Gz
+    D[:, K:K + d] = problem.P
+    g0 = np.zeros(n)
+    g0[:K] = -2.0 * half * B[rows, cols]
+    if log_alpha is None:
+        D[:problem.m_int, -1] = -1.0
+        g0[-1] = 1.0
+    wt = -1.0 / v
+    grad = D.T @ wt + tau * g0
+    H = (D.T * wt * wt) @ D
+    rr, cc, rc, cr = (np.ix_(rows, rows), np.ix_(cols, cols),
+                      np.ix_(rows, cols), np.ix_(cols, rows))
+    H[:K, :K] += tau * np.outer(half, half) * 2.0 * (B[rr] * B[cc]
+                                                     + B[rc] * B[cr])
+    H[:K, :K] += (Gz.T * (wt * (S2 - S1 * inv_c))) @ Gz
+    H[:K, :K] += np.einsum("i,idk,idl->kl", wt * S1 * inv_c, J, J)
+    try:
+        step = np.linalg.solve(H, -grad)
+        if -float(grad @ step) >= 0.0:
+            return grad, step, H, g0
+    except np.linalg.LinAlgError:
+        pass
+    return (grad, *_descent_step(H, grad), g0)
+
+
+def test_barrier_kernel_matches_the_reference_to_the_bit(monkeypatch):
+    # every point and every Newton system of 16 solves: corpus bumps #0 in
+    # d = 1-4 (no walls) and their half-restrictions at e1 (one wall), free
+    # and at half the peak
+    point, newton = Problem._point, Problem._newton
+    seen = {"points": 0, "newton": 0, "walls": set()}
+
+    def checked_point(self, x, log_alpha):
+        pt = point(self, x, log_alpha)
+        ref = _reference_point(self, pt.x if pt is not None else x,
+                               log_alpha)
+        assert (pt is None) == (ref is None)
+        if pt is not None:
+            A, V, c, sigma, rows, f0, log_sum = ref
+            for got, want in [(pt.A, A), (pt.V, V), (pt.c, c), (pt.rows, rows),
+                              *zip(pt.sigma, sigma)]:
+                assert np.array_equal(got, want)
+            assert (pt.f0, pt.log_sum) == (f0, log_sum)
+            seen["points"] += 1
+        return pt
+
+    def checked_newton(self, pt, tau, log_alpha):
+        out = newton(self, pt, tau, log_alpha)
+        for got, want in zip(out, _reference_newton(self, pt, tau, log_alpha)):
+            assert np.array_equal(got, want)
+        seen["newton"] += 1
+        return out
+
+    monkeypatch.setattr(Problem, "_point", checked_point)
+    monkeypatch.setattr(Problem, "_newton", checked_newton)
+    for d in range(1, 5):
+        f = bump_corpus(d, 1)[0].function
+        e1 = (1.0,) + (0.0,) * (d - 1)
+        for g in (f, HalfRestriction(f, e1)):
+            problem = Problem(g.normal_form(), Height(d))
+            seen["walls"].add(problem.P.shape[0] - problem.m_int)
+            for log_alpha in (None, math.log(0.5 * f.sup_norm())):
+                sol = problem.solve(problem.start(log_alpha), log_alpha)
+                assert sol.stop_reason == "gap_reached"
+    assert seen["walls"] == {0, 1}
+    assert seen["points"] > seen["newton"] > 300
 
 
 def _lp_surrounds_origin(P):

@@ -481,6 +481,20 @@ def test_exact_m_matches_the_grid_and_never_exceeds_it(f, w):
         assert abs(m - m_grid) <= 1e-9
 
 
+@pytest.mark.parametrize("r", [0.99999, 0.999999, 0.9999999])
+def test_grid_m_near_the_edge_reads_below_the_rule_only_by_rounding_rt(r):
+    # the grid evaluates f at fl(r t), within 2^-54 of r t, which moves
+    # (s/2) log(1 - (r t)^2) by at most (s - s_w) 2^-54 / (1 - r^2) at the
+    # minimum; a profile that took 1 - r^2 as 1 - r r would add as much again
+    w = Height(2)
+    for s in np.linspace(1.02, 4.0, 50):
+        f = HeightPower(2, float(s))
+        m = radial.Problem(f, w).m(r)
+        m_grid = radial.Problem(_sampled_copy(f), w).m(r)
+        tol = (s - w.s) * 2.0 ** -54 / ((1.0 - r) * (1.0 + r))
+        assert m_grid >= m - tol - 1e-15 * (1.0 + abs(m)), s
+
+
 @pytest.mark.parametrize("f, w", _RULE_PAIRS, ids=repr)
 def test_exact_free_radial_solve_agrees_with_the_grid_and_certifies(f, w):
     rep = solve_john(f, w)
