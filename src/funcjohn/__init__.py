@@ -52,6 +52,7 @@ from .lcfunc import (
     NoSolverTargetError,
     PolarHeightPower,
     Positioned,
+    Radial,
     UnboundedFunctionError,
     ell_majorant,
     hbar,

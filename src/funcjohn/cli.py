@@ -307,7 +307,8 @@ def cmd_bump(args, config, started):
     return EXIT_PASS if passed else EXIT_CERT_FAIL
 
 
-def _solve_common(args, config, started, fixed_xi=None):
+def cmd_solve_john(args, config, started, fixed_xi=None):
+    """solve-john, and with fixed_xi the solve of fixed-height."""
     f = function_from_config(_read(config, "f"))
     w = function_from_config(_read(config, "w", default={
         "variant": "height", "dimension": f.dim}))
@@ -341,13 +342,9 @@ def _solve_common(args, config, started, fixed_xi=None):
     return EXIT_PASS if passed else EXIT_CERT_FAIL
 
 
-def cmd_solve_john(args, config, started):
-    return _solve_common(args, config, started)
-
-
 def cmd_fixed_height(args, config, started):
     xi = args.xi if args.xi is not None else _read(config, "xi", float)
-    return _solve_common(args, config, started, fixed_xi=xi)
+    return cmd_solve_john(args, config, started, fixed_xi=xi)
 
 
 def cmd_height_curve(args, config, started):
@@ -463,18 +460,29 @@ def cmd_corpus(args, config, started):
 # ---------------------------------------------------------------------------
 
 
+# flags beside --out, which every subcommand takes: (flag, type, default)
+_CONFIG = ("--config", str, None)
+_SEED = ("--seed", int, 0)
+_D = ("--d", int, 1)
+
+# each subcommand, and the flags it reads
 COMMANDS = {
-    "gen-decomp": cmd_gen_decomp,
-    "verify-decomp": cmd_verify_decomp,
-    "bump": cmd_bump,
-    "solve-john": cmd_solve_john,
-    "fixed-height": cmd_fixed_height,
-    "height-curve": cmd_height_curve,
-    "polar": cmd_polar,
-    "john-check": _cmd_record("john-check", john_inclusion_check),
-    "sandwich": _cmd_record("sandwich", sandwich_construct),
-    "lowner-check": cmd_lowner_check,
-    "corpus": cmd_corpus,
+    "gen-decomp": (cmd_gen_decomp, [_D, _SEED, ("--regularize", int, 0)]),
+    "verify-decomp": (cmd_verify_decomp, [_CONFIG]),
+    "bump": (cmd_bump, [_CONFIG]),
+    "solve-john": (cmd_solve_john, [_CONFIG, _SEED]),
+    "fixed-height": (cmd_fixed_height,
+                     [_CONFIG, _SEED, ("--xi", float, None)]),
+    "height-curve": (cmd_height_curve, [_CONFIG, _SEED]),
+    "polar": (cmd_polar, [_CONFIG]),
+    "john-check": (_cmd_record("john-check", john_inclusion_check),
+                   [_CONFIG, _SEED]),
+    "sandwich": (_cmd_record("sandwich", sandwich_construct),
+                 [_CONFIG, _SEED]),
+    "lowner-check": (cmd_lowner_check,
+                     [_CONFIG, _SEED, _D, ("--kind", str, None),
+                      ("--p", float, 2.0), ("--s", float, 1.0)]),
+    "corpus": (cmd_corpus, [("--criteria", str, None)]),
 }
 
 _NEEDS_CONFIG = {"verify-decomp", "bump", "solve-john", "fixed-height",
@@ -490,22 +498,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="John positions, polars, and decompositions of the "
                     "identity for log-concave functions")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name, (_, flags) in COMMANDS.items():
         p = sub.add_parser(name)
-        p.add_argument("--config", default=None)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None)
-        p.add_argument("--d", type=int, default=1)
-        if name == "gen-decomp":
-            p.add_argument("--regularize", type=int, default=0)
-        if name == "fixed-height":
-            p.add_argument("--xi", type=float, default=None)
-        if name == "lowner-check":
-            p.add_argument("--kind", default=None)
-            p.add_argument("--p", type=float, default=2.0)
-            p.add_argument("--s", type=float, default=1.0)
-        if name == "corpus":
-            p.add_argument("--criteria", default=None)
+        for flag, kind, default in flags:
+            p.add_argument(flag, type=kind, default=default)
     return parser
 
 
@@ -514,10 +511,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config)
+        config = load_config(getattr(args, "config", None))
         if args.command in _NEEDS_CONFIG and not config:
             raise ConfigError(f"{args.command} requires --config")
-        return COMMANDS[args.command](args, config, started)
+        return COMMANDS[args.command][0](args, config, started)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

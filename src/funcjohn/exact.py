@@ -3,7 +3,7 @@
 A target with a normal form (LogConcaveFunction.normal_form) has
 log f(x) = min_i (b_i - <s_i, x>), and f = 0 on each half-space
 <n_j, x> >= c_j.  For a radial w of support radius R and radial support
-function S_w (LogConcaveFunction.radial_log_sup_derivatives), the position
+function S_w (Radial.radial_log_sup_derivatives), the position
 alpha * w(A^{-1}(x - a)) lies below f everywhere exactly when
 
     log alpha + max_i [<s_i, a> - b_i + S_w(|A^T s_i|)] <= 0   and

@@ -9,14 +9,17 @@ of any of the above.
 Each variant holds its own math in one place: log f (log_evaluate_many), log f
 and its gradient where f > 0 (log_value_grad), from which the solver's cut
 route takes tangent majorants, and the support function
-S(p) = sup_x <p,x> + log f(x) behind the polar (log_sup, with radial_log_sup
-for radial variants, and its derivatives in closed form for the height powers
-and the ball).  Bumps, their half-restrictions and their positioned copies
-also give the log-polyhedral normal form (normal_form) that the exact solver
-reads.  The base log_sup takes S of every normal form, those of variants
-defined outside the library included, exactly from polar.bump_log_sup, and
-the base support_facets keeps its facets; a variant with neither a
-normal form nor a radial profile falls back to a seeded numeric ascent.
+S(p) = sup_x <p,x> + log f(x) behind the polar (log_sup).  The radial
+variants subclass Radial and state their log profile once; log f, sup f, S
+and the integral follow from it, through closed forms where a variant
+states them for its own profile (S as radial_log_sup of |p|, and its
+derivatives for the height powers and the ball).  Bumps, their
+half-restrictions and their positioned copies also give the log-polyhedral
+normal form (normal_form) that the exact solver reads.  The base log_sup
+takes S of every normal form, those of variants defined outside the library
+included, exactly from polar.bump_log_sup, and the base support_facets keeps
+its facets; a variant with neither a normal form nor a radial profile falls
+back to a seeded numeric ascent.
 
 All values are immutable after construction and evaluation is pure; the
 lower facets are computed once, on first use.
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import optimize, special
 
 MAX_DIM = 8
 BOUNDARY_SNAP = 1e-12
@@ -141,20 +144,8 @@ class LogConcaveFunction:
     # --- analytic structure hooks -------------------------------------
 
     def is_radial(self) -> bool:
-        """True when the function depends on |x| only."""
+        """True when the function depends on |x| only: a Radial."""
         return False
-
-    def radial_log_profile(self, r: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def radial_gap_rule(self, s_w: float):
-        """For w = hbar^{s_w}, the map r -> (m(r), t) of funcjohn.radial:
-        m(r) is the minimum over 0 <= u < 1 of
-        g(u) = log phi(r sqrt(u)) - (s_w / 2) log(1 - u), for the profile
-        phi of this class's radial_log_profile, and t = sqrt(u) a point
-        where it is attained.  None where the variant has no such rule, and
-        the radial route samples g instead."""
-        return None
 
     def support_radius(self) -> float:
         """Radius R with f = 0 outside the R-ball (inf when unbounded)."""
@@ -206,46 +197,11 @@ class LogConcaveFunction:
     def log_sup(self, P: np.ndarray) -> np.ndarray:
         """S(p) = sup over supp f of (<p,x> + log f(x)) for each row of P:
         exact from the normal form where there is one (polar.bump_log_sup),
-        from radial_log_sup for radial f, and by a seeded numeric ascent
-        for every other f."""
+        and by a seeded numeric ascent for every other f but a Radial."""
         if self.normal_form() is not None:
             from . import polar  # deferred: polar builds on lcfunc
             return polar.bump_log_sup(self, P)
-        if self.is_radial():
-            return np.asarray([self.radial_log_sup(float(np.linalg.norm(p)))
-                               for p in P])
         return np.asarray([_generic_log_sup(self, p) for p in P])
-
-    def radial_log_sup(self, c: float) -> float:
-        """S of a radial function as a function of c = |p|:
-        sup_{r >= 0} (c r + log phi(r)) for a nonincreasing profile phi."""
-
-        def g(r):
-            return c * r + float(self.radial_log_profile(np.array([r]))[0])
-
-        R = self.support_radius()
-        if math.isfinite(R):
-            hi = R
-        else:
-            g0 = g(0.0)
-            hi = 1.0
-            while g(hi) > g0 - 20.0:
-                hi *= 2.0
-                if hi > 1e9:
-                    return math.inf
-        res = optimize.minimize_scalar(lambda r: -g(r), bounds=(0.0, hi),
-                                       method="bounded",
-                                       options={"xatol": 1e-13})
-        return max(-res.fun, g(0.0))
-
-    def radial_log_sup_derivatives(self, c: np.ndarray
-                                   ) -> tuple[np.ndarray, np.ndarray,
-                                              np.ndarray]:
-        """(S, S', S'') of radial_log_sup at each entry of c >= 0, for the
-        exact solver; S' is the radius at which the sup is attained."""
-        raise NotImplementedError(
-            f"{type(self).__name__} has no closed-form radial support "
-            "function derivatives")
 
 
 def _generic_log_sup(f: LogConcaveFunction, p: np.ndarray) -> float:
@@ -281,10 +237,137 @@ def _generic_log_sup(f: LogConcaveFunction, p: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class HeightPower(LogConcaveFunction):
-    """(1 - |x|^2)^{s/2} on the unit ball."""
+class Radial(LogConcaveFunction):
+    """f(x) = phi(|x|) for a nonincreasing log-concave profile phi.
+
+    A subclass states log phi once (radial_log_profile); log f, sup f =
+    phi(0), S(p) = radial_log_sup(|p|) and the integral follow from it.  A
+    closed form (S, its derivatives, the gap rule, the integral) holds for
+    its class's profile only: a subclass with a profile of its own takes
+    Radial's for each it does not state (numeric S, quadrature, no rule)."""
 
     dimension: int
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls._profile_owner() is cls:
+            for name in ("radial_log_sup", "radial_log_sup_derivatives",
+                         "radial_gap_rule", "integral"):
+                if name not in vars(cls):
+                    setattr(cls, name, vars(Radial)[name])
+
+    @classmethod
+    def _profile_owner(cls) -> type:
+        """The class whose radial_log_profile this class uses."""
+        return next(c for c in cls.__mro__ if "radial_log_profile" in vars(c))
+
+    @property
+    def dim(self) -> int:
+        return self.dimension
+
+    def is_radial(self):
+        return True
+
+    def radial_log_profile(self, r: np.ndarray) -> np.ndarray:
+        """log phi at each entry of r >= 0."""
+        raise NotImplementedError
+
+    def log_evaluate_many(self, X):
+        return self.radial_log_profile(np.linalg.norm(X, axis=1))
+
+    def sup_norm(self):
+        return math.exp(float(self.radial_log_profile(np.zeros(1))[0]))
+
+    def log_sup(self, P):
+        return self.radial_log_sup(np.linalg.norm(P, axis=1))
+
+    def radial_log_sup(self, c: np.ndarray) -> np.ndarray:
+        """S as a function of c = |p|, sup_{r >= 0} (c r + log phi(r)), at
+        each entry of c >= 0: here by a bounded Brent search per entry,
+        which can read S low."""
+
+        def search(c):
+            def g(r):
+                return c * r + float(self.radial_log_profile(np.array([r]))[0])
+
+            hi = self.support_radius()
+            if not math.isfinite(hi):
+                hi = 1.0
+                while g(hi) > g(0.0) - 20.0:
+                    hi *= 2.0
+                    if hi > 1e9:
+                        return math.inf
+            res = optimize.minimize_scalar(lambda r: -g(r), bounds=(0.0, hi),
+                                           method="bounded",
+                                           options={"xatol": 1e-13})
+            return max(-res.fun, g(0.0))
+
+        return np.vectorize(search, otypes=[float])(c)
+
+    def radial_log_sup_derivatives(self, c: np.ndarray
+                                   ) -> tuple[np.ndarray, np.ndarray,
+                                              np.ndarray]:
+        """(S, S', S'') of radial_log_sup at each entry of c >= 0, for the
+        exact solver; S' is the radius at which the sup is attained."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no closed-form radial support "
+            "function derivatives")
+
+    def radial_gap_rule(self, s_w: float):
+        """For w = hbar^{s_w}, the map r -> (m(r), t) of funcjohn.radial:
+        m(r) is the minimum over 0 <= u < 1 of
+        g(u) = log phi(r sqrt(u)) - (s_w / 2) log(1 - u), and t = sqrt(u) a
+        point where it is attained.  None without a closed form, and the
+        radial route samples g instead."""
+        return None
+
+    def integral(self):
+        # d V_d times the integral of r^{d-1} phi(r); scipy.integrate is
+        # imported here and in _numeric_integral, its only users
+        from scipy import integrate
+        d = self.dimension
+
+        def radial(r):
+            return r ** (d - 1) * math.exp(float(self.radial_log_profile(
+                np.array([r]))[0]))
+
+        val, _ = integrate.quad(radial, 0.0, effective_radius(self), limit=200)
+        return d * unit_ball_volume(d) * val
+
+
+def _log_height_power(r: np.ndarray, s: float) -> np.ndarray:
+    """(s/2) log(1 - r^2) at each entry of r >= 0, -inf from r = 1."""
+    # 1 - r^2 as (1 - r)(1 + r), which keeps its relative accuracy near
+    # the edge r = 1
+    r = np.asarray(r, dtype=float)
+    sq = (1.0 - r) * (1.0 + r)
+    with np.errstate(divide="ignore"):
+        return np.where(sq > 0.0, 0.5 * s * np.log(np.maximum(sq, 1e-320)),
+                        -np.inf)
+
+
+def _height_power_sup(c: np.ndarray, s: float
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S, S', S'') at each entry of c >= 0 of the support function of
+    hbar^s, S(c) = sup_r (c r + (s/2) log(1 - r^2)); S' is the radius r
+    where the sup is attained, and exp(-S(|x|)) is the polar of hbar^s."""
+    # c r + (s/2) log(1 - r^2) peaks at r = 2c / (s + q), q^2 = s^2 + 4c^2;
+    # 1 - r = s (1 + s / (q + 2c)) / (s + q) keeps 1 - r^2 accurate for
+    # large c, and differentiating c (1 - r^2) = s r gives S''.  2c is
+    # exact, so (2c)^2 rounds as 4c^2 does
+    c = np.asarray(c, dtype=float)
+    c2 = 2.0 * c
+    q = np.sqrt(s * s + c2 * c2)
+    sq = s + q
+    r = c2 / sq
+    h2 = s * (1.0 + s / (q + c2)) / sq * (1.0 + r)
+    return c * r + 0.5 * s * np.log(h2), r, h2 / (s + c2 * r)
+
+
+@dataclass(frozen=True)
+class HeightPower(Radial):
+    """(1 - |x|^2)^{s/2} on the unit ball."""
+
     s: float
 
     def __post_init__(self):
@@ -292,27 +375,8 @@ class HeightPower(LogConcaveFunction):
         if not self.s > 0:
             raise ValueError("height power exponent must be positive")
 
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def log_evaluate_many(self, X):
-        sq = 1.0 - np.einsum("ij,ij->i", X, X)
-        with np.errstate(divide="ignore"):
-            return np.where(sq > 0.0,
-                            0.5 * self.s * np.log(np.maximum(sq, 1e-320)), -np.inf)
-
-    def is_radial(self):
-        return True
-
     def radial_log_profile(self, r):
-        # 1 - r^2 as (1 - r)(1 + r), which keeps its relative accuracy near
-        # the edge r = 1
-        r = np.asarray(r, dtype=float)
-        sq = (1.0 - r) * (1.0 + r)
-        with np.errstate(divide="ignore"):
-            return np.where(sq > 0.0,
-                            0.5 * self.s * np.log(np.maximum(sq, 1e-320)), -np.inf)
+        return _log_height_power(r, self.s)
 
     def radial_gap_rule(self, s_w):
         # g'(u) is s_w (1 - r^2 u) - s r^2 (1 - u) times a positive factor,
@@ -343,26 +407,12 @@ class HeightPower(LogConcaveFunction):
         return self.log_evaluate_many(X), scale[:, None] * X
 
     def radial_log_sup(self, c):
-        return -float(_polar_height_power_log(np.array([c]), self.s)[0])
+        return _height_power_sup(c, self.s)[0]
 
     def radial_log_sup_derivatives(self, c):
-        # c r + (s/2) log(1 - r^2) peaks at r = 2c / (s + q), q^2 = s^2 + 4c^2;
-        # 1 - r = s (1 + s / (q + 2c)) / (s + q) keeps 1 - r^2 accurate for
-        # large c, and differentiating c (1 - r^2) = s r gives S''.  2c is
-        # exact, so (2c)^2 rounds as 4c^2 does
-        s = self.s
-        c = np.asarray(c, dtype=float)
-        c2 = 2.0 * c
-        q = np.sqrt(s * s + c2 * c2)
-        sq = s + q
-        r = c2 / sq
-        h2 = s * (1.0 + s / (q + c2)) / sq * (1.0 + r)
-        return c * r + 0.5 * s * np.log(h2), r, h2 / (s + c2 * r)
+        return _height_power_sup(c, self.s)
 
     def support_radius(self):
-        return 1.0
-
-    def sup_norm(self):
         return 1.0
 
     def integral(self):
@@ -379,28 +429,16 @@ class Height(HeightPower):
 
 
 @dataclass(frozen=True)
-class BallIndicator(LogConcaveFunction):
+class BallIndicator(Radial):
     """Indicator of the closed ball of given radius about the origin; a
     translated ball is a Positioned copy of it."""
 
-    dimension: int
     radius: float = 1.0
 
     def __post_init__(self):
         super().__post_init__()
         if not self.radius > 0:
             raise ValueError("ball radius must be positive")
-
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def log_evaluate_many(self, X):
-        inside = np.einsum("ij,ij->i", X, X) <= self.radius ** 2
-        return np.where(inside, 0.0, -np.inf)
-
-    def is_radial(self):
-        return True
 
     def radial_log_profile(self, r):
         r = np.asarray(r, dtype=float)
@@ -409,11 +447,8 @@ class BallIndicator(LogConcaveFunction):
     def log_value_grad(self, X):
         return self.log_evaluate_many(X), np.zeros_like(X)
 
-    def log_sup(self, P):
-        return self.radius * np.linalg.norm(P, axis=1)
-
     def radial_log_sup(self, c):
-        return self.radius * c
+        return self.radius * np.asarray(c, dtype=float)
 
     def radial_log_sup_derivatives(self, c):
         c = np.asarray(c, dtype=float)
@@ -422,9 +457,6 @@ class BallIndicator(LogConcaveFunction):
 
     def support_radius(self):
         return float(self.radius)
-
-    def sup_norm(self):
-        return 1.0
 
     def integral(self):
         return unit_ball_volume(self.dimension) * self.radius ** self.dimension
@@ -472,24 +504,13 @@ def _exp_norm_gap(r: float, p: float, s_w: float) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class Gaussian(LogConcaveFunction):
+class Gaussian(Radial):
     """exp(-|x|^2)."""
 
     dimension: int = 1
 
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def log_evaluate_many(self, X):
-        return -np.einsum("ij,ij->i", X, X)
-
-    def is_radial(self):
-        return True
-
     def radial_log_profile(self, r):
-        r = np.asarray(r, dtype=float)
-        return -r * r
+        return -np.square(r)
 
     def radial_gap_rule(self, s_w):
         return lambda r: _gaussian_gap(r, s_w)
@@ -498,20 +519,16 @@ class Gaussian(LogConcaveFunction):
         return -np.einsum("ij,ij->i", X, X), -2.0 * X
 
     def radial_log_sup(self, c):
-        return c * c / 4.0
-
-    def sup_norm(self):
-        return 1.0
+        return np.square(c) / 4.0
 
     def integral(self):
         return math.pi ** (self.dimension / 2.0)
 
 
 @dataclass(frozen=True)
-class ExpNorm(LogConcaveFunction):
+class ExpNorm(Radial):
     """exp(-|x|^p) with p >= 1."""
 
-    dimension: int
     p: float
 
     def __post_init__(self):
@@ -519,19 +536,8 @@ class ExpNorm(LogConcaveFunction):
         if not self.p >= 1:
             raise ValueError("exp-norm exponent must be >= 1")
 
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def log_evaluate_many(self, X):
-        return -np.linalg.norm(X, axis=1) ** self.p
-
-    def is_radial(self):
-        return True
-
     def radial_log_profile(self, r):
-        r = np.asarray(r, dtype=float)
-        return -r ** self.p
+        return -np.asarray(r, dtype=float) ** self.p
 
     def radial_gap_rule(self, s_w):
         # u^{p/2} is concave for p <= 2, so g(u) = -r^p u^{p/2} -
@@ -548,41 +554,26 @@ class ExpNorm(LogConcaveFunction):
         return -r ** self.p, (-self.p * r ** (self.p - 2.0))[:, None] * X
 
     def radial_log_sup(self, c):
+        c = np.asarray(c, dtype=float)
         if self.p == 1.0:
-            return 0.0 if c <= 1.0 else math.inf
+            return np.where(c <= 1.0, 0.0, np.inf)
         r = (c / self.p) ** (1.0 / (self.p - 1.0))
         return c * r - r ** self.p
-
-    def sup_norm(self):
-        return 1.0
 
     def integral(self):
         d = self.dimension
         return unit_ball_volume(d) * special.gamma(d / self.p + 1.0)
 
 
-def _polar_height_power_log(c: np.ndarray, s: float) -> np.ndarray:
-    """log of the polar of hbar^s at radius c: -(c r* + (s/2) log(1 - r*^2)),
-    where r* maximizes c r + (s/2) log(1 - r^2) over [0, 1)."""
-    c = np.asarray(c, dtype=float)
-    out = np.zeros_like(c)
-    pos = c > 0
-    cp = c[pos]
-    r = (-s + np.sqrt(s * s + 4.0 * cp * cp)) / (2.0 * cp)
-    out[pos] = -(cp * r + 0.5 * s * np.log1p(-r * r))
-    return out
-
-
 @dataclass(frozen=True)
-class PolarHeightPower(LogConcaveFunction):
-    """The polar function of hbar^s, evaluated pointwise.
+class PolarHeightPower(Radial):
+    """The polar function of hbar^s, exp(-S(|x|)) (_height_power_sup).
 
     The inner maximizer of c r + (s/2) log(1 - r^2) solves a quadratic, so the
     value is available in closed form; the function is radial, log-concave,
     equal to 1 at the origin, and decays like e^{-|x|} times a power.
     """
 
-    dimension: int
     s: float
 
     def __post_init__(self):
@@ -590,18 +581,8 @@ class PolarHeightPower(LogConcaveFunction):
         if not self.s > 0:
             raise ValueError("exponent must be positive")
 
-    @property
-    def dim(self) -> int:
-        return self.dimension
-
-    def log_evaluate_many(self, X):
-        return _polar_height_power_log(np.linalg.norm(X, axis=1), self.s)
-
-    def is_radial(self):
-        return True
-
     def radial_log_profile(self, r):
-        return _polar_height_power_log(np.asarray(r, dtype=float), self.s)
+        return -_height_power_sup(r, self.s)[0]
 
     def radial_gap_rule(self, s_w):
         # with v = r^2 u, d/dv of the log polar -log phi(sqrt v) is
@@ -622,20 +603,22 @@ class PolarHeightPower(LogConcaveFunction):
             q = math.sqrt(k * k + 4.0 * r2)
             e = s_w * (k + q) / (2.0 * r2) if k >= 0.0 else 2.0 * s_w / (q - k)
             t = math.sqrt(2.0 * e * (r2 - s * s_w) / (s_w * (q + s + s_w)))
-            return (float(_polar_height_power_log(r * t, s))
+            return (float(self.radial_log_profile(r * t))
                     - 0.5 * s_w * math.log(e), t)
 
         return rule
 
     def log_value_grad(self, X):
         r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
-        s = self.s
-        # envelope theorem: the derivative in r is -r*(r), the inner maximizer
-        rstar = (-s + np.sqrt(s * s + 4.0 * r * r)) / (2.0 * r)
-        return self.radial_log_profile(r), (-rstar / r)[:, None] * X
+        # envelope theorem: the derivative of -S in r is -S'(r), minus the
+        # inner maximizer
+        S, S1, _ = _height_power_sup(r, self.s)
+        return -S, (-S1 / r)[:, None] * X
 
-    def sup_norm(self):
-        return 1.0
+    def radial_log_sup(self, c):
+        # hbar^s is the polar of its polar, so by Fenchel-Moreau this S is
+        # -log hbar^s: -(s/2) log(1 - c^2), +inf from c = 1
+        return -_log_height_power(c, self.s)
 
 
 # ---------------------------------------------------------------------------
@@ -841,9 +824,8 @@ class HalfRestriction(LogConcaveFunction):
         n = self.normal_vector()
         pn = P @ n
         perp = P - pn[:, None] * n[None, :]
-        c_eff = np.where(pn >= 0.0, np.linalg.norm(P, axis=1),
-                         np.linalg.norm(perp, axis=1))
-        return np.asarray([self.inner.radial_log_sup(c) for c in c_eff])
+        return self.inner.radial_log_sup(np.where(
+            pn >= 0.0, np.linalg.norm(P, axis=1), np.linalg.norm(perp, axis=1)))
 
     def support_radius(self):
         return self.inner.support_radius()
@@ -946,16 +928,9 @@ def effective_radius(f: LogConcaveFunction) -> float:
 
 
 def _numeric_integral(f: LogConcaveFunction) -> float:
+    from scipy import integrate  # a cold path, as Radial.integral is
     d = f.dim
     R = effective_radius(f)
-    if f.is_radial():
-        # d * V_d * int r^{d-1} phi(r) dr
-        def radial(r):
-            return r ** (d - 1) * math.exp(float(f.radial_log_profile(
-                np.array([r]))[0]))
-
-        val, _ = integrate.quad(radial, 0.0, R, limit=200)
-        return d * unit_ball_volume(d) * val
     if d == 1:
         return integrate.quad(lambda t: f.evaluate([t]), -R, R, limit=200)[0]
     if d == 2:

@@ -17,9 +17,9 @@ m is exact for two kinds of w:
 - a height power w = hbar^{s_w} (Height has s_w = 1, R = 1), where the gap
   in u = t^2, g(u) = log phi_f(r sqrt(u)) - (s_w / 2) log(1 - u), has one
   stationary point for every library f: f.radial_gap_rule gives m(r) and
-  the t where it is attained, in closed form or as one monotone root.  The
-  rule belongs to the class that defines f's radial_log_profile, so a
-  subclass with a profile of its own does not inherit it;
+  the t where it is attained, in closed form or as one monotone root.  As
+  every closed form of a Radial, the rule holds for the profile it was
+  written for, so a subclass with a profile of its own does not inherit it;
 - a ball indicator of radius R, where m(r) = log phi_f(r R) for every
   radial f, since a radial log-concave profile is nonincreasing.
 
@@ -72,11 +72,6 @@ class RadialSolution:
     stop_reason: str  # "xtol_reached", "support_edge" or "iteration_cap"
 
 
-def _profile_owner(g) -> type:
-    """The class whose radial_log_profile g uses."""
-    return next(c for c in type(g).__mro__ if "radial_log_profile" in vars(c))
-
-
 class Problem:
     """m(r) of one radial target f and one radial w: exact where the pair
     has a rule (`exact`), otherwise sampled on a grid; `density` scales the
@@ -108,7 +103,7 @@ class Problem:
     def _rule(self):
         """r -> (m(r), the t where it is attained) for a pair with a rule,
         else None."""
-        owner = _profile_owner(self.w)
+        owner = self.w._profile_owner()
         if owner is BallIndicator:
             # f's profile does not increase, so the gap is least at t = R
             def at_edge(r):
@@ -116,8 +111,7 @@ class Problem:
                 return float(self._checked(
                     self.f.radial_log_profile(edge))[0]), self.R
             return at_edge
-        if owner is HeightPower and \
-                "radial_gap_rule" in vars(_profile_owner(self.f)):
+        if owner is HeightPower:
             return self.f.radial_gap_rule(self.w.s)
         return None
 

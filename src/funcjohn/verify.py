@@ -21,6 +21,7 @@ from .lcfunc import (
     Height,
     LogConcaveFunction,
     PolarHeightPower,
+    Radial,
 )
 from .position import AffinePosition, apply_position, make_position
 
@@ -172,15 +173,18 @@ def exact_height_passes(form: tuple, violation: float) -> bool:
 def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     """(exp(-M), "exact" or "sampled"): the minimum of polar(f) on the ball
     of radius rho = 1/(d+1), with M = max_{|p| = rho} S(p), as S is convex.
-    Exact for radial f, and for every f with a normal form, walls and flat
-    slopes included, from its lower facets <c_J, p> + e_J:
-    M = max_J (e_J + rho |c_J|), or +inf when dom S misses part of the
-    ball.  Sampled on 1000 seeded points of the sphere for every other f,
-    neither radial nor log-polyhedral."""
+    M = radial_log_sup(rho) for radial f, exact from a closed-form S and
+    sampled from Radial's numeric search.  Exact for every f with a normal
+    form, walls and flat slopes included, from its lower facets
+    <c_J, p> + e_J: M = max_J (e_J + rho |c_J|), or +inf when dom S misses
+    part of the ball.  Sampled on 1000 seeded points of the sphere for
+    every other f, neither radial nor log-polyhedral."""
     d = f.dim
     rho = 1.0 / (d + 1)
     if f.is_radial():
-        return math.exp(-f.radial_log_sup(rho)), "exact"
+        numeric = type(f).radial_log_sup is Radial.radial_log_sup
+        return (math.exp(-float(f.radial_log_sup(np.array([rho]))[0])),
+                "sampled" if numeric else "exact")
     facets = f.support_facets()
     if facets is not None:
         (_, c, e), (_, h) = facets
@@ -390,7 +394,6 @@ def lowner_counterexample(kind: str, dim: int, p: float = 2.0, s: float = 1.0,
 
     dom = check_domination(Lplus, L, radius=12.0, seed=seed)
 
-    base_integral = L.integral()
     probe = ball_grid(dim, 8192, radius=25.0, seed=seed + 7)
     rng = np.random.default_rng(seed)
     min_ratio = math.inf

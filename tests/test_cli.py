@@ -346,3 +346,15 @@ def test_config_roundtrip_stability(tmp_path):
     cfg = {"f": BUMP_CONFIG, "alphas": [0.5, 1.0]}
     text = json.dumps(cfg)
     assert json.loads(json.dumps(json.loads(text))) == cfg
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve-john", "--d", "2"], ["polar", "--seed", "1"],
+    ["verify-decomp", "--d", "1"], ["gen-decomp", "--config", "c.json"],
+    ["corpus", "--config", "c.json"], ["corpus", "--seed", "1"]])
+def test_subcommands_refuse_flags_they_do_not_read(argv, capsys):
+    # argparse refuses an unknown flag before any command runs
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

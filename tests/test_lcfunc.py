@@ -4,10 +4,12 @@ log-concavity property."""
 import math
 import subprocess
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from funcjohn import radial
 from funcjohn import (
     BallIndicator,
     Bump,
@@ -20,12 +22,14 @@ from funcjohn import (
     ImproperFunctionError,
     PolarHeightPower,
     Positioned,
+    Radial,
     UnboundedFunctionError,
     ell_majorant,
     hbar,
     identity_position,
     log_sup_transform,
     make_position,
+    polar_floor,
     unit_ball_volume,
     zeta,
 )
@@ -300,9 +304,213 @@ def test_midpoint_log_concavity(f):
 
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about half a second to import; only the
-    # quasi-Monte Carlo integral of d >= 3 needs it, and imports it there
+    # quasi-Monte Carlo integral of d >= 3 needs it, and imports it there.
+    # scipy.integrate is imported the same way, by the two numeric integrals
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, funcjohn; print('scipy.stats' in sys.modules)"],
+         "import sys, funcjohn; "
+         "print('scipy.stats' in sys.modules, "
+         "'scipy.integrate' in sys.modules)"],
         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
+
+
+# ---------------------------------------------------------------------------
+# the Radial base against the per-class formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def _ref_polar_height_power_log(c, s):
+    """log of the polar of hbar^s at radius c, in its former closed form."""
+    c = np.asarray(c, dtype=float)
+    out = np.zeros_like(c)
+    pos = c > 0
+    cp = c[pos]
+    r = (-s + np.sqrt(s * s + 4.0 * cp * cp)) / (2.0 * cp)
+    out[pos] = -(cp * r + 0.5 * s * np.log1p(-r * r))
+    return out
+
+
+def _ref_log_f(f, X):
+    """log f as each radial variant stated it for itself."""
+    if isinstance(f, HeightPower):
+        sq = 1.0 - np.einsum("ij,ij->i", X, X)
+        with np.errstate(divide="ignore"):
+            return np.where(sq > 0.0, 0.5 * f.s * np.log(
+                np.maximum(sq, 1e-320)), -np.inf)
+    if isinstance(f, BallIndicator):
+        return np.where(np.einsum("ij,ij->i", X, X) <= f.radius ** 2, 0.0,
+                        -np.inf)
+    if isinstance(f, Gaussian):
+        return -np.einsum("ij,ij->i", X, X)
+    if isinstance(f, ExpNorm):
+        return -np.linalg.norm(X, axis=1) ** f.p
+    return _ref_polar_height_power_log(np.linalg.norm(X, axis=1), f.s)
+
+
+def _ref_radial_log_sup(f, c):
+    """S at one c = |p| as each variant stated it for itself; the polar
+    height power had no form of its own and took the numeric search."""
+    if isinstance(f, HeightPower):
+        return -float(_ref_polar_height_power_log(np.array([c]), f.s)[0])
+    if isinstance(f, Gaussian):
+        return c * c / 4.0
+    if isinstance(f, ExpNorm):
+        if f.p == 1.0:
+            return 0.0 if c <= 1.0 else math.inf
+        r = (c / f.p) ** (1.0 / (f.p - 1.0))
+        return c * r - r ** f.p
+    return float(Radial.radial_log_sup(f, c))
+
+
+def _ref_log_sup(f, P):
+    """S at the rows of P: a batch norm for the ball, and one norm per row
+    through the scalar S for every other radial variant."""
+    if isinstance(f, BallIndicator):
+        return f.radius * np.linalg.norm(P, axis=1)
+    return np.asarray([_ref_radial_log_sup(f, float(np.linalg.norm(p)))
+                       for p in P])
+
+
+def _ref_height_power_sup(c, s):
+    """HeightPower.radial_log_sup_derivatives as the class stated it."""
+    c = np.asarray(c, dtype=float)
+    c2 = 2.0 * c
+    q = np.sqrt(s * s + c2 * c2)
+    sq = s + q
+    r = c2 / sq
+    h2 = s * (1.0 + s / (q + c2)) / sq * (1.0 + r)
+    return c * r + 0.5 * s * np.log(h2), r, h2 / (s + c2 * r)
+
+
+_RADIAL_VARIANTS = [
+    lambda d: Height(d), lambda d: HeightPower(d, 0.5),
+    lambda d: HeightPower(d, 2.5), lambda d: BallIndicator(d),
+    lambda d: BallIndicator(d, 0.7), lambda d: Gaussian(d),
+    lambda d: ExpNorm(d, 1.0), lambda d: ExpNorm(d, 1.5),
+    lambda d: ExpNorm(d, 3.0), lambda d: PolarHeightPower(d, 1.0),
+    lambda d: PolarHeightPower(d, 3.0)]
+
+
+def _ulps(got, want):
+    """|got - want| in units of the spacing of floats at want; 0 where the
+    two are the same infinity."""
+    same = got == want
+    with np.errstate(invalid="ignore"):
+        return np.where(same, 0.0, np.abs(got - want)
+                        / np.spacing(np.abs(np.where(same, 1.0, want))))
+
+
+def _points(d, edge, seed):
+    """Seeded points in d dimensions: 400 with radii up to 3 edges (or 5
+    without an edge), and for an edge R 17 on each of 20 rays at
+    R (1 + k eps), |k| <= 8."""
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((420, d))
+    U /= np.linalg.norm(U, axis=1)[:, None]
+    radii = rng.uniform(0.0, 3.0 * edge if math.isfinite(edge) else 5.0, 420)
+    X = U * radii[:, None]
+    if math.isfinite(edge):
+        k = np.arange(-8, 9) * np.finfo(float).eps
+        X = np.vstack([X, (U[:20, None, :] * (edge * (1.0 + k))[None, :, None]
+                           ).reshape(-1, d)])
+    return X
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("make", _RADIAL_VARIANTS)
+def test_radial_base_matches_the_per_class_formulas(make, d):
+    f = make(d)
+    eps = np.finfo(float).eps
+    X = _points(d, f.support_radius(), seed=d)
+    got, want = f.log_evaluate_many(X), _ref_log_f(f, X)
+    P = _points(d, math.inf, seed=10 + d)
+    S, S_ref = f.log_sup(P), _ref_log_sup(f, P)
+    assert f.sup_norm() == 1.0
+    if isinstance(f, HeightPower):
+        sq = 1.0 - np.einsum("ij,ij->i", X, X)
+        live = np.isfinite(got) & np.isfinite(want)
+        # the two differ only in the rounding of 1 - |x|^2, and in whether
+        # f vanishes within a few eps of the edge
+        assert np.all(live | (got == want) | (np.abs(sq) <= 4.0 * eps))
+        assert np.all(np.abs(got[live] - want[live])
+                      <= 0.5 * f.s * 4.0 * eps / sq[live])
+        assert np.all(np.abs(S - S_ref) <= 2e-15 * (1.0 + np.abs(S_ref)))
+        c = np.linalg.norm(P, axis=1)
+        for a, b in zip(f.radial_log_sup_derivatives(c),
+                        _ref_height_power_sup(c, f.s)):
+            assert np.array_equal(a, b)
+    elif isinstance(f, BallIndicator):
+        near = np.abs(np.linalg.norm(X, axis=1) - f.radius) \
+            <= 2.0 * np.spacing(f.radius)
+        assert np.array_equal(got[~near], want[~near])
+        assert np.array_equal(S, S_ref)
+    elif isinstance(f, Gaussian):
+        assert np.max(_ulps(got, want)) <= 4.0
+        assert np.max(_ulps(S, S_ref)) <= 4.0
+    elif isinstance(f, ExpNorm):
+        assert np.array_equal(got, want)
+        if f.p == 1.0:
+            assert np.array_equal(S, S_ref)  # 0 or +inf
+        else:
+            # S(c) = (p - 1) (c / p)^{p / (p - 1)} turns a relative change
+            # of c, as between the two norms, into p / (p - 1) times as much
+            assert np.max(_ulps(S, S_ref)) <= 4.0 * max(1.0, f.p / (f.p - 1))
+    else:
+        assert np.all(np.abs(got - want) <= 2e-15 * (1.0 + np.abs(want)))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("s", [0.5, 1.0, 3.0])
+def test_polar_height_power_support_function_is_closed_form(d, s):
+    # the polar of the polar of hbar^s is hbar^s: S = -(s/2) log(1 - c^2)
+    f = PolarHeightPower(d, s)
+    c = np.linspace(0.0, 0.999, 40)
+    # near r = 0 the profile rounds up to (s/2) eps above 0, which the
+    # search reads at c = 0
+    np.testing.assert_allclose(f.radial_log_sup(c),
+                               Radial.radial_log_sup(f, c), rtol=1e-12,
+                               atol=s * np.finfo(float).eps)
+    assert np.all(np.isposinf(f.radial_log_sup(
+        np.array([1.0, 1.0 + 1e-15, 2.0, 1e3]))))
+    rho = 1.0 / (d + 1)
+    floor, how = polar_floor(f)
+    assert how == "exact"
+    assert abs(floor - (1.0 - rho * rho) ** (s / 2.0)) <= 1e-15
+
+
+@dataclass(frozen=True)
+class _NarrowGaussian(Gaussian):
+    """exp(-2|x|^2): a Gaussian with a profile of its own."""
+
+    def radial_log_profile(self, r):
+        return -2.0 * np.square(r)
+
+
+@dataclass(frozen=True)
+class _RenamedGaussian(Gaussian):
+    """exp(-|x|^2) under another name: it keeps Gaussian's profile."""
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_forms_follow_the_profile(d):
+    f = _NarrowGaussian(d)
+    X = np.random.default_rng(d).uniform(-2.0, 2.0, size=(50, d))
+    np.testing.assert_allclose(f.log_evaluate_many(X),
+                               -2.0 * np.einsum("ij,ij->i", X, X), rtol=1e-15)
+    c = np.linspace(0.0, 3.0, 13)
+    np.testing.assert_allclose(f.radial_log_sup(c), c * c / 8.0,
+                               rtol=0, atol=1e-12)
+    assert abs(f.integral() - (math.pi / 2.0) ** (d / 2.0)) \
+        <= 1e-8 * (math.pi / 2.0) ** (d / 2.0)
+    floor, how = polar_floor(f)
+    assert how == "sampled"
+    assert abs(floor - math.exp(-1.0 / (8.0 * (d + 1) ** 2))) <= 1e-12
+    assert f.radial_gap_rule(1.0) is None
+    assert not radial.Problem(f, Height(d)).exact
+    # a subclass that keeps the profile keeps the closed forms
+    g = _RenamedGaussian(d)
+    assert g.radial_log_sup(np.array([2.0]))[0] == 1.0
+    assert g.integral() == math.pi ** (d / 2.0)
+    assert polar_floor(g)[1] == "exact"
+    assert radial.Problem(g, Height(d)).exact

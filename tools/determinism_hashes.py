@@ -53,6 +53,24 @@ Every exit code and the other 23 lines stayed the same, and the
 case fixed-height/height-power-2-1e-7 was added to pin where the bisection
 for a fixed height now stops: at the last float r below the edge where the
 height is still attained.
+
+The radial variants then derived log f, S and the integral from their
+profiles (lcfunc.Radial), which changed seven lines by rounding; every
+exit code and the other 21 lines stayed the same.
+solve-john/polar-height-power-2: the profile of the polar height power is
+minus the support function of hbar^s from the one formula that the height
+powers' S and its derivatives use, whose maximizer 2c / (s + q) does not
+cancel, and its gap rule reads that profile; on the flat optimum r moved
+by 2.2e-11 relative, alpha by 4.5e-11 and the contact radius by 6.4e-12,
+and the objective by 1 ulp.  polar/height and polar/height_power: S of
+hbar^s comes from that formula too (values move by at most 2.8e-16
+relative).  polar/polar_height_power: its S is the closed form
+-(s/2) log(1 - c^2) in place of a bounded search (at most 1.1e-16).
+john-check/gaussian-2: height_below samples log hbar - log f, both now the
+profile at |x| in place of 1 - <x, x> and -<x, x> (3.6e-16).
+solve-john/half-restriction-gaussian-2 and its -certified twin: the cut
+route's sample of hbar and the Gaussian's values are read the same way
+(alpha 2.0e-16, objective 1.9e-16).
 """
 
 from __future__ import annotations
