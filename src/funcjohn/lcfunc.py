@@ -242,9 +242,10 @@ class Radial(LogConcaveFunction):
 
     A subclass states log phi once (radial_log_profile); log f, sup f =
     phi(0), S(p) = radial_log_sup(|p|) and the integral follow from it.  A
-    closed form (S, its derivatives, the gap rule, the integral) holds for
-    its class's profile only: a subclass with a profile of its own takes
-    Radial's for each it does not state (numeric S, quadrature, no rule)."""
+    closed form (S, its derivatives, the gap rule, the slope, the integral)
+    holds for its class's profile only: a subclass with a profile of its own
+    takes Radial's for each it does not state (numeric S, quadrature, no
+    rule, no slope)."""
 
     dimension: int
 
@@ -252,7 +253,7 @@ class Radial(LogConcaveFunction):
         super().__init_subclass__(**kwargs)
         if cls._profile_owner() is cls:
             for name in ("radial_log_sup", "radial_log_sup_derivatives",
-                         "radial_gap_rule", "integral"):
+                         "radial_gap_rule", "radial_log_slope", "integral"):
                 if name not in vars(cls):
                     setattr(cls, name, vars(Radial)[name])
 
@@ -320,6 +321,13 @@ class Radial(LogConcaveFunction):
         point where it is attained.  None without a closed form, and the
         radial route samples g instead."""
         return None
+
+    def radial_log_slope(self, rho: float) -> float:
+        """d/drho log phi at a float 0 <= rho inside the support, for the
+        radial route's free solve, which finds the root of the derivative
+        of d log r + m(r) from it; without it that solve searches values."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no closed-form radial log slope")
 
     def integral(self):
         # d V_d times the integral of r^{d-1} phi(r); scipy.integrate is
@@ -401,6 +409,9 @@ class HeightPower(Radial):
 
         return rule
 
+    def radial_log_slope(self, rho):
+        return -self.s * rho / ((1.0 - rho) * (1.0 + rho))
+
     def log_value_grad(self, X):
         sq = 1.0 - np.einsum("ij,ij->i", X, X)
         scale = np.divide(-self.s, sq, out=np.zeros_like(sq), where=sq > 0.0)
@@ -443,6 +454,9 @@ class BallIndicator(Radial):
     def radial_log_profile(self, r):
         r = np.asarray(r, dtype=float)
         return np.where(r <= self.radius, 0.0, -np.inf)
+
+    def radial_log_slope(self, rho):
+        return 0.0
 
     def log_value_grad(self, X):
         return self.log_evaluate_many(X), np.zeros_like(X)
@@ -515,6 +529,9 @@ class Gaussian(Radial):
     def radial_gap_rule(self, s_w):
         return lambda r: _gaussian_gap(r, s_w)
 
+    def radial_log_slope(self, rho):
+        return -2.0 * rho
+
     def log_value_grad(self, X):
         return -np.einsum("ij,ij->i", X, X), -2.0 * X
 
@@ -523,6 +540,20 @@ class Gaussian(Radial):
 
     def integral(self):
         return math.pi ** (self.dimension / 2.0)
+
+
+def _two_prod(a, b):
+    """(x, y) with x = fl(a b) and x + y = a b exactly (Dekker, Numer. Math.
+    18, 1971), from Veltkamp's split of each factor into 26-bit halves."""
+    x = a * b
+
+    def split(v):
+        t = 134217729.0 * v  # 2^27 + 1
+        hi = t - (t - v)
+        return hi, v - hi
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    return x, al * bl - (((x - ah * bh) - al * bh) - ah * bl)
 
 
 @dataclass(frozen=True)
@@ -549,16 +580,35 @@ class ExpNorm(Radial):
             return lambda r: _exp_norm_gap(r, p, s_w)
         return None
 
+    def radial_log_slope(self, rho):
+        return -self.p * rho ** (self.p - 1.0)
+
     def log_value_grad(self, X):
         r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)
         return -r ** self.p, (-self.p * r ** (self.p - 2.0))[:, None] * X
 
     def radial_log_sup(self, c):
+        # the sup of c r - r^p is at r = q^k, q = c / p, k = 1 / m, m = p - 1,
+        # where r^p = c r / p: S = c r m / p, without the cancellation of
+        # c r - r^p.  S then has the relative error of r, k times those of
+        # q and k, so r takes their first-order corrections from the exact
+        # remainders of _two_prod, c / p = q (1 + e_q) and 1 / m = k (1 + e_k):
+        # r = q^k (1 + k (e_q + e_k log q))
         c = np.asarray(c, dtype=float)
-        if self.p == 1.0:
+        p = self.p
+        if p == 1.0:
             return np.where(c <= 1.0, 0.0, np.inf)
-        r = (c / self.p) ** (1.0 / (self.p - 1.0))
-        return c * r - r ** self.p
+        m = p - 1.0
+        k = 1.0 / m
+        # c = 0 and an overflowing q^k take S = 0 and inf unfixed
+        with np.errstate(all="ignore"):
+            q = c / p
+            hi, lo = _two_prod(q, p)
+            hi_k, lo_k = _two_prod(k, m)
+            fix = k * (((c - hi) - lo) / hi
+                       + ((1.0 - hi_k) - lo_k) * np.log(q))
+            r = q ** k * (1.0 + np.where(np.isfinite(fix), fix, 0.0))
+            return c * r * (m / p)
 
     def integral(self):
         d = self.dimension
@@ -607,6 +657,11 @@ class PolarHeightPower(Radial):
                     - 0.5 * s_w * math.log(e), t)
 
         return rule
+
+    def radial_log_slope(self, rho):
+        # -S'(rho), minus the maximizer 2 rho / (s + q) of _height_power_sup
+        c2 = 2.0 * rho
+        return -c2 / (self.s + math.sqrt(self.s * self.s + c2 * c2))
 
     def log_value_grad(self, X):
         r = np.maximum(np.linalg.norm(X, axis=1), 1e-300)

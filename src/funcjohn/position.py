@@ -42,13 +42,13 @@ class AffinePosition:
         if abs(np.linalg.det(A)) <= MIN_ABS_DET:
             raise SingularPositionError("position matrix is singular")
         if self.positive_definite:
-            if not np.allclose(A, A.T, atol=1e-10):
+            if not _symmetric(A):
                 raise ValueError("positive_definite position needs symmetric A")
             if np.min(np.linalg.eigvalsh(A)) <= 0:
                 raise ValueError("positive_definite position needs eigenvalues > 0")
         object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "A", tuple(tuple(float(v) for v in r) for r in A))
-        object.__setattr__(self, "a", tuple(float(v) for v in a))
+        object.__setattr__(self, "A", tuple(map(tuple, A.tolist())))
+        object.__setattr__(self, "a", tuple(a.tolist()))
 
     @property
     def dim(self) -> int:
@@ -61,7 +61,13 @@ class AffinePosition:
         return np.asarray(self.a, dtype=float)
 
     def inverse_matrix(self) -> np.ndarray:
-        return np.linalg.inv(self.matrix())
+        """A^{-1}, found on first use and kept read-only beside the
+        position, outside its dataclass fields."""
+        if "_inverse" not in self.__dict__:
+            inv = np.linalg.inv(self.matrix())
+            inv.flags.writeable = False
+            object.__setattr__(self, "_inverse", inv)
+        return self._inverse
 
     def det(self) -> float:
         return float(np.linalg.det(self.matrix()))
@@ -69,6 +75,17 @@ class AffinePosition:
     def log_objective(self) -> float:
         """log alpha + log det A, the solver's objective for this position."""
         return math.log(self.alpha) + math.log(abs(self.det()))
+
+
+def _symmetric(A: np.ndarray) -> bool:
+    """np.allclose(A, A.T, atol=1e-10).  Where its test
+    |x - y| <= atol + rtol |y| holds at every entry, every entry is finite
+    (an inf or a NaN fails it at its own entry or at its transpose's), and
+    the test alone is np.allclose's answer; np.allclose itself, with its
+    handling of infs, runs only where the test fails."""
+    T = A.T
+    return bool((np.abs(A - T) <= 1e-10 + 1e-5 * np.abs(T)).all()) \
+        or bool(np.allclose(A, T, atol=1e-10))
 
 
 def identity_position(d: int, alpha: float = 1.0) -> AffinePosition:
@@ -82,9 +99,8 @@ def make_position(alpha: float, A, a, positive_definite: bool | None = None
     a = np.asarray(a, dtype=float)
     if positive_definite is None:
         positive_definite = bool(
-            np.allclose(A, A.T, atol=1e-10)
-            and np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 0)
-    return AffinePosition(alpha=float(alpha), A=tuple(map(tuple, A)),
+            _symmetric(A) and np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 0)
+    return AffinePosition(alpha=float(alpha), A=tuple(map(tuple, A.tolist())),
                           a=tuple(float(v) for v in a),
                           positive_definite=positive_definite)
 

@@ -9,8 +9,21 @@ form A = r Id, a = 0.  The best height at that position is exp(m(r)), with
 
 for the radial log profiles phi (t = R included when w is positive there,
 as for a ball indicator).  m is concave and nonincreasing in r, so the free
-problem maximizes the concave d log r + m(r) over log r, and the
+problem maximizes the concave F(x) = d x + m(e^x) over x = log r, and the
 fixed-height problem bisects for the largest float r with m(r) >= log alpha.
+
+Where m has a rule (below) and f states the slope psi' of its log profile
+psi = log phi_f (Radial.radial_log_slope), the free problem solves
+F'(x) = 0 instead.  By the envelope theorem (Danskin, SIAM J. Appl. Math.
+14, 1966), m'(r) = t psi'(r t) at the t where m(r) is attained, so
+F'(x) = d + r t psi'(r t), nonincreasing in x and -inf where m = -inf.  Its
+sign brackets the optimum, F' >= 0 at the cap x = log(R_f / R) puts it at
+the edge of f's support, and Brent's root method (Algorithms for
+Minimization without Derivatives, 1973) closes the bracket to adjacent
+floats.  Every other pair keeps a bounded Brent search on the values of F,
+to 1e-12 in log r.  Problem.evaluations, the m_evaluations of a report,
+counts the points at which m(r) was found; on the root each of them also
+gives F'.
 
 m is exact for two kinds of w:
 
@@ -53,6 +66,7 @@ from .lcfunc import (
     DivergentIntegralError,
     HeightPower,
     ImproperFunctionError,
+    Radial,
 )
 
 _REACH = 100.0  # log r distance a bracket walk covers before giving up
@@ -82,6 +96,9 @@ class Problem:
         self.R = R = w.support_radius()
         self.rule = self._rule()
         self.exact = self.rule is not None
+        # with the rule, f's slope gives F' (Problem._free)
+        stated = type(f).radial_log_slope is not Radial.radial_log_slope
+        self.slope = f.radial_log_slope if self.exact and stated else None
         if not self.exact:
             t = R * np.concatenate([
                 np.linspace(0.0, 0.999, 1000 * density, endpoint=False),
@@ -202,6 +219,50 @@ class Problem:
             x, step = nxt, 2.0 * step
 
     def _free(self) -> RadialSolution | None:
+        if self.slope is None:
+            return self._free_search()
+        d, rule, slope = self.d, self.rule, self.slope
+        seen = {}  # r -> (h, m(r))
+
+        def h(r):
+            """d + rho psi'(rho) at rho = r t, the derivative of
+            d log r + m(r) in log r, -inf where m(r) = -inf."""
+            if r not in seen:
+                self.evaluations += 1
+                m, t = rule(r)
+                rho = r * t
+                seen[r] = (d + rho * slope(rho) if math.isfinite(m)
+                           else -math.inf, m)
+            return seen[r][0]
+
+        def rises(x):
+            return h(math.exp(x)) > 0.0
+
+        cap = math.exp(self.log_cap)
+        if math.isfinite(cap) and h(cap) >= 0.0:
+            # the objective still rises into the support edge
+            return RadialSolution(r=cap, log_alpha=seen[cap][1],
+                                  stop_reason="support_edge")
+        x = min(self.start, self.log_cap)
+        if rises(x):
+            lo, hi = self._walk(rises, x, 1.0)
+            if hi is None:
+                raise DivergentIntegralError(_NO_DECAY)
+        else:
+            hi, lo = self._walk(lambda y: not rises(y), x, -1.0)
+            if lo is None:
+                if seen[math.exp(hi)][1] == -math.inf:
+                    return None
+                raise ImproperFunctionError(
+                    "d log r + m(r) rises without bound as r falls")
+        r, closed = _root(h, math.exp(lo), math.exp(hi))
+        return RadialSolution(
+            r=r, log_alpha=seen[r][1],
+            stop_reason="xtol_reached" if closed else "iteration_cap")
+
+    def _free_search(self) -> RadialSolution | None:
+        """The free optimum by a bounded Brent search on the values of
+        d log r + m(r), for a pair without a rule or f without a slope."""
         d = self.d
         values = {}
 
@@ -292,3 +353,55 @@ class Problem:
             else:
                 hi = mid
         return RadialSolution(r=lo, log_alpha=log_alpha, stop_reason=stop)
+
+
+def _root(h, lo: float, hi: float) -> tuple[float, bool]:
+    """Brent's root method (Algorithms for Minimization without
+    Derivatives, 1973, ch. 4) on a nonincreasing h with h(lo) > 0 >= h(hi),
+    0 < lo < hi: an inverse quadratic or secant step where it shrinks the
+    bracket fast enough, a bisection otherwise, by the geometric mean while
+    the ends are a factor 2 apart and by the arithmetic one after, as
+    Problem._height bisects.  A step shorter than the float spacing moves by
+    one float, so the bracket closes to adjacent floats.  Returns the end
+    with the smaller |h| and whether the bracket closed."""
+    a, fa = lo, h(lo)
+    b, fb = hi, h(hi)
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_MAX_BISECTIONS):
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        if fb == 0.0 or math.nextafter(b, c) == c:
+            return b, True
+        half = 0.5 * (c - b)
+        bisect = (math.sqrt(b) * math.sqrt(c) if max(b, c) > 2.0 * min(b, c)
+                  else b + half) - b
+        # -inf where m(r) = -inf has no slope to interpolate
+        if e != 0.0 and abs(fa) > abs(fb) and math.isfinite(fa) \
+                and math.isfinite(fc):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * half * q, abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = bisect
+        else:
+            d = e = bisect
+        a, fa = b, fb
+        b = b + d
+        if not min(a, c) < b < max(a, c):
+            b = math.nextafter(a, c)
+        fb = h(b)
+    return b, False

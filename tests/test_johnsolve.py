@@ -350,6 +350,40 @@ def test_gaussian_under_a_ball_indicator_matches_the_closed_form(d):
                        rtol=1e-6)
 
 
+@pytest.mark.parametrize("d", range(1, 9))
+def test_gaussian_position_is_exact_to_4_ulps(d):
+    # the free optimum is the root of d + 1 - 2 r^2, closed to adjacent
+    # floats, so r is sqrt((d + 1) / 2) up to the rounding of the root
+    rep = solve_john(Gaussian(d), Height(d))
+    r = math.sqrt((d + 1) / 2.0)
+    assert np.all(np.abs(rep.position.matrix() - r * np.eye(d))
+                  <= 4.0 * math.ulp(r))
+
+
+@pytest.mark.parametrize("f, w", [
+    (Gaussian(2), Height(2)), (ExpNorm(2, 1.5), Height(2)),
+    (PolarHeightPower(2, 1.0), Height(2)), (HeightPower(2, 2.0), Height(2)),
+    (Gaussian(2), BallIndicator(2))], ids=repr)
+def test_exact_free_radial_solves_run_no_optimizer(monkeypatch, f, w):
+    # the pair's rule and f's slope give the objective's derivative, whose
+    # root radial._root closes without scipy.optimize
+    _no_optimizer(monkeypatch)
+    rep = solve_john(f, w)
+    assert rep.diagnostics["certificate"] == "exact" and rep.feasible
+    assert rep.diagnostics["stop_reason"] == "xtol_reached"
+
+
+def test_root_closes_to_adjacent_floats():
+    r, closed = radial._root(lambda r: 2.0 - r * r, 1.0, 2.0)
+    assert closed and abs(r - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+    # -inf beyond a support edge, and ends 1e30 apart
+    r, closed = radial._root(lambda r: 1.0 if r <= 0.7 else -math.inf,
+                             0.5, 1.0)
+    assert closed and r == 0.7
+    r, closed = radial._root(lambda r: 1.0 - r * 1e20, 1e-30, 1.0)
+    assert closed and abs(r - 1e-20) <= math.ulp(1e-20)
+
+
 def test_radial_fixed_height_walks_down_from_its_start():
     # m(1/2) < log 0.95 for exp(-|x|), so the search for the height steps
     # down in r from its start at r = 1/2 before it bisects

@@ -2,13 +2,16 @@
 log-concavity property."""
 
 import math
+import os
 import subprocess
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import funcjohn
 from funcjohn import radial
 from funcjohn import (
     BallIndicator,
@@ -305,13 +308,18 @@ def test_midpoint_log_concavity(f):
 def test_import_leaves_scipy_stats_unloaded():
     # scipy.stats takes about half a second to import; only the
     # quasi-Monte Carlo integral of d >= 3 needs it, and imports it there.
-    # scipy.integrate is imported the same way, by the two numeric integrals
+    # scipy.integrate is imported the same way, by the two numeric integrals.
+    # The subprocess imports funcjohn from where this process did, which
+    # pytest's pythonpath setting does not pass on by itself
+    src = str(Path(funcjohn.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run(
         [sys.executable, "-c",
          "import sys, funcjohn; "
          "print('scipy.stats' in sys.modules, "
          "'scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, check=True)
+        capture_output=True, text=True, check=True, env=env)
     assert out.stdout.split() == ["False", "False"]
 
 
@@ -507,10 +515,41 @@ def test_closed_forms_follow_the_profile(d):
     assert how == "sampled"
     assert abs(floor - math.exp(-1.0 / (8.0 * (d + 1) ** 2))) <= 1e-12
     assert f.radial_gap_rule(1.0) is None
+    with pytest.raises(NotImplementedError):
+        f.radial_log_slope(1.0)
     assert not radial.Problem(f, Height(d)).exact
     # a subclass that keeps the profile keeps the closed forms
     g = _RenamedGaussian(d)
     assert g.radial_log_sup(np.array([2.0]))[0] == 1.0
     assert g.integral() == math.pi ** (d / 2.0)
+    assert g.radial_log_slope(1.5) == -3.0
     assert polar_floor(g)[1] == "exact"
     assert radial.Problem(g, Height(d)).exact
+
+
+@pytest.mark.parametrize("make", _RADIAL_VARIANTS)
+def test_radial_log_slope_is_the_derivative_of_the_profile(make):
+    f = make(2)
+    rho = np.linspace(0.05, 0.9, 12) * min(f.support_radius(), 2.0)
+    step = 1e-6
+    diff = (f.radial_log_profile(rho + step)
+            - f.radial_log_profile(rho - step)) / (2.0 * step)
+    slope = np.array([f.radial_log_slope(float(x)) for x in rho])
+    np.testing.assert_allclose(slope, diff, rtol=1e-7, atol=1e-8)
+
+
+@pytest.mark.parametrize("p", [1.01, 1.1, 1.5, 3.0])
+def test_expnorm_support_function_is_accurate_near_p_1(p):
+    # S = (p - 1) (c / p)^{p / (p - 1)} moves by p / (p - 1) times any
+    # relative error of its argument, so the roundings of c / p and of
+    # 1 / (p - 1) are corrected, and c r - r^p no longer cancels
+    mpmath = pytest.importorskip("mpmath")
+    c = np.linspace(0.05, 3.0, 60)
+    got = ExpNorm(2, p).radial_log_sup(c)
+    with mpmath.workdps(50):
+        P = mpmath.mpf(p)
+        for ci, g in zip(c, got):
+            C = mpmath.mpf(float(ci))
+            r = (C / P) ** (1 / (P - 1))
+            S = C * r - r ** P
+            assert abs(mpmath.mpf(float(g)) - S) <= 2e-15 * S, ci

@@ -138,3 +138,66 @@ def test_position_value_semantics():
                        positive_definite=True)
     assert p == q
     assert hash(p) == hash(q)
+
+
+def _reference_check(A, positive_definite):
+    """What AffinePosition decided with np.allclose and the least
+    eigenvalue, kept as the reference for its own checks; make_position
+    inferred the flag the same way when it was not given."""
+    A = np.asarray(A, dtype=float)
+    if positive_definite is None:
+        positive_definite = bool(
+            np.allclose(A, A.T, atol=1e-10)
+            and np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 0)
+    if abs(np.linalg.det(A)) <= 1e-12:
+        return "singular"
+    if positive_definite:
+        if not np.allclose(A, A.T, atol=1e-10):
+            return "asymmetric"
+        if np.min(np.linalg.eigvalsh(A)) <= 0:
+            return "indefinite"
+    return ("accepted", positive_definite)
+
+
+def _library_check(A, positive_definite):
+    try:
+        pos = make_position(1.0, A, np.zeros(len(A)), positive_definite)
+    except SingularPositionError:
+        return "singular"
+    except ValueError as exc:
+        return "asymmetric" if "symmetric" in str(exc) else "indefinite"
+    return ("accepted", pos.positive_definite)
+
+
+_EPS_UP, _EPS_DOWN = np.nextafter(1e-10, 1.0), np.nextafter(1e-10, 0.0)
+_CHECK_TABLE = [
+    [[2.0, 0.5], [0.5, 1.0]], [[3.0]], [[-3.0]],
+    [[1.0, 1e-10], [0.0, 1.0]], [[1.0, _EPS_UP], [0.0, 1.0]],
+    [[1.0, _EPS_DOWN], [0.0, 1.0]], [[1.0, 0.0], [-_EPS_UP, 1.0]],
+    [[1.0, 0.3 + 3e-6], [0.3, 1.0]], [[1.0, 0.3 + 4e-6], [0.3, 1.0]],
+    [[np.nan, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]],
+    [[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, 2.0], [np.inf, 1.0]], [[-np.inf, 0.0], [0.0, 1.0]],
+    [[1.0, 2.0], [2.0, 4.0]], [[1e-7, 0.0], [0.0, 1e-6]],
+    [[1.0, 2.0], [2.0, 1.0]], [[0.0, -1.0], [1.0, 0.0]],
+    [[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]],
+    [[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]]]
+
+
+@pytest.mark.parametrize("positive_definite", [None, False, True])
+@pytest.mark.parametrize("A", _CHECK_TABLE, ids=repr)
+def test_position_checks_decide_as_the_reference_formulas(A,
+                                                          positive_definite):
+    with np.errstate(all="ignore"):
+        assert _library_check(A, positive_definite) \
+            == _reference_check(A, positive_definite)
+
+
+def test_inverse_matrix_is_kept_read_only_beside_the_fields():
+    A = [[1.2, 0.7], [-0.4, 0.8]]
+    p = make_position(1.5, A, [0.1, -0.2])
+    inv = p.inverse_matrix()
+    assert np.array_equal(inv, np.linalg.inv(np.asarray(A)))
+    assert p.inverse_matrix() is inv and not inv.flags.writeable
+    q = make_position(1.5, A, [0.1, -0.2])
+    assert p == q and hash(p) == hash(q) and repr(p) == repr(q)

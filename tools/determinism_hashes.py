@@ -71,6 +71,22 @@ profile at |x| in place of 1 - <x, x> and -<x, x> (3.6e-16).
 solve-john/half-restriction-gaussian-2 and its -certified twin: the cut
 route's sample of hbar and the Gaussian's values are read the same way
 (alpha 2.0e-16, objective 1.9e-16).
+
+The radial route's free solve then took its optimum at the root of the
+objective's derivative, closed to adjacent floats, in place of a bounded
+Brent search on its values.  That changed the four lines that solve such a
+pair free, through r, alpha, the contact radius and m_evaluations:
+solve-john/gaussian-2 and solve-john/gaussian-2-certified (r =
+1.224744871453244 became 1.2247448713915892, one ulp above sqrt(1.5); the
+objective the same float; 20 m evaluations became 11),
+solve-john/polar-height-power-2 (r = 3.4641016142973853 became
+3.4641016151377544, sqrt(12) to the last bit; objective by 6.7e-16; 17 to
+9) and solve-john/positioned-expnorm-ball (the inner r = 2 is now exact,
+so the composed A reads 2.4 where it read 2.4000000339; objective by
+8.9e-16; 22 to 5).  ExpNorm's support function lost the cancellation of
+c r - r^p and the roundings of c / p and 1 / (p - 1), which moved
+polar/expnorm: 28 of its 49 values by at most 3.4e-16 relative.  Every
+exit code and the other 23 lines stayed the same.
 """
 
 from __future__ import annotations
