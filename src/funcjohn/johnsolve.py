@@ -169,7 +169,7 @@ def _solve_radial(f: LogConcaveFunction, w: LogConcaveFunction,
             "no position of w fits inside the support of f"
             if log_alpha is None else
             "no position of w attains the prescribed height below f")
-    check = problem if problem.exact else radial.Problem(f, w, density=4)
+    check = problem.certifying()
     m, radii = check.contacts(sol.r, sol.log_alpha, _CONTACT_TOL)
     violation = float(sol.log_alpha - m)
     # the edge of supp w touches f's edge when that binds

@@ -517,6 +517,29 @@ def _exp_norm_gap(r: float, p: float, s_w: float) -> tuple[float, float]:
             math.exp(0.5 * log_u))
 
 
+def _exp_norm_dip(r: float, p: float, s_w: float) -> tuple[float, float]:
+    """ExpNorm.radial_gap_rule for p > 2.  G(y) of _exp_norm_gap, with
+    a = p/2 - 1 > 0, is concave in y and peaks at y = log a, u = a / (a+1),
+    so g rises from g(0) = 0, falls between the two roots of G and rises
+    again: m = min(0, g(u2)) at the root u2 past the peak, and m = 0 where
+    G <= 0 at the peak.  G(y) <= c - y, so G(c) <= 0 puts y = c past u2,
+    and Newton from there falls monotonically onto it."""
+    c = math.log(p / s_w) + p * math.log(r)
+    a = 0.5 * p - 1.0
+    if c + a * math.log(a) - (a + 1.0) * math.log1p(a) <= 0.0:
+        return 0.0, 0.0
+    y = c
+    for _ in range(_MAX_NEWTON):
+        log_u, log_e = -_softplus(-y), -_softplus(y)
+        step = (c + a * log_u + log_e) / (math.exp(log_u)
+                                          - a * math.exp(log_e))
+        if not step < -_NEWTON_TOL * max(1.0, abs(y)):
+            break
+        y += step
+    m = -math.exp(p * (math.log(r) + 0.5 * log_u)) - 0.5 * s_w * log_e
+    return (m, math.exp(0.5 * log_u)) if m < 0.0 else (0.0, 0.0)
+
+
 @dataclass(frozen=True)
 class Gaussian(Radial):
     """exp(-|x|^2)."""
@@ -572,13 +595,14 @@ class ExpNorm(Radial):
 
     def radial_gap_rule(self, s_w):
         # u^{p/2} is concave for p <= 2, so g(u) = -r^p u^{p/2} -
-        # (s_w / 2) log(1 - u) is convex; for p > 2 it need not be
+        # (s_w / 2) log(1 - u) is convex; for p > 2 it can dip below 0
+        # and rise again
         p = self.p
         if p == 2.0:
             return lambda r: _gaussian_gap(r, s_w)
         if p < 2.0:
             return lambda r: _exp_norm_gap(r, p, s_w)
-        return None
+        return lambda r: _exp_norm_dip(r, p, s_w)
 
     def radial_log_slope(self, rho):
         return -self.p * rho ** (self.p - 1.0)

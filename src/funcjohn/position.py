@@ -35,6 +35,9 @@ class AffinePosition:
             raise ValueError("position scale alpha must be positive")
         A = np.asarray(self.A, dtype=float)
         a = np.asarray(self.a, dtype=float)
+        if not np.isfinite(np.concatenate(([self.alpha], A.ravel(),
+                                           a.ravel()))).all():
+            raise ValueError("position has a non-finite entry")
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be a square matrix")
         if a.shape != (A.shape[0],):
@@ -78,14 +81,11 @@ class AffinePosition:
 
 
 def _symmetric(A: np.ndarray) -> bool:
-    """np.allclose(A, A.T, atol=1e-10).  Where its test
-    |x - y| <= atol + rtol |y| holds at every entry, every entry is finite
-    (an inf or a NaN fails it at its own entry or at its transpose's), and
-    the test alone is np.allclose's answer; np.allclose itself, with its
-    handling of infs, runs only where the test fails."""
+    """np.allclose(A, A.T, atol=1e-10) for a finite A: its test
+    |x - y| <= atol + rtol |y| at every entry.  An inf or a NaN fails it,
+    and AffinePosition refuses such an A."""
     T = A.T
-    return bool((np.abs(A - T) <= 1e-10 + 1e-5 * np.abs(T)).all()) \
-        or bool(np.allclose(A, T, atol=1e-10))
+    return bool((np.abs(A - T) <= 1e-10 + 1e-5 * np.abs(T)).all())
 
 
 def identity_position(d: int, alpha: float = 1.0) -> AffinePosition:

@@ -29,21 +29,26 @@ m is exact for two kinds of w:
 
 - a height power w = hbar^{s_w} (Height has s_w = 1, R = 1), where the gap
   in u = t^2, g(u) = log phi_f(r sqrt(u)) - (s_w / 2) log(1 - u), has one
-  stationary point for every library f: f.radial_gap_rule gives m(r) and
-  the t where it is attained, in closed form or as one monotone root.  As
-  every closed form of a Radial, the rule holds for the profile it was
-  written for, so a subclass with a profile of its own does not inherit it;
+  stationary point for every library f but ExpNorm with p > 2, whose g
+  rises, can dip and rises again, so that its minimum is g(0) = 0 or the
+  dip's: f.radial_gap_rule gives m(r) and the t where it is attained, in
+  closed form or as one monotone root.  As every closed form of a Radial,
+  the rule holds for the profile it was written for, so a subclass with a
+  profile of its own does not inherit it;
 - a ball indicator of radius R, where m(r) = log phi_f(r R) for every
   radial f, since a radial log-concave profile is nonincreasing.
 
-Every other pair (ExpNorm with p > 2 or a ball indicator f under a height
-power, and radial subclasses defined outside the library) samples m on a
-grid of t that crowds toward R, refined by a bounded Brent search in the
-bracket of the best grid point.  That is an upper bound on the infimum,
-exact at the points it samples, so its certificate is sampled.  Where w
-vanishes at R the grid stops 1e-13 R short of it, and a minimum at the
-grid's last point counts as m = -inf: a position is returned only when the
-grid sees where its constraint binds.
+Every other pair (a ball indicator f under a height power, and radial
+subclasses defined outside the library) samples m on a grid of t that
+crowds toward R, refined by a bounded Brent search in the bracket of the
+best grid point.  That is an upper bound on the infimum, exact at the
+points it samples, so its certificate is sampled.  Where w vanishes at R
+the grid stops 1e-13 R short of it, and a minimum at the grid's last point
+counts as m = -inf: a position is returned only when the grid sees where
+its constraint binds.  Problem.certifying gives the m(r) that certifies a
+solve, the rule or else a grid four times denser; the radial route and
+verify's checks of a radial f (height_below, the sandwich's left side)
+both read it.
 
 The same pass locates the contacts: at the position r Id of height alpha,
 alpha w(y) = f(r y) on the spheres |y| = t whose gap log phi_f(r t) -
@@ -116,6 +121,12 @@ class Problem:
         self.start = math.log(0.5 / R)
         self.log_cap = math.log(f.support_radius() / R)
         self.evaluations = 0
+
+    def certifying(self) -> "Problem":
+        """The problem whose m(r) certifies a solve of this pair: this one
+        where the pair has a rule, else the pair on a grid four times
+        denser than the solve's."""
+        return self if self.exact else Problem(self.f, self.w, density=4)
 
     def _rule(self):
         """r -> (m(r), the t where it is attained) for a pair with a rule,

@@ -3,6 +3,13 @@
 Domination certificates (pointwise g <= f over a ball), the two facts behind
 the John-type inclusion check (hbar <= f and the polar floor), the sandwich
 construction built on them, and the Löwner counterexample suite.
+
+hbar <= f (height_below) and the sandwich's left side (the minimum of f on
+a ball) share one check, _log_gap_sup, routed as the solver routes f:
+exact for normal forms, and for radial cores c g(x / r) (a radial g under
+positions r Id with no shift, such as g at its John position) where the
+pair has a rule, as every library g under Height has, ExpNorm with p > 2
+included; sampled by check_domination for every other f.
 """
 
 from __future__ import annotations
@@ -13,14 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import optimize
 
-from . import exact, polar
+from . import exact, polar, radial
 from .lcfunc import (
     BOUNDARY_SNAP,
+    BallIndicator,
     ExpNorm,
     HalfRestriction,
     Height,
     LogConcaveFunction,
     PolarHeightPower,
+    Positioned,
     Radial,
 )
 from .position import AffinePosition, apply_position, make_position
@@ -134,25 +143,54 @@ def check_domination(g: LogConcaveFunction, f: LogConcaveFunction,
 # ---------------------------------------------------------------------------
 
 
-def height_below(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
-    """(max over the unit ball of log hbar - log f, "exact" or "sampled"),
-    with hbar <= f exactly when it is <= 0.  Exact for a normal form: the
-    exact route's certificate of Height(d) at the identity position, which
-    is +inf when a wall cuts into the open unit ball and -inf for walls
-    only; the wall of a boundary anchor touches the unit sphere, and a
-    crossing within BOUNDARY_SNAP of the wall's scale is a touch.  Sampled
-    by check_domination for every other f."""
-    d = f.dim
+def _radial_core(f: LogConcaveFunction) -> tuple | None:
+    """(g, log c, r) with f(x) = c g(x / r) for a radial g: f is g under
+    Positioned layers whose matrices are multiples r_k Id and whose shifts
+    are 0, and c and r are the products of their alpha_k and |r_k|.  None
+    for every other f."""
+    log_c, r = 0.0, 1.0
+    while isinstance(f, Positioned):
+        pos = f.position
+        A = pos.matrix()
+        if np.any(A != A[0, 0] * np.eye(f.dim)) or np.any(pos.a_vector()):
+            return None
+        log_c += math.log(pos.alpha)
+        r *= abs(float(A[0, 0]))
+        f = f.inner
+    return (f, log_c, r) if f.is_radial() else None
+
+
+def _at_identity(form: tuple, w: Radial) -> float:
+    d = w.dim
+    return exact.certificate(form, w, 0.0, np.eye(d), np.zeros(d),
+                             snap=BOUNDARY_SNAP)
+
+
+def _log_gap_sup(w: Radial, f: LogConcaveFunction, seed: int = 0
+                 ) -> tuple[float, str]:
+    """(sup over supp w of log w - log f, "exact" or "sampled") for a radial
+    w at the identity.  A normal form takes the exact route's certificate:
+    +inf when a wall cuts into the open support of w (a crossing within
+    BOUNDARY_SNAP of the wall's scale is a touch where w vanishes at its
+    edge), -inf for walls only.  A radial core f(x) = c g(x / r) takes
+    -log c - m(1 / r) of the radial route's certifying problem for g, w."""
     form = f.normal_form()
     if form is not None:
-        return _exact_height_below(form, d), "exact"
-    return check_domination(Height(d), f, radius=1.0,
+        return _at_identity(form, w), "exact"
+    core = _radial_core(f)
+    if core is not None:
+        g, log_c, r = core
+        problem = radial.Problem(g, w).certifying()
+        return (-log_c - problem.m(1.0 / r),
+                "exact" if problem.exact else "sampled")
+    return check_domination(w, f, radius=w.support_radius(),
                             seed=seed).max_log_violation, "sampled"
 
 
-def _exact_height_below(form: tuple, d: int) -> float:
-    return exact.certificate(form, Height(d), 0.0, np.eye(d), np.zeros(d),
-                             snap=BOUNDARY_SNAP)
+def height_below(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
+    """(max over the unit ball of log hbar - log f, "exact" or "sampled"),
+    with hbar <= f exactly when it is <= 0: _log_gap_sup of Height(d)."""
+    return _log_gap_sup(Height(f.dim), f, seed)
 
 
 def exact_height_passes(form: tuple, violation: float) -> bool:
@@ -166,24 +204,28 @@ def exact_height_passes(form: tuple, violation: float) -> bool:
     # own rounding alone
     s, b, N, c = form
     b = b + 16.0 * math.ulp(1.0) * (np.abs(b) + np.linalg.norm(s, axis=1))
-    return _exact_height_below((s, b, N, c), s.shape[1]) \
+    return _at_identity((s, b, N, c), Height(s.shape[1])) \
         <= DOMINATION_PASS_TOL
 
 
 def polar_floor(f: LogConcaveFunction, seed: int = 0) -> tuple[float, str]:
     """(exp(-M), "exact" or "sampled"): the minimum of polar(f) on the ball
     of radius rho = 1/(d+1), with M = max_{|p| = rho} S(p), as S is convex.
-    M = radial_log_sup(rho) for radial f, exact from a closed-form S and
-    sampled from Radial's numeric search.  Exact for every f with a normal
-    form, walls and flat slopes included, from its lower facets
+    For a radial core f(x) = c g(x / r) (_radial_core, radial f included),
+    M = log c + S_g(r rho) from g's radial_log_sup, exact from a closed-form
+    S and sampled from Radial's numeric search.  Exact for every f with a
+    normal form, walls and flat slopes included, from its lower facets
     <c_J, p> + e_J: M = max_J (e_J + rho |c_J|), or +inf when dom S misses
     part of the ball.  Sampled on 1000 seeded points of the sphere for
-    every other f, neither radial nor log-polyhedral."""
+    every other f."""
     d = f.dim
     rho = 1.0 / (d + 1)
-    if f.is_radial():
-        numeric = type(f).radial_log_sup is Radial.radial_log_sup
-        return (math.exp(-float(f.radial_log_sup(np.array([rho]))[0])),
+    core = _radial_core(f)
+    if core is not None:
+        g, log_c, r = core
+        numeric = type(g).radial_log_sup is Radial.radial_log_sup
+        return (math.exp(-log_c
+                         - float(g.radial_log_sup(np.array([r * rho]))[0])),
                 "sampled" if numeric else "exact")
     facets = f.support_facets()
     if facets is not None:
@@ -220,11 +262,11 @@ def john_inclusion_check(f: LogConcaveFunction, seed: int = 0
     polar(f) >= e^{-(d+1)} on the ball of radius 1/(d+1) by polar_floor,
     which implies the corollary polar(f)(p) >= e^{-(d+1)} hbar((d+1) p).
     hbar <= f passes within DOMINATION_PASS_TOL, widened for each row of
-    an exact certificate by the rounding of that row's own terms."""
+    a normal form's certificate by the rounding of that row's own terms."""
     d = f.dim
     violation, height_how = height_below(f, seed)
-    height_pass = (exact_height_passes(f.normal_form(), violation)
-                   if height_how == "exact"
+    form = f.normal_form()
+    height_pass = (exact_height_passes(form, violation) if form is not None
                    else violation <= DOMINATION_PASS_TOL)
     floor, how = polar_floor(f, seed)
     return JohnInclusionRecord(
@@ -264,12 +306,12 @@ def sandwich_construct(f: LogConcaveFunction, seed: int = 0
     chi_ball <= f_tilde <= sqrt(d+1) e^{-|x|/(d+2) + (d+1)}.
 
     The left side is the minimum of f_tilde on the closed unit ball,
-    sqrt(d+1) times that of f on the ball of radius rho = sqrt(d/(d+1)).
-    It is exact for a normal form, sqrt(d+1) exp(min_i (b_i - rho |s_i|)),
-    or 0 when a wall meets that ball; and for radial f, sqrt(d+1) phi(rho),
-    as the profile phi is nonincreasing.  For every other f it is sampled
-    on about 4096 points of the unit ball and 256 of its sphere.  The right
-    side follows from polar_floor by Fenchel:
+    sqrt(d+1) times that of f on the closed ball of radius
+    rho = sqrt(d/(d+1)): sqrt(d+1) exp(-v) with v = _log_gap_sup of the
+    indicator of that ball, routed and labelled as height_below; for a
+    normal form it is 0 when a wall meets the ball, and for a radial core
+    it is sqrt(d+1) c phi_g(rho / r), as the profile phi_g is nonincreasing.
+    The right side follows from polar_floor by Fenchel:
     log f(y) <= M - |y|/(d+1), so its log gap is at most M - (d+1) -
     (c1 - c2)|x|, c1 = sqrt(d/(d+1))/(d+1) > c2 = 1/(d+2), and it holds when
     M <= d+1.  The record reports M - (d+1); past r_star = 1/(c1 - c2) the
@@ -284,26 +326,8 @@ def sandwich_construct(f: LogConcaveFunction, seed: int = 0
     c2 = 1.0 / (d + 2.0)
 
     # left: chi_ball <= f_tilde on the closed ball, boundary included
-    form = f.normal_form()
-    if form is not None:
-        slopes, intercepts, N, c = form
-        left_how = "exact"
-        if np.any(shrink * np.linalg.norm(N, axis=1) >= c):
-            left_min = 0.0
-        else:
-            left_min = scale * float(np.exp(np.min(
-                intercepts - shrink * np.linalg.norm(slopes, axis=1),
-                initial=math.inf)))
-    elif f.is_radial():
-        left_how = "exact"
-        left_min = scale * math.exp(
-            float(f.radial_log_profile(np.array([shrink]))[0]))
-    else:
-        left_how = "sampled"
-        X = ball_grid(d, 4096, radius=1.0, seed=seed)
-        ring = sphere_points(d, 256, seed=seed + 1) * (1.0 - 1e-9)
-        left_min = float(apply_position(pos, f).evaluate_many(
-            np.vstack([X, ring])).min())
+    excess, left_how = _log_gap_sup(BallIndicator(d, shrink), f, seed)
+    left_min = scale * float(np.exp(-excess))
 
     floor, how = polar_floor(f, seed)
     return SandwichRecord(

@@ -558,13 +558,65 @@ def test_radial_pairs_with_a_rule_sample_no_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("f", [
-    ExpNorm(2, 3.0), BallIndicator(2, 1.5), _sampled_copy(Gaussian(2)),
-    _sampled_copy(PolarHeightPower(2, 1.0))], ids=repr)
+    _sampled_copy(ExpNorm(2, 3.0)), BallIndicator(2, 1.5),
+    _sampled_copy(Gaussian(2)), _sampled_copy(PolarHeightPower(2, 1.0))],
+    ids=repr)
 def test_radial_pairs_without_a_rule_keep_the_sampled_grid(f):
     assert not radial.Problem(f, Height(f.dim)).exact
     rep = solve_john(f, Height(f.dim))
     assert rep.diagnostics["engine"] == "radial" and rep.feasible
     assert rep.diagnostics["certificate"] == "sampled"
+
+
+def test_exp_norm_rule_past_p_2_is_never_above_a_dense_grid():
+    # g = -(r^2 u)^{p/2} - (s_w/2) log(1 - u) rises, can dip below 0 past
+    # its first stationary point, and rises again; it is taken in
+    # v = 1 - u, on a grid that crowds toward v = 0, where the dip sits for
+    # large r, and refined by Brent's search around the grid's minimum
+    v = np.concatenate([np.linspace(1.0, 0.0, 100000, endpoint=False),
+                        np.geomspace(1e-5, 1e-40, 2000)])
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        p = float(rng.uniform(2.05, 8.0))
+        r = float(np.exp(rng.uniform(math.log(1e-2), math.log(30.0))))
+        s_w = float(rng.choice([0.5, 1.0, 2.0]))
+        m, t = ExpNorm(1, p).radial_gap_rule(s_w)(r)
+
+        def g(v):
+            return -(r * r * (1.0 - v)) ** (0.5 * p) - 0.5 * s_w * np.log(v)
+
+        k = int(np.argmin(g(v)))
+        assert m <= float(g(v[k])) + 4e-15 * (1.0 + abs(m))
+        lo, hi = sorted((v[max(k - 1, 0)], v[min(k + 1, v.size - 1)]))
+        best = scipy.optimize.minimize_scalar(
+            g, bounds=(lo, hi), method="bounded",
+            options={"xatol": 1e-14 * hi}).fun
+        assert abs(min(0.0, best) - m) <= 1e-12 * (1.0 + abs(m))
+        assert (t == 0.0) == (m == 0.0)
+
+
+def test_exp_norm_past_p_2_solves_exactly_where_the_grid_missed_a_dip():
+    # the 1,100-point grid read m = 0 at the optimum r = 0.99274 of
+    # ExpNorm(1, 3), where a dip of depth 5.68e-8 sits at t = 0.730; the
+    # rule finds it, so the solve stops at the r where the dip reaches 0
+    rep = solve_john(ExpNorm(1, 3.0), Height(1))
+    assert rep.diagnostics["certificate"] == "exact"
+    assert rep.feasible and rep.diagnostics["converged"]
+    r = rep.position.matrix()[0, 0]
+    assert abs(r - 0.99274) <= 1e-5
+    assert abs(rep.diagnostics["max_constraint_violation"]) <= 1e-15
+    m, t = ExpNorm(1, 3.0).radial_gap_rule(1.0)(r * (1.0 + 1e-9))
+    assert m < 0.0 and abs(t - 0.73047) <= 1e-5
+
+
+def test_radial_free_solve_walks_down_to_an_optimum_below_its_start():
+    # HeightPower(d, s) under Height(d): d log r + m(r) is
+    # (d+1) log r + ((s-1)/2) log(1 - r^2) up to a constant, with its
+    # optimum at r^2 = (d+1)/(d+s), here below the start r = 0.5
+    rep = solve_john(HeightPower(1, 50.0), Height(1))
+    assert rep.diagnostics["certificate"] == "exact"
+    assert rep.feasible and rep.diagnostics["converged"]
+    assert rep.position.matrix()[0, 0] == math.sqrt(2.0 / 51.0)
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -143,8 +143,11 @@ def test_position_value_semantics():
 def _reference_check(A, positive_definite):
     """What AffinePosition decided with np.allclose and the least
     eigenvalue, kept as the reference for its own checks; make_position
-    inferred the flag the same way when it was not given."""
+    inferred the flag the same way when it was not given.  A non-finite
+    entry is refused before any of them."""
     A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        return "nonfinite"
     if positive_definite is None:
         positive_definite = bool(
             np.allclose(A, A.T, atol=1e-10)
@@ -165,6 +168,8 @@ def _library_check(A, positive_definite):
     except SingularPositionError:
         return "singular"
     except ValueError as exc:
+        if "non-finite" in str(exc):
+            return "nonfinite"
         return "asymmetric" if "symmetric" in str(exc) else "indefinite"
     return ("accepted", pos.positive_definite)
 
@@ -201,3 +206,11 @@ def test_inverse_matrix_is_kept_read_only_beside_the_fields():
     assert p.inverse_matrix() is inv and not inv.flags.writeable
     q = make_position(1.5, A, [0.1, -0.2])
     assert p == q and hash(p) == hash(q) and repr(p) == repr(q)
+
+
+@pytest.mark.parametrize("alpha, a", [(math.inf, [0.0, 0.0]),
+                                      (1.0, [math.nan, 0.0]),
+                                      (1.0, [0.0, -math.inf])])
+def test_non_finite_alpha_or_shift_is_refused(alpha, a):
+    with pytest.raises(ValueError, match="non-finite"):
+        make_position(alpha, np.eye(2), a, positive_definite=True)

@@ -13,6 +13,7 @@ from funcjohn import (
     Gaussian,
     HalfRestriction,
     Height,
+    HeightPower,
     ImproperFunctionError,
     PolarHeightPower,
     Positioned,
@@ -24,8 +25,9 @@ from funcjohn import (
     make_position,
     polar_floor,
     sandwich_construct,
+    solve_john,
 )
-from funcjohn import exact, polar
+from funcjohn import exact, polar, radial
 from funcjohn.acceptance import bump_corpus
 from funcjohn.lcfunc import BOUNDARY_SNAP
 from funcjohn.position import apply_position
@@ -138,7 +140,9 @@ def test_height_below_agrees_with_check_domination(name):
     f = HEIGHT_BELOW_INPUTS[name]
     d = f.dim
     value, how = height_below(f)
-    assert how == ("exact" if f.normal_form() is not None else "sampled")
+    rule = f.is_radial() and radial.Problem(f, Height(d)).exact
+    assert how == ("exact" if f.normal_form() is not None or rule
+                   else "sampled")
     sampled = check_domination(Height(d), f, radius=1.0).max_log_violation
     assert value >= sampled - 1e-12
     if math.isfinite(value) and math.isfinite(sampled):
@@ -255,6 +259,91 @@ def test_sampled_left_min_is_labelled():
     rec = sandwich_construct(f)
     assert rec.left_certificate == "sampled"
     assert rec.left_min == _grid_left_min(f)
+
+
+def _written_out_left_min(f):
+    """The sandwich's left side as it was written out before it shared
+    height_below's check, kept as the reference: for a normal form
+    sqrt(d+1) exp(min_i (b_i - rho |s_i|)), or 0 when a wall meets the
+    closed ball of radius rho = sqrt(d/(d+1)), and for radial f
+    sqrt(d+1) phi(rho), with the C library's exp."""
+    d = f.dim
+    rho, scale = math.sqrt(d / (d + 1.0)), math.sqrt(d + 1.0)
+    form = f.normal_form()
+    if form is None:
+        return scale * math.exp(
+            float(f.radial_log_profile(np.array([rho]))[0]))
+    slopes, intercepts, N, c = form
+    if np.any(rho * np.linalg.norm(N, axis=1) >= c):
+        return 0.0
+    return scale * float(np.exp(np.min(
+        intercepts - rho * np.linalg.norm(slopes, axis=1),
+        initial=math.inf)))
+
+
+# every library radial variant whose pair with Height(d) has a rule
+RADIAL_VARIANTS = [
+    lambda d: Gaussian(d), lambda d: ExpNorm(d, 1.0),
+    lambda d: ExpNorm(d, 1.5), lambda d: ExpNorm(d, 2.0),
+    lambda d: ExpNorm(d, 3.0), lambda d: HeightPower(d, 0.5),
+    lambda d: Height(d), lambda d: HeightPower(d, 2.0),
+    lambda d: PolarHeightPower(d, 1.0), lambda d: PolarHeightPower(d, 3.0)]
+
+
+def test_left_side_keeps_the_bits_of_its_written_out_formulas():
+    rng = np.random.default_rng(3)
+    bumps = [b.function for d in range(1, 7) for b in bump_corpus(d, 20)]
+    bumps += [*BOUNDARY_BUMPS[:2], _conjugate(bumps[45], rng),
+              _conjugate(BOUNDARY_BUMPS[1], rng)]
+    for f in bumps:
+        rec = sandwich_construct(f)
+        assert rec.left_certificate == "exact"
+        assert rec.left_min == _written_out_left_min(f)
+    # numpy's exp, which the normal forms have always taken, and the C
+    # library's differ in the last bit on some radial inputs, among them
+    # PolarHeightPower(2, 3.0) and ExpNorm(3, 1.5)
+    for make in RADIAL_VARIANTS + [lambda d: BallIndicator(d, 0.9)]:
+        for d in (1, 2, 3):
+            f = make(d)
+            rec = sandwich_construct(f)
+            rho = math.sqrt(d / (d + 1.0))
+            log_phi = float(f.radial_log_profile(np.array([rho]))[0])
+            assert rec.left_certificate == "exact"
+            assert rec.left_min == math.sqrt(d + 1.0) * float(np.exp(log_phi))
+            ref = _written_out_left_min(f)
+            assert abs(rec.left_min - ref) <= math.ulp(ref)
+
+
+def test_a_wall_across_the_shrunk_ball_gives_left_min_zero():
+    # a half-restriction's wall passes through the origin; the boundary
+    # anchor's wall x >= 1, shifted by -0.5, sits at 0.5 < sqrt(1/2)
+    half = HalfRestriction(inner=bump_corpus(2)[0].function,
+                           normal=(1.0, 0.0))
+    shifted = Positioned(inner=BOUNDARY_BUMPS[0],
+                         position=make_position(1.0, np.eye(1), [-0.5]))
+    for f in (half, shifted):
+        rec = sandwich_construct(f)
+        assert rec.left_min == 0.0 == _written_out_left_min(f)
+        assert rec.left_certificate == "exact" and not rec.left_pass
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("make", RADIAL_VARIANTS)
+def test_radial_targets_at_their_john_position_pass_exactly(make, d):
+    # f_J = Positioned(f, (1/alpha, A^-1, -A^-1 a)) is f in John position;
+    # the radial route's A = r Id, a = 0 keeps it a radial core
+    f = make(d)
+    rep = solve_john(f, Height(d))
+    assert rep.diagnostics["certificate"] == "exact" and rep.feasible
+    A, a = rep.position.matrix(), rep.position.a_vector()
+    A_inv = np.linalg.inv(A)
+    f_j = Positioned(inner=f, position=make_position(
+        1.0 / rep.position.alpha, A_inv, -A_inv @ a))
+    john, sandwich = john_inclusion_check(f_j), sandwich_construct(f_j)
+    assert john.height_below_certificate == "exact"
+    assert john.polar_floor_certificate == "exact"
+    assert sandwich.left_certificate == "exact"
+    assert john.passed and sandwich.passed
 
 
 def test_john_inclusion_two_point_bump():
