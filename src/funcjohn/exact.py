@@ -10,26 +10,33 @@ alpha * w(A^{-1}(x - a)) lies below f everywhere exactly when
     R |A^T n_j| + <n_j, a> < c_j  for every wall j.
 
 Each row is convex in (A, a), so the John problem, maximize
-log alpha + log det A, is a small convex program.  Problem.solve runs a
-log-barrier method on it, with exact gradients and Hessians and damped
+log alpha + log det A, is a small convex program.  Problem.solve runs an
+interior-point method on it, with exact gradients and Hessians and damped
 Newton steps in (upper triangle of a symmetric A, a, t = -log alpha); each
 point it visits is evaluated once, by Problem._point.  The merit at weight
-tau is tau f0 - sum log(-rows), f0 = -log det A (+ t).  Before tau rises to
-tau', a predictor step starts the next stage near its centre: on the
-central path x(tau) ~ x* + c / tau near the optimum, so from the centre it
-steps -(1 - tau/tau') tau H^-1 grad f0 along the path's tangent (Nesterov
-and Nemirovski, 1994), with the Hessian H of the stage's last Newton step,
-halved until the merit at tau' does not rise.  Where rounding leaves a
-Newton system singular or indefinite, the step is taken on its Jacobi
-scaling shifted by a multiple of the identity (_descent_step).  The same
-closed form, `certificate`, certifies the result; at the identity position
-it is the exact hbar <= f of funcjohn.verify.  Whether f decays
-(`surrounds_origin`) is for the caller to ask.
+tau is tau f0 - sum log(-v), f0 = -log det A (+ t), v the rows.
 
-Problem.start needs no LP: the peak of log f is S(0) of f's own normal
-form, walls included, and the largest start ball below it is the peak of
-a wall-free normal form; both are read off lower facets
-(polar.lower_facets).
+Primal-dual steps (Boyd and Vandenberghe, Convex Optimization, 11.7) keep
+multipliers lambda >= 0 beside x and set tau = 10 m / eta, eta = -<v,
+lambda> the surrogate duality gap, before every step, so the weight rises
+after each step rather than after a stage re-centred at a fixed weight.
+The Newton system is the barrier's with each row's curvature and
+outer-product terms weighted by tau lambda_i in place of -1/v_i (the
+central path's multipliers, which give back the barrier's own system).
+A step goes 0.99 of the way to where a multiplier or a row's linearization
+reaches 0 (a convex row is nonnegative beyond that), at most the full
+step, and is halved until the merit at tau falls (Armijo's test).  Once
+tau reaches tau_last = 2 m / 1e-9, the last stage takes barrier Newton
+steps at tau_last until the iterate is centred; only then does the solve
+report "gap_reached".  Where rounding leaves a Newton system singular or
+indefinite, the step is taken on its Jacobi scaling shifted by a multiple
+of the identity (_descent_step).  The same closed form, `certificate`,
+certifies the result; at the identity position it is the exact hbar <= f
+of funcjohn.verify.  Whether f decays (`surrounds_origin`) is for the
+caller to ask.
+
+Problem.start needs no LP: it reads the peak of log f, and the start ball
+where it needs one, off lower facets (polar.lower_facets).
 
 With at most 28 unknowns, the barrier's kernel (_row_values, Problem._point
 and Problem._newton) is bound by the overhead of each NumPy call, not by
@@ -55,16 +62,19 @@ from scipy.spatial import QhullError
 from .lcfunc import ImproperFunctionError, LogConcaveFunction
 from .polar import hull_min_offset, lower_facets
 
-_STAGE_FACTOR = 50.0  # growth of the barrier weight tau per stage
-# the solve stops once (number of rows + squared decrement) / tau, a bound on
-# the duality gap, is at most this
+# the duality gap the solve reaches: its last stage centres at weight
+# tau_last = 2 m / _GAP_TOL, where (m + decrement^2) / tau_last bounds it
 _GAP_TOL = 1e-9
-_CENTERED = 1e-10  # squared Newton decrement that ends a stage
+_CENTERED = 1e-10  # squared Newton decrement that ends the last stage
 # Below this squared decrement Newton steps are taken in full when they stay
 # strictly feasible: at large tau the merit's rounding exceeds the decrease
 # an Armijo test asks for, while the Newton step is still sound.
 _FULL_STEP = 1e-3
-_STAGE_STEPS = 50
+# A primal-dual step sets the weight to _RISE m / eta, eta = -<v, lambda>
+# the surrogate duality gap, and goes _STEP_BACK of the way to where a
+# multiplier or a row's linearization reaches 0.  Not options.
+_RISE = 10.0
+_STEP_BACK = 0.99
 _MAX_NEWTON_STEPS = 400
 _MAX_HALVINGS = 60  # line-search and start-radius halvings, shift doublings
 
@@ -92,13 +102,13 @@ def surrounds_origin(P) -> bool:
         return False
 
 
-def _peak(form) -> tuple | None:
+def _peak(facets) -> tuple | None:
     """(max_x log f(x), the centre of the face of x that attains it) for f
-    of normal form `form`, from its lower facets (polar.lower_facets): the
+    of lower facets `facets` (polar.lower_facets of its normal form): the
     peak is S(0) = max_J e_J, the face is the subdifferential of S at 0,
     the hull of the c_J of the facets within 1e-9 (1 + |peak|) of it.
     None when S(0) = +inf, where 0 is outside dom S: f is unbounded."""
-    (_, c, e), (_, h) = lower_facets(*form)
+    (_, c, e), (_, h) = facets
     if np.any(h < 0.0):
         return None
     peak = float(np.max(e))
@@ -176,9 +186,9 @@ class ExactSolution:
     a: np.ndarray
     log_alpha: float
     stop_reason: str  # "gap_reached", "iteration_cap" or "numerical_breakdown"
-    newton_steps: int
-    barrier_stages: int
-    gap_bound: float  # (rows + decrement^2) / tau at the last stage
+    newton_steps: int  # primal-dual and last-stage steps
+    last_stage_steps: int
+    gap_bound: float  # (rows + decrement^2) / tau of the last Newton system
 
 
 @dataclass
@@ -295,9 +305,11 @@ class Problem:
         return _Point(x, A, V, c, sigma, rows, v, f0,
                       float(np.log(-v).sum()))
 
-    def _newton(self, pt: _Point, tau, log_alpha):
-        """(gradient, Newton step, Hessian) of the merit at pt, and the
-        gradient of f0."""
+    def _newton(self, pt: _Point, tau, log_alpha, weights=None):
+        """(gradient of the merit at pt, Newton step, Hessian, row
+        gradients D).  Each row's curvature and outer-product terms are
+        weighted by `weights`, tau lambda on a primal-dual step, and by
+        -1/v, the barrier's own, when it is None."""
         K, J = self._rows.size, self._J
         B = np.linalg.inv(pt.A)
         c, v, (_, S1, S2) = pt.c, pt.v, pt.sigma
@@ -311,131 +323,172 @@ class Problem:
         D[:, :K] = S1[:, None] * Gz
         g0[:K] = self._g0_scale * B[self._rows, self._cols]
         wt = -1.0 / v
+        u = wt if weights is None else weights
         grad = D.T @ wt + tau * g0
-        H = (D.T * wt * wt) @ D
+        H = (D.T * wt * u) @ D
         # Hessian of -log det A, tr(B E_k B E_l), in the symmetric basis
         BB = np.multiply.outer(B, B).take(self._logdet_ix)
         H[:K, :K] += tau * self._half2x2 * (BB[0] + BB[1])
         # curvature of each row: sigma'' grad|Ap| grad|Ap|^T plus
         # sigma' (J^T J - grad grad^T) / |Ap|
-        H[:K, :K] += (Gz.T * (wt * (S2 - S1 * inv_c))) @ Gz
-        H[:K, :K] += np.einsum("i,idk,idl->kl", wt * S1 * inv_c, J, J)
+        H[:K, :K] += (Gz.T * (u * (S2 - S1 * inv_c))) @ Gz
+        H[:K, :K] += np.einsum("i,idk,idl->kl", u * S1 * inv_c, J, J)
         try:
             step = np.linalg.solve(H, -grad)
             if -float(grad @ step) >= 0.0:
-                return grad, step, H, g0
+                return grad, step, H, D
         except np.linalg.LinAlgError:
             pass
-        return (grad, *_descent_step(H, grad), g0)
+        return (grad, *_descent_step(H, grad), D)
 
-    def _line_search(self, pt: _Point, step, tau, log_alpha, slope
-                     ) -> _Point | None:
-        """The point at the largest step s in 1, 1/2, 1/4, ... that keeps
+    def _line_search(self, pt: _Point, step, tau, log_alpha, slope,
+                     s: float = 1.0) -> tuple | None:
+        """(point, s) at the largest step s in s, s/2, s/4, ... that keeps
         every row strictly negative and A positive definite, and whose merit
         at tau is at most pt's minus s slope (Armijo's test; -inf passes any
         such point); None when none does."""
-        s = 1.0
         merit = pt.merit(tau)
         for _ in range(_MAX_HALVINGS):
             trial = self._point(pt.x + s * step, log_alpha)
             value = math.inf if trial is None else trial.merit(tau)
             if math.isfinite(value) and value <= merit - s * slope:
-                return trial
+                return trial, s
             s *= 0.5
         return None
 
-    def start(self, log_alpha: float | None):
+    def start(self, log_alpha: float | None,
+              f: LogConcaveFunction | None = None):
         """A strictly feasible (A, a) = (r Id, a), or None when there is
-        none.  (a, r) is the centre of the largest ball B(a, r), r <= 1,
-        whose positioned copy of supp w keeps a margin r from every wall
-        and lies where log f >= level + r; level is log alpha for a fixed
-        height, and one below the peak of log f for the free solve.  Then
-        S_w(r|p|) <= R r |p| leaves every row below -r.
+        none: the copy of w at height e^level has every row below 0, where
+        level is log alpha for a fixed height and one below the peak of
+        log f for the free solve.
 
-        The peak of log f and the ball are each the peak S(0) = max_J e_J
-        of a normal form, read off its lower facets (polar.lower_facets):
-        for the peak of log f that form is f's own, walls included.
-        For the ball (a Chebyshev centre; Boyd and Vandenberghe, Convex
-        Optimization, 8.5.1) each row <p, a> + r k <= b - level (interior
-        rows) or <= c (walls), k = 1 + R|p|, is divided by k, and the row
-        of slope 0 and intercept 1 adds r <= 1.  The ball's optimum is a
-        face, the subdifferential of that form's S at 0, and a is its
-        centre: the mean of c_J over the facets within 1e-9 (1 + |r|) of
-        the peak."""
+        A free solve of a form without walls, given the target f whose
+        form it is, needs no ball: t absorbs any position.  a is the centre
+        of f's peak face, the subdifferential of S at 0 (S(0) = max_J e_J
+        over the lower facets f keeps, f.support_facets(); see _peak), and
+        r halves from 1 until the copy fits, which keeps t near the peak on
+        a badly scaled form (rows of slope 1e9 at A = Id).
+
+        Otherwise (a, r) is the centre of the largest ball B(a, r), r <= 1,
+        whose positioned copy of supp w keeps a margin r from every wall
+        and lies where log f >= level + r, so that S_w(r|p|) <= R r |p|
+        leaves every row below -r (r halves only on rounding).  The peak of
+        f's own form, walls included, and the ball (a Chebyshev centre;
+        Boyd and Vandenberghe, Convex Optimization, 8.5.1: each row
+        <p, a> + r k <= b - level, or <= c on a wall, k = 1 + R|p|, divided
+        by k, and the row r <= 1) are each the peak of a normal form, read
+        off its lower facets; a is the centre of the ball's optimal face."""
         d, m_int, R = self.d, self.m_int, self.R
-        b = -self.off
-        if log_alpha is not None:
-            level = log_alpha
+        if log_alpha is None and f is not None and m_int == self.P.shape[0]:
+            peak = _peak(f.support_facets())
+            if peak is None:
+                return None
+            level, r, a = peak[0] - 1.0, 1.0, peak[1]
         else:
-            peak = _peak((self.P[:m_int], b[:m_int], self.P[m_int:],
-                          b[m_int:]))
-            level = math.nan if peak is None else peak[0] - 1.0
-        if not math.isfinite(level):
-            return None
-        k = 1.0 + R * np.linalg.norm(self.P, axis=1)
-        b[:m_int] -= level
-        ball = _peak((np.vstack([self.P / k[:, None], np.zeros(d)]),
-                      np.append(b / k, 1.0), np.zeros((0, d)), np.zeros(0)))
-        if ball is None or not ball[0] > 0.0:
-            return None
-        r, a = ball
+            b = -self.off
+            if log_alpha is not None:
+                level = log_alpha
+            else:
+                peak = _peak(lower_facets(self.P[:m_int], b[:m_int],
+                                          self.P[m_int:], b[m_int:]))
+                level = math.nan if peak is None else peak[0] - 1.0
+            if not math.isfinite(level):
+                return None
+            k = 1.0 + R * np.linalg.norm(self.P, axis=1)
+            b[:m_int] -= level
+            ball = _peak(lower_facets(
+                np.vstack([self.P / k[:, None], np.zeros(d)]),
+                np.append(b / k, 1.0), np.zeros((0, d)), np.zeros(0)))
+            if ball is None or not ball[0] > 0.0:
+                return None
+            r, a = ball
         for _ in range(_MAX_HALVINGS):
             v = self.values(r * np.eye(d), a)
             v[:m_int] += level
             if np.all(v < 0.0):
                 return r * np.eye(d), a
-            r *= 0.5  # rounding only: the ball leaves every row below -r
+            r *= 0.5
         return None
 
     def solve(self, start, log_alpha: float | None) -> ExactSolution:
-        """Barrier stages from a strictly feasible start; log_alpha None
-        maximizes log det A - t with t >= every interior row, a number
-        maximizes log det A at that height."""
+        """Primal-dual steps from a strictly feasible start until the weight
+        reaches tau_last, then the last stage; log_alpha None maximizes
+        log det A - t with t >= every interior row, a number maximizes
+        log det A at that height."""
         A, a = start
         pt = self._point(np.concatenate([A[self._rows, self._cols], a]),
                          log_alpha)
         m = self.P.shape[0]
-        tau, tau_last = 1.0, 2.0 * m / _GAP_TOL
-        steps = stages = 0
-        stop = None
-        while stop is None and steps < _MAX_NEWTON_STEPS:
-            stages += 1
-            for _ in range(_STAGE_STEPS):
-                try:
-                    grad, step, H, g0 = self._newton(pt, tau, log_alpha)
-                    decrement2 = -float(grad @ step)
-                except np.linalg.LinAlgError:
-                    decrement2 = math.nan
-                if not decrement2 >= 0.0:
-                    # rounding has cost the Newton system its definiteness:
-                    # a non-descent step must not pass for a centred stage
-                    stop = "numerical_breakdown"
-                    break
-                if decrement2 <= _CENTERED:
-                    break
+        tau, tau_last = 0.0, 2.0 * m / _GAP_TOL
+        lam = -1.0 / pt.v  # the multipliers of the centre at weight 1
+        held = False
+        steps = last = 0
+        stop, gap = None, math.nan
+        while tau < tau_last and steps < _MAX_NEWTON_STEPS:
+            if not held:
+                tau = min(_RISE * m / float(-(pt.v @ lam)), tau_last)
+            try:
+                grad, step, _, D = self._newton(pt, tau, log_alpha, tau * lam)
+                decrement2 = -float(grad @ step)
+            except np.linalg.LinAlgError:
+                decrement2 = math.nan
+            gap = (m + decrement2) / tau
+            if not decrement2 >= 0.0:
+                stop = "numerical_breakdown"
+                break
+            steps += 1
+            Ds = D @ step
+            dlam = (1.0 / tau + lam * Ds) / -pt.v - lam
+            bound = min(np.min(lam[dlam < 0.0] / -dlam[dlam < 0.0],
+                               initial=math.inf),
+                        np.min(pt.v[Ds > 0.0] / -Ds[Ds > 0.0],
+                               initial=math.inf))
+            moved = self._line_search(
+                pt, step, tau, log_alpha, -math.inf
+                if decrement2 <= _FULL_STEP else 0.25 * decrement2,
+                min(1.0, _STEP_BACK * bound))
+            if moved is None:
+                break
+            pt, s = moved
+            lam = lam + s * dlam
+            # a _RISE-fold rise from the central path reads a squared
+            # decrement of about (_RISE - 1)^2 m / _RISE; beyond _RISE m the
+            # weight waits until the steps bring the iterate back near it
+            held = decrement2 > _RISE * m
+        previous = math.inf
+        while stop is None:
+            try:
+                grad, step, _, _ = self._newton(pt, tau_last, log_alpha)
+                decrement2 = -float(grad @ step)
+            except np.linalg.LinAlgError:
+                decrement2 = math.nan
+            gap = (m + decrement2) / tau_last
+            if not decrement2 >= 0.0:
+                # rounding has cost the Newton system its definiteness:
+                # a non-descent step must not pass for a centred stage
+                stop = "numerical_breakdown"
+            elif (decrement2 <= _CENTERED
+                  or previous <= decrement2 <= _FULL_STEP):
+                # centred at tau_last = 2 m / _GAP_TOL, so gap < _GAP_TOL; or
+                # as centred as rounding allows: a full step did not lower a
+                # decrement already far below 1, where the bound holds
+                stop = "gap_reached"
+            elif steps >= _MAX_NEWTON_STEPS:
+                stop = "iteration_cap"
+            else:
                 steps += 1
+                last += 1
                 moved = self._line_search(
-                    pt, step, tau, log_alpha, -math.inf
+                    pt, step, tau_last, log_alpha, -math.inf
                     if decrement2 <= _FULL_STEP else 0.25 * decrement2)
                 if moved is None:
-                    break
-                pt = moved
-                if steps >= _MAX_NEWTON_STEPS:
-                    break
-            gap = (m + decrement2) / tau
-            if stop is None and gap <= _GAP_TOL:
-                stop = "gap_reached"
-            nxt = min(tau * _STAGE_FACTOR, tau_last)
-            if stop is None and decrement2 <= _CENTERED:
-                # the predictor step of the module docstring (a centred
-                # stage at tau_last has met the gap test)
-                dx = np.linalg.solve(H, g0) * ((tau / nxt - 1.0) * tau)
-                pt = self._line_search(pt, dx, nxt, log_alpha, 0.0) or pt
-            tau = nxt
+                    stop = "numerical_breakdown"
+                else:
+                    pt, previous = moved[0], decrement2
         _, a, _ = self._unpack(pt.x)
         if log_alpha is None:
             log_alpha = -float(np.max(pt.rows[:self.m_int]))
         return ExactSolution(A=pt.A, a=a.copy(), log_alpha=log_alpha,
-                             stop_reason=stop or "iteration_cap",
-                             newton_steps=steps,
-                             barrier_stages=stages, gap_bound=gap)
+                             stop_reason=stop, newton_steps=steps,
+                             last_stage_steps=last, gap_bound=gap)

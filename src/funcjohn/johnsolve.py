@@ -125,7 +125,7 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
     problem = Problem(form, w)
     if not surrounds_origin(problem.P):
         raise DivergentIntegralError(_NO_DECAY)
-    start = problem.start(log_alpha)
+    start = problem.start(log_alpha, f)
     if start is None:
         raise InfeasibleProblemError(
             "no position of w fits inside the support of f"
@@ -146,7 +146,7 @@ def _solve_exact(f: LogConcaveFunction, w: LogConcaveFunction, form: tuple,
             "converged": sol.stop_reason == "gap_reached",
             "stop_reason": sol.stop_reason,
             "newton_steps": sol.newton_steps,
-            "barrier_stages": sol.barrier_stages,
+            "last_stage_steps": sol.last_stage_steps,
             "gap_bound": sol.gap_bound,
             "max_constraint_violation": violation})
 

@@ -23,12 +23,14 @@ class SingularPositionError(ValueError):
 
 @dataclass(frozen=True)
 class AffinePosition:
-    """Triple (alpha, A, a) with alpha > 0 and A nonsingular."""
+    """Triple (alpha, A, a) with alpha > 0 and A nonsingular.  A
+    positive_definite of None is inferred from A: whether A passes the
+    checks a True flag asks of it."""
 
     alpha: float
     A: tuple  # row tuples of the d x d matrix
     a: tuple
-    positive_definite: bool = False
+    positive_definite: bool | None = False
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -44,10 +46,14 @@ class AffinePosition:
             raise DimensionMismatchError("translation dimension mismatch")
         if abs(np.linalg.det(A)) <= MIN_ABS_DET:
             raise SingularPositionError("position matrix is singular")
-        if self.positive_definite:
-            if not _symmetric(A):
+        if self.positive_definite is not False:
+            symmetric = _symmetric(A)
+            definite = symmetric and np.min(np.linalg.eigvalsh(A)) > 0
+            if self.positive_definite is None:
+                object.__setattr__(self, "positive_definite", bool(definite))
+            elif not symmetric:
                 raise ValueError("positive_definite position needs symmetric A")
-            if np.min(np.linalg.eigvalsh(A)) <= 0:
+            elif not definite:
                 raise ValueError("positive_definite position needs eigenvalues > 0")
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "A", tuple(map(tuple, A.tolist())))
@@ -97,9 +103,6 @@ def make_position(alpha: float, A, a, positive_definite: bool | None = None
                   ) -> AffinePosition:
     A = np.asarray(A, dtype=float)
     a = np.asarray(a, dtype=float)
-    if positive_definite is None:
-        positive_definite = bool(
-            _symmetric(A) and np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 0)
     return AffinePosition(alpha=float(alpha), A=tuple(map(tuple, A.tolist())),
                           a=tuple(float(v) for v in a),
                           positive_definite=positive_definite)

@@ -135,6 +135,29 @@ def test_a_breakdown_is_not_reported_as_a_reached_gap():
         assert sol.stop_reason == "numerical_breakdown"
 
 
+def test_a_last_stage_that_cannot_step_is_not_reported_as_a_reached_gap(
+        monkeypatch):
+    # every line search at tau_last = 2m / 1e-9 is refused, so the last
+    # stage stops short of its centre.  A gap test that scores such a stop
+    # by (m + decrement^2) / tau_last passes for any decrement^2 <= m, and
+    # reported the free solve here as gap_reached at decrement^2 = 0.19.
+    f = bump_corpus(3, 2)[1].function
+    problem = Problem(f.normal_form(), Height(3))
+    tau_last = 2.0 * problem.P.shape[0] / 1e-9
+    line_search = Problem._line_search
+
+    def refused(self, pt, step, tau, *args):
+        if tau >= tau_last:
+            return None
+        return line_search(self, pt, step, tau, *args)
+
+    monkeypatch.setattr(Problem, "_line_search", refused)
+    for log_alpha in (None, math.log(0.5 * f.sup_norm())):
+        sol = problem.solve(problem.start(log_alpha), log_alpha)
+        assert sol.stop_reason != "gap_reached", log_alpha
+        assert sol.stop_reason == "numerical_breakdown"
+
+
 def _lp_start_ball(form, R, log_alpha):
     """(r, level) of the start ball by HiGHS on the primal LPs, rows scaled
     to unit norm: the peak, max z over z + <s_i, x> <= b_i and the walls
@@ -359,8 +382,10 @@ def test_each_barrier_point_is_evaluated_once(monkeypatch, d, idx, height):
 
 def test_predictor_keeps_corpus_solves_in_few_newton_steps():
     # 48 solves: corpus bumps d = 1-4, seeds 0-5, free and at half the peak.
-    # Opening each stage at the last centre costs 2,193 Newton steps in all;
-    # the predictor step along the central path brings that to 1,176.
+    # Barrier stages at tau rising x50, each opened at the last centre, took
+    # 2,193 Newton steps in all, and 1,165 with a predictor step along the
+    # central path; primal-dual steps, whose weight rises after every step,
+    # take 583.
     steps = 0
     for d in range(1, 5):
         for bump in bump_corpus(d, 6):
@@ -371,7 +396,7 @@ def test_predictor_keeps_corpus_solves_in_few_newton_steps():
                 assert rep.diagnostics["stop_reason"] == "gap_reached"
                 steps += rep.diagnostics["newton_steps"]
             assert abs(free.objective) <= 1e-9
-    assert steps < 1500
+    assert steps < 650
 
 
 # The barrier's reference: the straightforward formulas for the rows, the
@@ -415,7 +440,7 @@ def _reference_point(problem, x, log_alpha):
     return A, V, c, sigma, rows, f0, float(np.log(-v).sum())
 
 
-def _reference_newton(problem, pt, tau, log_alpha):
+def _reference_newton(problem, pt, tau, log_alpha, weights=None):
     rows, cols, J = problem._rows, problem._cols, problem._J
     K, d, n = rows.size, problem.d, pt.x.size
     half = np.where(rows == cols, 0.5, 1.0)
@@ -432,29 +457,33 @@ def _reference_newton(problem, pt, tau, log_alpha):
         D[:problem.m_int, -1] = -1.0
         g0[-1] = 1.0
     wt = -1.0 / v
+    # a row's curvature and outer-product terms take the primal-dual weight
+    # tau lambda where one is given; -1/v gives back the barrier's own
+    u = wt if weights is None else weights
     grad = D.T @ wt + tau * g0
-    H = (D.T * wt * wt) @ D
+    H = (D.T * wt * u) @ D
     rr, cc, rc, cr = (np.ix_(rows, rows), np.ix_(cols, cols),
                       np.ix_(rows, cols), np.ix_(cols, rows))
     H[:K, :K] += tau * np.outer(half, half) * 2.0 * (B[rr] * B[cc]
                                                      + B[rc] * B[cr])
-    H[:K, :K] += (Gz.T * (wt * (S2 - S1 * inv_c))) @ Gz
-    H[:K, :K] += np.einsum("i,idk,idl->kl", wt * S1 * inv_c, J, J)
+    H[:K, :K] += (Gz.T * (u * (S2 - S1 * inv_c))) @ Gz
+    H[:K, :K] += np.einsum("i,idk,idl->kl", u * S1 * inv_c, J, J)
     try:
         step = np.linalg.solve(H, -grad)
         if -float(grad @ step) >= 0.0:
-            return grad, step, H, g0
+            return grad, step, H, D
     except np.linalg.LinAlgError:
         pass
-    return (grad, *_descent_step(H, grad), g0)
+    return (grad, *_descent_step(H, grad), D)
 
 
 def test_barrier_kernel_matches_the_reference_to_the_bit(monkeypatch):
     # every point and every Newton system of 16 solves: corpus bumps #0 in
     # d = 1-4 (no walls) and their half-restrictions at e1 (one wall), free
-    # and at half the peak
+    # and at half the peak; the Newton systems of the primal-dual steps and
+    # of the last stage alike
     point, newton = Problem._point, Problem._newton
-    seen = {"points": 0, "newton": 0, "walls": set()}
+    seen = {"points": 0, "newton": 0, "primal_dual": 0, "walls": set()}
 
     def checked_point(self, x, log_alpha):
         pt = point(self, x, log_alpha)
@@ -470,11 +499,13 @@ def test_barrier_kernel_matches_the_reference_to_the_bit(monkeypatch):
             seen["points"] += 1
         return pt
 
-    def checked_newton(self, pt, tau, log_alpha):
-        out = newton(self, pt, tau, log_alpha)
-        for got, want in zip(out, _reference_newton(self, pt, tau, log_alpha)):
+    def checked_newton(self, pt, tau, log_alpha, weights=None):
+        out = newton(self, pt, tau, log_alpha, weights)
+        for got, want in zip(out, _reference_newton(self, pt, tau, log_alpha,
+                                                    weights)):
             assert np.array_equal(got, want)
         seen["newton"] += 1
+        seen["primal_dual"] += weights is not None
         return out
 
     monkeypatch.setattr(Problem, "_point", checked_point)
@@ -489,7 +520,7 @@ def test_barrier_kernel_matches_the_reference_to_the_bit(monkeypatch):
                 sol = problem.solve(problem.start(log_alpha), log_alpha)
                 assert sol.stop_reason == "gap_reached"
     assert seen["walls"] == {0, 1}
-    assert seen["points"] > seen["newton"] > 300
+    assert seen["points"] > seen["newton"] > seen["primal_dual"] > 150
 
 
 def _lp_surrounds_origin(P):
